@@ -17,48 +17,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateInputError, ParameterError
-from .groebner import Ideal, divide, vector_degree, vector_syzygies
-from .invariants import hilbert_function, minimal_free_resolution, regularity
-from .ring import monomial_divides, monomials_of_degree
-
-
-class QuotientBasis:
-    """Standard-monomial coordinates of the graded pieces of S/I."""
-
-    def __init__(self, ideal: Ideal):
-        self.ideal = ideal
-        self.ring = ideal.ring
-        self._gb = ideal.groebner_basis()
-        self._lead = [g.lead_exps() for g in self._gb]
-        self._cache = {}
-
-    def monomials(self, d):
-        """Degree-d monomials outside the lead term ideal, descending."""
-        if d not in self._cache:
-            monos = tuple(
-                m
-                for m in monomials_of_degree(self.ring.n, d, self.ring.order.kind)
-                if not any(monomial_divides(le, m) for le in self._lead)
-            )
-            self._cache[d] = (monos, {m: i for i, m in enumerate(monos)})
-        return self._cache[d][0]
-
-    def dim(self, d):
-        return len(self.monomials(d))
-
-    def coords(self, f, d):
-        """Coordinates of the class of f in (S/I)_d."""
-        monos = self.monomials(d)
-        index = self._cache[d][1]
-        row = [0] * len(monos)
-        if f.is_zero():
-            return row
-        if self._gb:
-            _, f = divide(f, self._gb)
-        p = self.ring.field.p
-        for exps, c in f.terms:
-            row[index[exps]] = (row[index[exps]] + c) % p
-        return row
+from .groebner import Ideal, vector_degree, vector_syzygies
+from .invariants import QuotientBasis, hilbert_function, minimal_free_resolution, regularity
 
 
 class HomLayout:

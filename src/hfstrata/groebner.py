@@ -306,7 +306,7 @@ def vector_degree(polys, ambient_shifts):
 class Ideal:
     """Homogeneous ideal with cached reduced Gröbner basis."""
 
-    __slots__ = ("ring", "generators", "_lock", "_gb", "_hs_numerator", "_resolution")
+    __slots__ = ("ring", "generators", "_lock", "_gb", "_hs_numerator", "_betti", "_resolution")
 
     def __init__(self, ring: RingContext, generators):
         self.ring = ring
@@ -321,6 +321,7 @@ class Ideal:
         self._lock = threading.RLock()
         self._gb = None
         self._hs_numerator = None
+        self._betti = None
         self._resolution = None
 
     def __repr__(self):

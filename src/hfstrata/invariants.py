@@ -1,21 +1,27 @@
 """Order-independent graded invariants.
 
 Hilbert functions come from the standard pivot recursion on the lead
-term ideal; resolutions iterate Schreyer syzygies, selecting a minimal
-generating set at every homological level (Nakayama via dense rank over
-F_p), so the maps never contain unit entries.  A pivot sweep is kept as
-a final normalization pass and safety net.
+term ideal.  Graded Betti numbers come from Koszul homology,
+beta_{i,j}(I) = dim H_{i+1}(K(x) ⊗ S/I)_j, with S/I coordinatized by
+the standard monomials of the reduced Gröbner basis; the degrees
+searched are capped by the Taylor resolution of the lead term ideal.
+Resolutions iterate Schreyer syzygies and select minimal generators
+(Nakayama via dense rank over F_p) only in the degrees where the Betti
+table has an entry, so the maps never contain unit entries.  A pivot
+sweep is kept as a final normalization pass and safety net.
 """
 
+from itertools import combinations
 from math import comb
+
+import numpy as np
 
 from . import linalg
 from .errors import DegenerateInputError, ParameterError
-from .groebner import Ideal, vector_degree, vector_syzygies
+from .groebner import Ideal, divide, vector_degree, vector_syzygies
 from .ring import (
     GradedFreeModule,
     GradedMap,
-    graded_piece_dim,
     module_piece_basis,
     monomial_divides,
     monomials_of_degree,
@@ -159,6 +165,57 @@ def krull_dim(ideal: Ideal) -> int:
     return ideal.ring.n - e
 
 
+class QuotientBasis:
+    """Standard-monomial coordinates of the graded pieces of S/I."""
+
+    def __init__(self, ideal: Ideal):
+        self.ideal = ideal
+        self.ring = ideal.ring
+        self._gb = ideal.groebner_basis()
+        self._lead = [g.lead_exps() for g in self._gb]
+        self._cache = {}
+
+    def monomials(self, d):
+        """Degree-d monomials outside the lead term ideal, descending."""
+        if d not in self._cache:
+            monos = tuple(
+                m
+                for m in monomials_of_degree(self.ring.n, d, self.ring.order.kind)
+                if not any(monomial_divides(le, m) for le in self._lead)
+            )
+            self._cache[d] = (monos, {m: i for i, m in enumerate(monos)})
+        return self._cache[d][0]
+
+    def dim(self, d):
+        return len(self.monomials(d))
+
+    def coords(self, f, d):
+        """Coordinates of the class of f in (S/I)_d."""
+        monos = self.monomials(d)
+        index = self._cache[d][1]
+        row = [0] * len(monos)
+        if f.is_zero():
+            return row
+        if self._gb:
+            _, f = divide(f, self._gb)
+        p = self.ring.field.p
+        for exps, c in f.terms:
+            row[index[exps]] = (row[index[exps]] + c) % p
+        return row
+
+    def variable_matrix(self, t, d):
+        """Matrix of multiplication by x_t from (S/I)_d to (S/I)_{d+1}."""
+        mat = np.zeros((self.dim(d + 1), self.dim(d)), dtype=np.int64)
+        index = self._cache[d + 1][1]
+        for col, m in enumerate(self.monomials(d)):
+            e = m[:t] + (m[t] + 1,) + m[t + 1 :]
+            if e in index:
+                mat[index[e], col] = 1
+            else:
+                mat[:, col] = self.coords(self.ring.monomial(e), d + 1)
+        return mat
+
+
 # ---------------------------------------------------------------------------
 # Betti tables and resolutions
 # ---------------------------------------------------------------------------
@@ -217,6 +274,96 @@ class BettiTable:
                 cells.append(f"{b if b else '.':>{width}}")
             lines.append(f"{r:>5}: " + " ".join(cells))
         return "\n".join(lines)
+
+
+def _taylor_degree_caps(lead):
+    """{k: (lo, hi)}: degrees j where beta_{k,j}(S/I) can be nonzero.
+
+    Betti numbers only grow under Gröbner degeneration, and the Taylor
+    resolution of in(I) has one generator of degree deg lcm(A) for each
+    k-subset A of the lead terms.  So k runs up to the number of lead
+    terms (and n), and j lies between dmin + k - 1 and the smaller of
+    the sum of the k largest lead degrees and deg lcm(all lead terms).
+    """
+    degs = sorted((sum(e) for e in lead), reverse=True)
+    lcm_deg = sum(max(col) for col in zip(*lead))
+    return {
+        k: (degs[-1] + k - 1, min(sum(degs[:k]), lcm_deg))
+        for k in range(1, min(len(lead[0]), len(lead)) + 1)
+    }
+
+
+def _koszul_betti(ideal: Ideal):
+    """Betti table of I as Koszul homology of S/I, with no resolution.
+
+    beta_{i,j}(I) = beta_{i+1,j}(S/I) = dim H_{i+1}(K(x) ⊗ S/I)_j, and
+    (K_k ⊗ S/I)_j is one copy of (S/I)_{j-k} per k-subset of variables,
+    so dim H_k = C(n,k) h_{j-k} - rank d_k - rank d_{k+1} in degree j.
+    """
+    ring = ideal.ring
+    n, p = ring.n, ring.field.p
+    qb = QuotientBasis(ideal)
+    times = {}
+    ranks = {}
+
+    def variable_matrix(t, d):
+        if (t, d) not in times:
+            times[t, d] = qb.variable_matrix(t, d)
+        return times[t, d]
+
+    def rank(k, j):
+        """Rank of d_k: (K_k ⊗ S/I)_j -> (K_{k-1} ⊗ S/I)_j."""
+        d = j - k
+        if k > n or d < 0 or qb.dim(d) == 0 or qb.dim(d + 1) == 0:
+            return 0
+        if (k, j) not in ranks:
+            src, tgt = qb.dim(d), qb.dim(d + 1)
+            faces = {tau: r for r, tau in enumerate(combinations(range(n), k - 1))}
+            mat = np.zeros((len(faces) * tgt, comb(n, k) * src), dtype=np.int64)
+            for c, sigma in enumerate(combinations(range(n), k)):
+                for a, t in enumerate(sigma):
+                    r = faces[sigma[:a] + sigma[a + 1 :]]
+                    block = variable_matrix(t, d)
+                    mat[r * tgt : (r + 1) * tgt, c * src : (c + 1) * src] = (
+                        block if a % 2 == 0 else (p - block) % p
+                    )
+            ranks[k, j] = linalg.rank(mat, p)
+        return ranks[k, j]
+
+    entries = {}
+    for k, (lo, hi) in _taylor_degree_caps(qb._lead).items():
+        for j in range(lo, hi + 1):
+            beta = comb(n, k) * qb.dim(j - k) - rank(k, j) - rank(k + 1, j)
+            if beta:
+                entries[(k - 1, j)] = beta
+    return entries
+
+
+def betti_table(ideal: Ideal) -> BettiTable:
+    """Graded Betti numbers of the ideal (cached on the ideal).
+
+    The unit ideal has the single entry (0, 0) and the zero ideal none.
+    The alternating sum of the table must reproduce the Hilbert series
+    numerator of the pivot recursion, an independent check.
+    """
+    with ideal._lock:
+        if ideal._betti is None:
+            if ideal.is_zero_ideal():
+                entries = {}
+            elif ideal.is_unit_ideal():
+                entries = {(0, 0): 1}
+            else:
+                entries = _koszul_betti(ideal)
+            numerator = {0: 1}
+            for (i, j), b in entries.items():
+                numerator[j] = numerator.get(j, 0) + (-1) ** (i + 1) * b
+            hs = hilbert_series(ideal)
+            if HilbertSeries(
+                [numerator.get(d, 0) for d in range(max(numerator) + 1)], ideal.ring.n
+            ) != hs:
+                raise RuntimeError("Betti table disagrees with the Hilbert series")
+            ideal._betti = entries
+        return BettiTable(ideal._betti)
 
 
 class Resolution:
@@ -278,17 +425,22 @@ def _vector_coord_row(ring, vec, index, ncols, mult_exps=None):
     return row
 
 
-def minimal_generator_subset(ring, vectors, ambient_shifts):
+def minimal_generator_subset(ring, vectors, ambient_shifts, counts=None):
     """Nakayama selection: subsequence minimally generating the module.
 
     Processes degrees in ascending order; in each degree keeps the
     vectors independent modulo multiples of everything already chosen.
+    `counts` ({degree: number of minimal generators}, one level of the
+    Betti table) skips the degrees that keep nothing, and a visited
+    degree keeping another number raises RuntimeError.
     """
     p = ring.field.p
     degrees = [vector_degree(v, ambient_shifts) for v in vectors]
     chosen = []
     chosen_degs = []
     for e in sorted(set(degrees)):
+        if counts is not None and not counts.get(e):
+            continue
         basis = module_piece_basis(ring, ambient_shifts, e)
         index = {key: col for col, key in enumerate(basis)}
         ncols = len(basis)
@@ -301,24 +453,30 @@ def minimal_generator_subset(ring, vectors, ambient_shifts):
         for k in cands:
             rows.append(_vector_coord_row(ring, vectors[k], index, ncols))
         keep = set(linalg.greedy_independent_rows(linalg.as_matrix(rows, ncols), p))
-        for pos, k in enumerate(cands):
-            if nbase + pos in keep:
-                chosen.append(vectors[k])
-                chosen_degs.append(e)
+        kept = [k for pos, k in enumerate(cands) if nbase + pos in keep]
+        if counts is not None and len(kept) != counts[e]:
+            raise RuntimeError(
+                f"degree {e} keeps {len(kept)} generators, the Betti table says {counts[e]}"
+            )
+        chosen.extend(vectors[k] for k in kept)
+        chosen_degs.extend([e] * len(kept))
+    if counts is not None and len(chosen) != sum(counts.values()):
+        raise RuntimeError("a degree of the Betti table has no candidate generators")
     return chosen, chosen_degs
 
 
-def _build_levels(ring, vectors, ambient_shifts, max_levels):
-    """Iterate [minimal generators -> Schreyer syzygies] to the end."""
+def _build_levels(ring, vectors, ambient_shifts, betti):
+    """Iterate [minimal generators -> Schreyer syzygies] along the Betti table."""
     levels = []
     current, shifts = list(vectors), tuple(ambient_shifts)
-    while current and len(levels) < max_levels:
-        chosen, degs = minimal_generator_subset(ring, current, shifts)
-        if not chosen:
-            break
+    top = betti.max_index()
+    for k in range(top + 1):
+        counts = {j: b for (i, j), b in betti.items() if i == k}
+        chosen, degs = minimal_generator_subset(ring, current, shifts, counts)
         levels.append((chosen, tuple(degs), shifts))
-        current = vector_syzygies(ring, chosen, shifts)
-        shifts = tuple(degs)
+        if k < top:
+            current = vector_syzygies(ring, chosen, shifts)
+            shifts = tuple(degs)
     return levels
 
 
@@ -400,7 +558,7 @@ def _compute_resolution(ideal: Ideal) -> Resolution:
     if ideal.is_zero_ideal():
         return Resolution(ring, (), [], [], True)
     vectors = [(f,) for f in ideal.generators]
-    levels = _build_levels(ring, vectors, (0,), ring.n + 2)
+    levels = _build_levels(ring, vectors, (0,), betti_table(ideal))
     generator_row = tuple(v[0] for v in levels[0][0])
     modules, maps = _maps_from_levels(ring, levels)
     generator_row, modules, maps = _pivot_minimize(ring, generator_row, modules, maps)
@@ -431,10 +589,6 @@ def minimal_free_resolution(ideal: Ideal, max_step: int) -> Resolution:
         res.maps[: max_step - 1],
         res.minimal,
     )
-
-
-def betti_table(ideal: Ideal) -> BettiTable:
-    return minimal_free_resolution(ideal, ideal.ring.n + 2).betti_table()
 
 
 def regularity(ideal: Ideal) -> int:

@@ -100,11 +100,3 @@ def greedy_independent_rows(m, p):
     t = np.ascontiguousarray(m.T % p)
     _, pivots = rref_inplace(t, p)
     return list(pivots)
-
-
-def stack_rank(blocks, p):
-    """Rank of vertically stacked row blocks (skipping empty ones)."""
-    mats = [np.asarray(b, dtype=np.int64) for b in blocks if np.asarray(b).size]
-    if not mats:
-        return 0
-    return rank(np.vstack(mats), p)

@@ -188,14 +188,13 @@ def random_forms(ring: RingContext, degree: int, count: int, seed: int):
     return forms
 
 
-def is_regular_sequence(ideal: Ideal, forms) -> bool:
-    """Koszul certificate for two forms of equal degree m:
-    numerator HS(S/(I + (g1,g2))) == numerator HS(S/I) * (1 - t^m)^2."""
+def _regular_sequence_extension(ideal: Ideal, forms):
+    """(I + (forms), certificate outcome), sharing the extension's GB."""
     forms = list(forms)
     degrees = set()
     for g in forms:
         if g.is_zero():
-            return False
+            return None, False
         if not g.is_homogeneous():
             raise ParameterError("regular-sequence candidates must be homogeneous")
         degrees.add(g.homogeneous_degree())
@@ -207,7 +206,13 @@ def is_regular_sequence(ideal: Ideal, forms) -> bool:
     factor = [1] + [0] * (m - 1) + [-1]
     for _ in forms:
         expected = _poly_mul_t(expected, factor)
-    return tuple(_trim(expected)) == hilbert_series(extended).numerator
+    return extended, tuple(_trim(expected)) == hilbert_series(extended).numerator
+
+
+def is_regular_sequence(ideal: Ideal, forms) -> bool:
+    """Koszul certificate for two forms of equal degree m:
+    numerator HS(S/(I + (g1,g2))) == numerator HS(S/I) * (1 - t^m)^2."""
+    return _regular_sequence_extension(ideal, forms)[1]
 
 
 class ConeCurveReport:
@@ -277,8 +282,8 @@ def cone_curve(ideal_x: Ideal, m: int, seed: int, max_trials: int = 5):
         g1, g2 = random_forms(ring, m, 2, seed + trials - 1)
         if g1.is_zero() or g2.is_zero():
             continue
-        if is_regular_sequence(ideal_x, (g1, g2)):
-            curve = ideal_sum(ideal_x, Ideal(ring, [g1, g2]))
+        curve, certified = _regular_sequence_extension(ideal_x, (g1, g2))
+        if certified:
             dim_c = krull_dim(curve)
             report = ConeCurveReport(
                 m=m,

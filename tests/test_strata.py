@@ -152,6 +152,24 @@ def test_cone_curve_quadric():
     assert list(hilbert_series(curve).numerator) == numerator
 
 
+def test_cone_curve_computes_each_groebner_basis_once(monkeypatch):
+    """One GB for I_X and one for I_X + (g1, g2), which the certificate
+    and the dimension check share."""
+    from hfstrata import groebner
+
+    calls = []
+    original = groebner.buchberger_basis
+
+    def counting(ring, generators):
+        calls.append(len(generators))
+        return original(ring, generators)
+
+    monkeypatch.setattr(groebner, "buchberger_basis", counting)
+    _, report = cone_curve(quadric_cone(), 4, seed=1)
+    assert report.trials_used == 1
+    assert calls == [1, 3]
+
+
 def test_cone_curve_complete_intersection():
     zero3 = Ideal(ring3(), [])
     curve, report = cone_curve(zero3, 2, seed=1)
