@@ -5,7 +5,7 @@ Field elements are plain Python ints kept as canonical residues in
 immutable, so they can be shared freely between threads.
 """
 
-from .errors import HfStrataError, StructureError
+from .errors import HfStrataError
 
 DEFAULT_PRIME = 32003
 
@@ -78,16 +78,3 @@ class PrimeField:
             raise ZeroDivisionError("division by zero in F_p")
         return (a * pow(b, self.p - 2, self.p)) % self.p
 
-
-_OPS = {"add": PrimeField.add, "sub": PrimeField.sub, "mul": PrimeField.mul, "div": PrimeField.div}
-
-
-def field_arithmetic(field: PrimeField, a: int, b: int, op: str) -> int:
-    """Apply one of {add, sub, mul, div} to canonical residues a, b."""
-    if not isinstance(field, PrimeField):
-        raise StructureError("first argument must be a PrimeField")
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown field operation {op!r}") from None
-    return fn(field, a, b)

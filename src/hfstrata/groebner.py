@@ -7,10 +7,18 @@ case.  Every basis element carries a certificate expressing it in terms
 of the input generators; reducing the S-pairs of the final reduced
 Gröbner basis to zero then yields Schreyer-style generators of the full
 syzygy module, already written over the original generators.
+
+All reduction runs through one normal-form loop, `_reduce_full`: S-pair
+reduction in Buchberger, interreduction, the syzygy pass and the public
+`divide` (whose divisors enter as monic elements with their inverse lead
+coefficients as certificates).  It visits terms largest first from a
+min-heap keyed by `MonomialOrder.heap_key`, pushing each term when it
+enters the working dict and skipping popped terms that have cancelled,
+so it never rescans the dict for its lead term.
 """
 
 import threading
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .errors import DegenerateInputError, ParameterError, StructureError
 from .ring import (
@@ -61,27 +69,54 @@ class _Elem:
         self.lead = lead
 
 
-def _reduce_full(h, cert, basis, p, key):
+def _reduce_full(h, cert, basis, p, order):
     """Total normal form of h against monic basis elements.
 
     Returns (tail, cert) where tail has no term divisible by any basis
-    lead term; cert is updated so that tail = sum(cert * generators)
-    stays true throughout.
+    lead term.  Every multiple of a basis element added to h is added to
+    cert as the same multiple of that element's cert, so if cert writes
+    h over the generators on input, it writes tail over them on output.
+
+    Terms are visited largest first through a min-heap on the order's
+    inverted key; a term is pushed when it enters the working dict, and
+    popped entries no longer in the dict are skipped.  Reducing t only
+    adds terms below t, so each term is processed once.  Ties on the
+    monomial fall back to comparing (exps, comp): the lower component,
+    the larger term, pops first.  Among basis elements whose lead
+    divides t, the first in list order is used.
     """
+    hkey = order.heap_key
     h = dict(h)
     cert = None if cert is None else dict(cert)
+    heap = [(hkey(t[0]), t) for t in h]
+    heapify(heap)
     tail = {}
-    while h:
-        t = max(h, key=key)
-        c = h[t]
+    while heap:
+        t = heappop(heap)[1]
+        c = h.get(t)
+        if c is None:
+            continue
         texps, tcomp = t
         for g in basis:
             gexps, gcomp = g.lead
             if gcomp == tcomp and monomial_divides(gexps, texps):
                 mult = monomial_div(texps, gexps)
-                _addmul_into(h, p - c, mult, g.vec, p)
+                m = p - c
+                for (exps, comp), v in g.vec.items():
+                    e = monomial_mul(exps, mult)
+                    k = (e, comp)
+                    old = h.get(k)
+                    if old is None:
+                        h[k] = m * v % p
+                        heappush(heap, (hkey(e), k))
+                    else:
+                        val = (old + m * v) % p
+                        if val:
+                            h[k] = val
+                        else:
+                            del h[k]
                 if cert is not None:
-                    _addmul_into(cert, p - c, mult, g.cert, p)
+                    _addmul_into(cert, m, mult, g.cert, p)
                 break
         else:
             tail[t] = c
@@ -162,15 +197,16 @@ def _module_groebner(gens, p, order, ambient_rank, ambient_shifts, track_certs=T
         if track_certs:
             _addmul_into(cs, 1, monomial_div(lcm, ti[0]), basis[i].cert, p)
             _addmul_into(cs, p - 1, monomial_div(lcm, tj[0]), basis[j].cert, p)
-        tail, cert = _reduce_full(s, cs, basis, p, key)
+        tail, cert = _reduce_full(s, cs, basis, p, order)
         if tail:
             add_elem(tail, cert)
 
-    return _interreduce(basis, p, key)
+    return _interreduce(basis, p, order)
 
 
-def _interreduce(basis, p, key):
+def _interreduce(basis, p, order):
     """Prune to the minimal basis and tail-reduce: the reduced GB."""
+    key = _term_key_fn(order)
     kept = []
     for i in sorted(range(len(basis)), key=lambda i: key(basis[i].lead)):
         t = basis[i].lead
@@ -182,7 +218,7 @@ def _interreduce(basis, p, key):
     final = []
     for g in kept:
         others = [h for h in kept if h is not g]
-        tail, cert = _reduce_full(g.vec, g.cert, others, p, key)
+        tail, cert = _reduce_full(g.vec, g.cert, others, p, order)
         final.append(_Elem(tail, cert, g.lead))
     final.sort(key=lambda e: key(e.lead), reverse=True)
     return final
@@ -196,7 +232,6 @@ def _syzygy_certs(gens, p, order, ambient_rank, ambient_shifts):
     e_i - (expression of gen i over the GB).  The result generates
     ker(e_i -> gens[i]) in the free module with one slot per generator.
     """
-    key = _term_key_fn(order)
     gb = _module_groebner(gens, p, order, ambient_rank, ambient_shifts, track_certs=True)
     syz = []
     for j in range(len(gb)):
@@ -210,7 +245,7 @@ def _syzygy_certs(gens, p, order, ambient_rank, ambient_shifts):
             _addmul_into(s, p - 1, monomial_div(lcm, tj[0]), gb[j].vec, p)
             _addmul_into(cs, 1, monomial_div(lcm, ti[0]), gb[i].cert, p)
             _addmul_into(cs, p - 1, monomial_div(lcm, tj[0]), gb[j].cert, p)
-            tail, cert = _reduce_full(s, cs, gb, p, key)
+            tail, cert = _reduce_full(s, cs, gb, p, order)
             if tail:
                 raise RuntimeError("S-pair of a Gröbner basis did not reduce to zero")
             if cert:
@@ -219,12 +254,12 @@ def _syzygy_certs(gens, p, order, ambient_rank, ambient_shifts):
         if not vec:
             continue
         zero_exps = (0,) * len(next(iter(vec))[0])
-        tail, cert = _reduce_full(vec, {(zero_exps, idx): 1}, gb, p, key)
+        tail, cert = _reduce_full(vec, {(zero_exps, idx): 1}, gb, p, order)
         if tail:
             raise RuntimeError("generator did not reduce to zero against its own GB")
         if cert:
             syz.append(cert)
-    return _canonical_syzygy_list(syz, gens, p, order, ambient_shifts, key)
+    return _canonical_syzygy_list(syz, gens, p, order, ambient_shifts, _term_key_fn(order))
 
 
 def _canonical_syzygy_list(syz, gens, p, order, ambient_shifts, key):
@@ -367,7 +402,9 @@ def divide(f: Polynomial, divisors):
 
     Returns (quotients, remainder) with f = sum(q_i g_i) + r and no term
     of r divisible by any lead term; always reduces by the first divisor
-    in list order, so the output is deterministic.
+    in list order, so the output is deterministic.  This is the engine's
+    normal form: divisor i enters as the monic g_i / lc_i with cert
+    {(1, i): 1/lc_i}, so the returned cert is minus the quotients.
     """
     divisors = list(divisors)
     if not divisors:
@@ -379,33 +416,21 @@ def divide(f: Polynomial, divisors):
         if g.is_zero():
             raise DegenerateInputError("zero divisor in division algorithm")
     p = ring.field.p
-    okey = ring.order.key
-    lead_data = [(g.lead_exps(), g.lead_coeff()) for g in divisors]
-    h = f.as_dict()
-    quotients = [dict() for _ in divisors]
-    remainder = {}
-    while h:
-        t = max(h, key=okey)
-        c = h[t]
-        for gi, (gexps, gc) in enumerate(lead_data):
-            if monomial_divides(gexps, t):
-                mult = monomial_div(t, gexps)
-                q = (c * pow(gc, p - 2, p)) % p
-                quotients[gi][mult] = (quotients[gi].get(mult, 0) + q) % p
-                for e2, c2 in divisors[gi].terms:
-                    k = monomial_mul(e2, mult)
-                    val = (h.get(k, 0) - q * c2) % p
-                    if val:
-                        h[k] = val
-                    else:
-                        h.pop(k, None)
-                break
-        else:
-            remainder[t] = c
-            del h[t]
+    zero = (0,) * ring.n
+    basis = []
+    for gi, g in enumerate(divisors):
+        inv = ring.field.inv(g.lead_coeff())
+        vec = _vec_from_polys((g,))
+        if inv != 1:
+            vec = _scale_vec(vec, inv, p)
+        basis.append(_Elem(vec, {(zero, gi): inv}, (g.lead_exps(), 0)))
+    tail, cert = _reduce_full(_vec_from_polys((f,)), {}, basis, p, ring.order)
+    quotients = [{} for _ in divisors]
+    for (mult, gi), c in cert.items():
+        quotients[gi][mult] = p - c
     return (
         tuple(ring._from_dict(q) for q in quotients),
-        ring._from_dict(remainder),
+        _polys_from_vec(tail, ring, 1)[0],
     )
 
 

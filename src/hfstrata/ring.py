@@ -9,6 +9,7 @@ descending in the ring's monomial order with no zero coefficients.
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
+from operator import add, le, sub
 
 from .errors import DegenerateInputError, InhomogeneousError, StructureError
 from .field import DEFAULT_PRIME, PrimeField
@@ -36,6 +37,12 @@ class MonomialOrder:
             return (sum(exps), tuple(-e for e in reversed(exps)))
         return exps
 
+    def heap_key(self, exps):
+        """Inverted sort key: smaller key = larger monomial, for min-heaps."""
+        if self.kind == GREVLEX:
+            return (-sum(exps), exps[::-1])
+        return tuple(-e for e in exps)
+
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.kind == other.kind
 
@@ -51,20 +58,21 @@ def monomial_degree(exps) -> int:
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
 
 def monomial_divides(a, b) -> bool:
     """True iff x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a, b):
     """Exponent vector of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_compare(a, b, order: MonomialOrder) -> int:
@@ -322,19 +330,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {self}>"
-
-
-def poly_arith(f: Polynomial, g, op: str):
-    """Dispatcher over +, -, * and scalar scaling."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown polynomial operation {op!r}")
 
 
 def homogeneous_degree(f: Polynomial) -> int:

@@ -2,23 +2,23 @@ import random
 
 import pytest
 
-from hfstrata.field import NotPrimeError, PrimeField, field_arithmetic, is_prime
+from hfstrata.field import NotPrimeError, PrimeField, is_prime
 
 
 def test_modular_reduction():
     f = PrimeField(5)
-    assert field_arithmetic(f, 2, 3, "add") == 0
+    assert f.add(2, 3) == 0
 
 
 def test_inverse_via_division():
     f = PrimeField(7)
-    assert field_arithmetic(f, 1, 3, "div") == 5  # 3 * 5 = 15 = 1 mod 7
+    assert f.div(1, 3) == 5  # 3 * 5 = 15 = 1 mod 7
 
 
 def test_division_by_zero_is_distinct_error():
     f = PrimeField(5)
     with pytest.raises(ZeroDivisionError):
-        field_arithmetic(f, 1, 0, "div")
+        f.div(1, 0)
 
 
 def test_non_prime_rejected():
@@ -47,9 +47,3 @@ def test_canonical_form_idempotent():
     for v in range(-40, 40):
         assert f.reduce(f.reduce(v)) == f.reduce(v)
         assert 0 <= f.reduce(v) < 17
-
-
-def test_unknown_operation_rejected():
-    f = PrimeField(5)
-    with pytest.raises(ValueError):
-        field_arithmetic(f, 1, 2, "pow")

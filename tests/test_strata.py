@@ -12,7 +12,7 @@ from hfstrata.strata import (
     verify_prop31,
 )
 
-from conftest import quadric_cone, ring2, ring3, twisted_cubic
+from conftest import quadric_cone, ring2, ring3, ring4, twisted_cubic
 
 
 def test_truncate_absorbs_into_max_ideal():
@@ -149,6 +149,30 @@ def test_cone_curve_quadric():
     from hfstrata.invariants import _poly_mul_t
 
     numerator = _poly_mul_t(_poly_mul_t(expected, factor), factor)
+    assert list(hilbert_series(curve).numerator) == numerator
+
+
+def _fermat_cubic():
+    r = ring4()
+    x, y, z, w = (r.variable(i) for i in range(4))
+    return Ideal(r, [x * x * x + y * y * y + z * z * z + w * w * w])
+
+
+def _one_minus_t(k):
+    return [1] + [0] * (k - 1) + [-1]
+
+
+@pytest.mark.parametrize(
+    "surface, e, m", [(quadric_cone, 2, 8), (_fermat_cubic, 3, 7)], ids=["quadric_m8", "fermat_m7"]
+)
+def test_cone_curve_larger_m(surface, e, m):
+    """HS(S/I_C) = (1 - t^e)(1 - t^m)^2 / (1 - t)^4 for a degree-e surface cone."""
+    curve, report = cone_curve(surface(), m, seed=1)
+    assert report.all_ok()
+    assert report.dim_c == report.dim_x - 2 == 1
+    from hfstrata.invariants import _poly_mul_t
+
+    numerator = _poly_mul_t(_poly_mul_t(_one_minus_t(e), _one_minus_t(m)), _one_minus_t(m))
     assert list(hilbert_series(curve).numerator) == numerator
 
 
