@@ -65,12 +65,10 @@ def nullspace(a, p):
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[1] if a.ndim == 2 else 0
     r, rk, pivots = rref(a, p)
-    free = [c for c in range(n) if c not in set(pivots)]
+    free = np.delete(np.arange(n), pivots)
     basis = np.zeros((n, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for row, pc in enumerate(pivots):
-            basis[pc, k] = (-int(r[row, fc])) % p
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = -r[:rk, free] % p
     return basis
 
 def solve(a, b, p):

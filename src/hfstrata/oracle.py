@@ -1,11 +1,29 @@
 """Brute-force invariants by dense graded linear algebra only.
 
 Every value the Gröbner engine produces is recomputed here from raw
-coordinate matrices: graded pieces are spanned by monomial multiples of
-the generators and everything reduces to rank/kernel computations over
-F_p.  Nothing in this module touches the Gröbner machinery - that
-independence is the point - so it is slow and restricted to desk-scale
-inputs (n <= 4, degrees <= 12 in the test suite).
+coordinate matrices over F_p: graded pieces are spanned by monomial
+multiples of the generators, and everything reduces to rank, kernel and
+RREF computations.  Nothing here touches the Gröbner machinery; that
+independence is the point.
+
+Coordinates: a monomial is a row of an int64 exponent array, located in
+the basis of S_d by its mixed-radix code (radix d + 1) and a
+`searchsorted`.  Module vectors are flat term arrays (vector, component,
+exponents, coefficient), so "v times every monomial of degree e - deg v"
+is one broadcast sum and one fancy assignment for all v at once.  Where
+only rank, kernel or row selection is read, the columns are just the
+(component, monomial) pairs the rows touch.  Syzygies stay as kernel
+matrices and become Polynomial tuples only in `syzygies_bruteforce`.
+
+Projection: a tangent condition reduces rows V of S_e modulo I_e with the
+reduced echelon form R of I_e as V[:, free] - V[:, pivots] @ R[:, free].
+V is split into 16-bit limbs and each partial product reduced mod p, so
+the product is exact in int64 for every p < 2^31.
+
+Bounds: `syz`, `tangent` and `betti` search degrees up to B (`--bound`)
+and raise ParameterError when B is below the largest generator degree,
+where a generator would drop out unseen; `tangent` returns 0 first when
+S/I vanishes in every generator degree, as no syzygy can matter then.
 """
 
 import numpy as np
@@ -13,96 +31,109 @@ import numpy as np
 from . import linalg
 from .errors import ParameterError
 from .invariants import BettiTable
-from .ring import RingContext, monomials_of_degree
+from .ring import Polynomial, RingContext, monomials_of_degree
+
+
+def _codes(vec, exps, radix):
+    """Integer key of each (vector, exponent row) pair, every exponent < radix."""
+    n = exps.shape[-1]
+    return vec * radix**n + exps @ radix ** np.arange(n, dtype=np.int64)
 
 
 class GradedPieceBasis:
     """Ordered monomial basis of S_d (descending in the ring's order)."""
 
-    __slots__ = ("degree", "monomials", "index")
+    __slots__ = ("degree", "monomials", "exps", "_perm", "_sorted")
 
     def __init__(self, ring: RingContext, degree: int):
         self.degree = degree
         self.monomials = monomials_of_degree(ring.n, degree, ring.order.kind)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
+        self.exps = np.array(self.monomials, dtype=np.int64).reshape(-1, ring.n)
+        codes = _codes(0, self.exps, degree + 1)
+        self._perm = np.argsort(codes)
+        self._sorted = codes[self._perm]
 
     def __len__(self):
         return len(self.monomials)
 
-    def row_of(self, f, p, mult=None):
-        """Dense coordinates of f (optionally times a monomial)."""
-        row = [0] * len(self.monomials)
-        for exps, c in f.terms:
-            if mult is not None:
-                exps = tuple(a + b for a, b in zip(exps, mult))
-            row[self.index[exps]] = (row[self.index[exps]] + c) % p
-        return row
+    def columns(self, exps):
+        """Column of each degree-d exponent row of exps."""
+        return self._perm[np.searchsorted(self._sorted, _codes(0, exps, self.degree + 1))]
 
 
-def _ideal_piece_rows(ideal, d, basis):
-    """Rows spanning I_d: all monomial multiples of the generators."""
-    ring = ideal.ring
-    p = ring.field.p
-    rows = []
-    for f in ideal.generators:
-        df = f.homogeneous_degree()
-        if df > d:
-            continue
-        for mult in monomials_of_degree(ring.n, d - df, ring.order.kind):
-            rows.append(basis.row_of(f, p, mult))
-    return rows
+def _gen_terms(polys, n):
+    """Flat term arrays (vector, component, exponents, coefficient) of the
+    one-component vectors (f,) for f in polys."""
+    vec = np.repeat(np.arange(len(polys)), [len(f.terms) for f in polys])
+    exps = np.array([e for f in polys for e, _ in f.terms], dtype=np.int64).reshape(-1, n)
+    coeff = np.array([c for f in polys for _, c in f.terms], dtype=np.int64)
+    return vec, np.zeros_like(vec), exps, coeff
+
+
+def _unknowns(ring, shifts, e):
+    """Coordinates of (⊕_j S(-shifts_j))_e: the slot and multiplier
+    exponents of each unknown, slots ascending, multipliers descending."""
+    slots = [j for j, s in enumerate(shifts) if s <= e]
+    by_shift = {s: GradedPieceBasis(ring, e - s).exps for s in {shifts[j] for j in slots}}
+    mults = [by_shift[shifts[j]] for j in slots]
+    exps = np.concatenate(mults) if mults else np.zeros((0, ring.n), dtype=np.int64)
+    return np.repeat(np.array(slots, dtype=np.int64), [len(m) for m in mults]), exps
+
+
+def _multiples(terms, unk_vec, unk_exps, basis=None):
+    """Matrix whose row u is vector unk_vec[u] times x^unk_exps[u].
+
+    Columns are the monomials of `basis` in its order, or else the
+    (component, monomial) pairs the rows touch, in code order.  A vector's
+    terms are distinct, and so are their products with one monomial: the
+    assignment never meets a column twice in a row.
+    """
+    vec, comp, exps, coeff = terms
+    first = np.searchsorted(vec, unk_vec)
+    count = np.searchsorted(vec, unk_vec, side="right") - first
+    row = np.repeat(np.arange(len(unk_vec)), count)
+    t = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    prod = unk_exps[row] + exps[t]
+    if basis is not None:
+        col, width = basis.columns(prod), len(basis)
+    else:
+        keys, col = np.unique(_codes(comp[t], prod, int(prod.max(initial=0)) + 1), return_inverse=True)
+        width = len(keys)
+    mat = np.zeros((len(unk_vec), width), dtype=np.int64)
+    mat[row, col] = coeff[t]
+    return mat
+
+
+def _quotient_piece(ideal, d):
+    """(S/I)_d in coordinates: the basis of S_d, the nonzero RREF rows of
+    I_d in it, their pivot columns and the free (non-pivot) columns."""
+    ring, basis = ideal.ring, GradedPieceBasis(ideal.ring, d)
+    degs = [f.homogeneous_degree() for f in ideal.generators]
+    mat = _multiples(_gen_terms(ideal.generators, ring.n), *_unknowns(ring, degs, d), basis)
+    rref, rank, pivots = linalg.rref(mat, ring.field.p)
+    return basis, rref[:rank], pivots, np.delete(np.arange(len(basis)), pivots)
 
 
 def hf_bruteforce(ideal, d: int) -> int:
     """dim (S/I)_d = dim S_d - rank of the generator-multiple matrix."""
     if d < 0:
         raise ParameterError(f"degree must be >= 0, got {d}")
-    ring = ideal.ring
-    basis = GradedPieceBasis(ring, d)
-    rows = _ideal_piece_rows(ideal, d, basis)
-    rk = linalg.rank(linalg.as_matrix(rows, len(basis)), ring.field.p) if rows else 0
-    return len(basis) - rk
+    return len(_quotient_piece(ideal, d)[3])
 
 
-class _QuotientPiece:
-    """(S/I)_d in coordinates: RREF of I_d plus the non-pivot monomials."""
-
-    def __init__(self, ideal, d):
-        ring = ideal.ring
-        self.p = ring.field.p
-        self.basis = GradedPieceBasis(ring, d)
-        rows = _ideal_piece_rows(ideal, d, self.basis)
-        self.rref, _, self.pivots = linalg.rref(
-            linalg.as_matrix(rows, len(self.basis)), self.p
-        )
-        pivset = set(self.pivots)
-        self.free_cols = [c for c in range(len(self.basis)) if c not in pivset]
-
-    @property
-    def dim(self):
-        return len(self.free_cols)
-
-    def project(self, row):
-        """Quotient coordinates of a dense S_d row (reduce, keep free cols)."""
-        v = np.array(row, dtype=np.int64) % self.p
-        for k, pc in enumerate(self.pivots):
-            c = int(v[pc])
-            if c:
-                v = (v - c * self.rref[k]) % self.p
-        return [int(v[c]) for c in self.free_cols]
-
-    def lift_monomials(self):
-        """Monomials representing the free coordinates."""
-        return [self.basis.monomials[c] for c in self.free_cols]
-
-
-def _module_unknowns(ring, shifts, e):
-    """Coordinates of (⊕_j S(-δ_j))_e as (slot, monomial) pairs."""
-    out = []
-    for j, dj in enumerate(shifts):
-        if e >= dj:
-            for m in monomials_of_degree(ring.n, e - dj, ring.order.kind):
-                out.append((j, m))
+def _syz_coords(ideal, degree_bound):
+    """{e: (slots, multiplier exponents, kernel)}: the unknowns of
+    (⊕_j S(-d_j))_e and a basis of the degree-e syzygies as kernel columns."""
+    gens = ideal.generators
+    degs = [f.homogeneous_degree() for f in gens]
+    if degree_bound < max(degs):
+        raise ParameterError("degree_bound below the maximal generator degree")
+    terms = _gen_terms(gens, ideal.ring.n)
+    out = {}
+    for e in range(min(degs), degree_bound + 1):
+        unk_vec, unk_exps = _unknowns(ideal.ring, degs, e)
+        ns = linalg.nullspace(_multiples(terms, unk_vec, unk_exps).T, ideal.ring.field.p)
+        out[e] = unk_vec, unk_exps, ns
     return out
 
 
@@ -113,34 +144,25 @@ def syzygies_bruteforce(ideal, degree_bound: int):
     polynomials (a_1..a_s) with sum(a_j f_j) = 0 exactly.
     """
     ring = ideal.ring
-    p = ring.field.p
     gens = ideal.generators
-    out = {}
     if not gens:
-        return out
-    degs = [f.homogeneous_degree() for f in gens]
-    if degree_bound < max(degs):
-        raise ParameterError("degree_bound below the maximal generator degree")
-    for e in range(min(degs), degree_bound + 1):
-        unknowns = _module_unknowns(ring, degs, e)
-        if not unknowns:
-            continue
-        target = GradedPieceBasis(ring, e)
-        rows = []
-        for j, mult in unknowns:
-            rows.append(target.row_of(gens[j], p, mult))
-        mat = linalg.as_matrix(rows, len(target)).T  # columns = unknowns
-        ns = linalg.nullspace(mat, p)
-        vectors = []
-        for k in range(ns.shape[1]):
-            coeffs = [dict() for _ in gens]
-            for idx, (j, m) in enumerate(unknowns):
-                c = int(ns[idx, k])
-                if c:
-                    coeffs[j][m] = c
-            vectors.append(tuple(ring._from_dict(d) for d in coeffs))
-        out[e] = vectors
+        return {}
+    out = {}
+    for e, (unk_vec, unk_exps, ns) in _syz_coords(ideal, degree_bound).items():
+        # columns of ns in order, unknowns in basis order: terms arrive descending
+        kk, uu = np.nonzero(ns.T)
+        monos = list(map(tuple, unk_exps.tolist()))
+        vectors = [[[] for _ in gens] for _ in range(ns.shape[1])]
+        for k, u, j, c in zip(kk.tolist(), uu.tolist(), unk_vec[uu].tolist(), ns.T[kk, uu].tolist()):
+            vectors[k][j].append((monos[u], c))
+        out[e] = [tuple(Polynomial(ring, terms) for terms in vec) for vec in vectors]
     return out
+
+
+def _mulmod(a, b, p):
+    """a @ b mod p, exact for entries in [0, p), p < 2^31 and an inner
+    dimension below 2^16: each 16-bit limb product sums below 2^63."""
+    return ((a >> 16) @ b % p * 65536 + (a & 65535) @ b % p) % p
 
 
 def tangent_bruteforce(ideal, degree_bound: int) -> int:
@@ -156,35 +178,45 @@ def tangent_bruteforce(ideal, degree_bound: int) -> int:
         return 0
     p = ring.field.p
     degs = [f.homogeneous_degree() for f in gens]
-    quotient = {d: _QuotientPiece(ideal, d) for d in sorted(set(degs))}
-    unknowns = []
-    for j, d in enumerate(degs):
-        for m in quotient[d].lift_monomials():
-            unknowns.append((j, m))
+    pieces = {d: _quotient_piece(ideal, d) for d in set(degs)}
+    unknowns = [(j, pieces[d][0].exps[c]) for j, d in enumerate(degs) for c in pieces[d][3]]
     if not unknowns:
         return 0
-    syz = syzygies_bruteforce(ideal, degree_bound)
-    rows = []
-    for e in sorted(syz):
-        target = _QuotientPiece(ideal, e)
-        if target.dim == 0 or not syz[e]:
+    blocks = []
+    for e, (unk_vec, unk_exps, ns) in _syz_coords(ideal, degree_bound).items():
+        if not ns.shape[1]:
             continue
-        sbasis = GradedPieceBasis(ring, e)
-        for vec in syz[e]:
-            cols = []
-            for j, m in unknowns:
-                f = vec[j]
-                if f.is_zero():
-                    cols.append([0] * target.dim)
-                else:
-                    cols.append(target.project(sbasis.row_of(f, p, m)))
-            block = np.array(cols, dtype=np.int64).T
-            if block.size:
-                rows.append(block)
-    if not rows:
-        return len(unknowns)
-    mat = np.vstack(rows)
-    return len(unknowns) - linalg.rank(mat, p)
+        if e not in pieces:
+            pieces[e] = _quotient_piece(ideal, e)
+        basis, rref, pivots, free = pieces[e]
+        if not len(free):
+            continue
+        projected = []
+        for j, m in unknowns:
+            # rows a_j * m of every degree-e syzygy, reduced modulo I_e
+            sel = unk_vec == j
+            v = np.zeros((ns.shape[1], len(basis)), dtype=np.int64)
+            v[:, basis.columns(unk_exps[sel] + m)] = ns[sel].T
+            projected.append((v[:, free] - _mulmod(v[:, pivots], rref[:, free], p)) % p)
+        # one block of dim (S/I)_e rows per syzygy, one column per unknown
+        blocks.append(np.stack(projected, axis=2).reshape(-1, len(unknowns)))
+    return len(unknowns) - (linalg.rank(np.vstack(blocks), p) if blocks else 0)
+
+
+def _times_variables(prev, unk_vec, unk_exps, e):
+    """Rows x_v * c, for every degree-(e-1) kernel column c and variable v
+    in turn, in the coordinates of the degree-e unknowns."""
+    n = unk_exps.shape[1]
+    if prev is None or not prev[2].shape[1]:
+        return np.zeros((0, len(unk_vec)), dtype=np.int64)
+    prev_vec, prev_exps, prev_ns = prev
+    keys = _codes(unk_vec, unk_exps, e + 1)
+    perm = np.argsort(keys)
+    shifted = prev_exps[:, None, :] + np.eye(n, dtype=np.int64)
+    target = perm[np.searchsorted(keys[perm], _codes(prev_vec[:, None], shifted, e + 1))]
+    rows = np.zeros((prev_ns.shape[1], n, len(unk_vec)), dtype=np.int64)
+    rows[:, np.arange(n)[:, None], target.T] = prev_ns.T[:, None, :]
+    return rows.reshape(-1, len(unk_vec))
 
 
 def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
@@ -196,101 +228,56 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
     """
     ring = ideal.ring
     p = ring.field.p
-    entries = {}
     gens = list(ideal.generators)
     if not gens:
         return BettiTable({})
+    degs = [f.homogeneous_degree() for f in gens]
+    if degree_bound < max(degs):
+        raise ParameterError("degree_bound below the maximal generator degree")
+    entries = {}
 
     # level 0: minimal generators of the ideal among monomial multiples
-    degs = sorted({f.homogeneous_degree() for f in gens})
-    chosen, chosen_degs = [], []
+    chosen = []
     for e in range(min(degs), degree_bound + 1):
-        basis = GradedPieceBasis(ring, e)
-        rows = []
-        for g, dg in zip(chosen, chosen_degs):
-            for mult in monomials_of_degree(ring.n, e - dg, ring.order.kind):
-                rows.append(basis.row_of(g, p, mult))
-        nbase = len(rows)
-        cands = [f for f in gens if f.homogeneous_degree() == e]
-        for f in cands:
-            rows.append(basis.row_of(f, p))
-        if not rows:
+        cands = [j for j, d in enumerate(degs) if d == e]
+        if not cands:
             continue
-        keep = set(linalg.greedy_independent_rows(linalg.as_matrix(rows, len(basis)), p))
-        new = [f for k, f in enumerate(cands) if nbase + k in keep]
+        order = chosen + cands
+        unk_vec, unk_exps = _unknowns(ring, [degs[j] for j in order], e)
+        mat = _multiples(_gen_terms([gens[j] for j in order], ring.n), unk_vec, unk_exps)
+        nbase = len(unk_vec) - len(cands)
+        keep = set(linalg.greedy_independent_rows(mat, p))
+        new = [j for k, j in enumerate(cands) if nbase + k in keep]
         if new:
             entries[(0, e)] = len(new)
             chosen.extend(new)
-            chosen_degs.extend([e] * len(new))
 
-    level_vectors = [(f,) for f in chosen]
-    level_shifts = (0,)
-    vec_degs = list(chosen_degs)
-
+    level = _gen_terms([gens[j] for j in chosen], ring.n)
+    shifts = [degs[j] for j in chosen]
     for step in range(1, max_step + 1):
-        if not level_vectors:
+        if not shifts:
             break
-        shifts = tuple(vec_degs)
-        kernel_by_degree = {}
-        for e in range(min(vec_degs, default=0), degree_bound + 1):
-            unknowns = _module_unknowns(ring, shifts, e)
-            if not unknowns:
-                continue
-            # target: one block of S_{e - s} per ambient component
-            blocks = [GradedPieceBasis(ring, e - s) if e >= s else None for s in level_shifts]
-            width = sum(len(b) for b in blocks if b is not None)
-            rows = []
-            for j, mult in unknowns:
-                row = []
-                vec = level_vectors[j]
-                for comp, b in enumerate(blocks):
-                    if b is None:
-                        continue
-                    f = vec[comp]
-                    row.extend(b.row_of(f, p, mult) if not f.is_zero() else [0] * len(b))
-                rows.append(row)
-            mat = linalg.as_matrix(rows, width).T
-            ns = linalg.nullspace(mat, p)
-            cols = [ns[:, k] for k in range(ns.shape[1])]
-            kernel_by_degree[e] = (unknowns, cols)
+        kernels = {}
+        for e in range(min(shifts), degree_bound + 1):
+            unk_vec, unk_exps = _unknowns(ring, shifts, e)
+            ns = linalg.nullspace(_multiples(level, unk_vec, unk_exps).T, p)
+            kernels[e] = unk_vec, unk_exps, ns
 
-        next_vectors, next_degs = [], []
-        for e in sorted(kernel_by_degree):
-            unknowns, cols = kernel_by_degree[e]
-            if not cols:
+        next_terms, next_shifts = [], []
+        for e, (unk_vec, unk_exps, ns) in kernels.items():
+            if not ns.shape[1]:
                 continue
-            prev = kernel_by_degree.get(e - 1)
-            rows = []
-            if prev is not None and prev[1]:
-                prev_unknowns, prev_cols = prev
-                index = {u: i for i, u in enumerate(unknowns)}
-                for col in prev_cols:
-                    for v in range(ring.n):
-                        row = [0] * len(unknowns)
-                        for idx, (j, m) in enumerate(prev_unknowns):
-                            c = int(col[idx])
-                            if c:
-                                m2 = tuple(a + (1 if t == v else 0) for t, a in enumerate(m))
-                                row[index[(j, m2)]] = (row[index[(j, m2)]] + c) % p
-                        rows.append(row)
-            nbase = len(rows)
-            for col in cols:
-                rows.append([int(x) for x in col])
-            keep = set(
-                linalg.greedy_independent_rows(linalg.as_matrix(rows, len(unknowns)), p)
-            )
-            new_cols = [col for k, col in enumerate(cols) if nbase + k in keep]
-            if new_cols:
-                entries[(step, e)] = len(new_cols)
-                for col in new_cols:
-                    coeffs = [dict() for _ in level_vectors]
-                    for idx, (j, m) in enumerate(unknowns):
-                        c = int(col[idx])
-                        if c:
-                            coeffs[j][m] = c
-                    next_vectors.append(tuple(ring._from_dict(d) for d in coeffs))
-                    next_degs.append(e)
-        level_shifts = shifts
-        level_vectors, vec_degs = next_vectors, next_degs
+            base = _times_variables(kernels.get(e - 1), unk_vec, unk_exps, e)
+            keep = linalg.greedy_independent_rows(np.vstack([base, ns.T]), p)
+            new = [k - len(base) for k in keep if k >= len(base)]
+            if new:
+                entries[(step, e)] = len(new)
+                cols = ns[:, new].T
+                kk, uu = np.nonzero(cols)
+                next_terms.append((kk + len(next_shifts), unk_vec[uu], unk_exps[uu], cols[kk, uu]))
+                next_shifts.extend([e] * len(new))
+        if next_terms:
+            level = tuple(np.concatenate(parts) for parts in zip(*next_terms))
+        shifts = next_shifts
 
     return BettiTable(entries)

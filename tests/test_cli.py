@@ -160,6 +160,18 @@ def test_cli_oracle(capsys, tc_file):
     assert "total:" in capsys.readouterr().out
 
 
+def test_cli_oracle_bound_below_generators_exit2(capsys, tmp_path):
+    """syz, tangent and betti all refuse a --bound below a generator degree."""
+    path = tmp_path / "ci.ideal"
+    path.write_text("field 32003\nvars x y\nideal:\nx^2\ny^3\n")
+    for mode in ("syz", "tangent", "betti"):
+        assert run(["oracle", mode, str(path), "--bound", "1"]) == 2, mode
+        captured = capsys.readouterr()
+        assert captured.out == "" and "degree_bound below" in captured.err, mode
+    assert run(["oracle", "betti", str(path), "--bound", "5"]) == 0
+    assert capsys.readouterr().out.split() == "0 1 total:2 1 2: 1 . 3: 1 . 4: . 1".split()
+
+
 def test_cli_parse_error_exit2(capsys, tmp_path):
     bad = tmp_path / "bad.ideal"
     bad.write_text("field 10\nvars x\nideal:\nx\n")

@@ -64,9 +64,10 @@ def test_koszul_betti_matches_oracle_and_unguided_resolution(order, p):
         if ideal.is_zero_ideal():
             assert koszul.entries == {}
             continue
-        # the oracle searches up to the table's top degree; the unguided
-        # resolution has no degree bound at all
-        top = max(j for _, j in koszul.entries)
+        # the oracle searches up to the table's top degree, or up to the
+        # largest (possibly redundant) generator degree, below which it
+        # refuses to run; the unguided resolution has no degree bound at all
+        top = max([j for _, j in koszul.entries] + [f.homogeneous_degree() for f in ideal.generators])
         assert koszul == betti_bruteforce(ideal, ideal.ring.n + 1, top), name
         assert koszul == unguided_betti(ideal), name
 

@@ -59,6 +59,22 @@ def test_tangent_hand_values():
     assert tangent_bruteforce(Ideal(r, [x * x, y * y]), 5) == 2
 
 
+def test_bound_below_a_generator_degree_raises():
+    """Every bounded oracle refuses a bound that would drop a generator."""
+    r = ring2()
+    x, y = r.variable(0), r.variable(1)
+    ideal = Ideal(r, [x * x, y * y * y])
+    for bound in (1, 2):
+        with pytest.raises(ParameterError):
+            betti_bruteforce(ideal, 3, bound)
+        with pytest.raises(ParameterError):
+            syzygies_bruteforce(ideal, bound)
+        with pytest.raises(ParameterError):
+            tangent_bruteforce(ideal, bound)
+    assert betti_bruteforce(ideal, 3, 3).entries == {(0, 2): 1, (0, 3): 1}
+    assert betti_bruteforce(ideal, 3, 5).entries == {(0, 2): 1, (0, 3): 1, (1, 5): 1}
+
+
 def test_betti_koszul():
     bt = betti_bruteforce(maximal_ideal_power(ring2(), 1), 3, 4)
     assert bt.entries == {(0, 1): 2, (1, 2): 1}

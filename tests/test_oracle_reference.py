@@ -1,0 +1,101 @@
+"""The oracle's coordinate builders against the per-term reference copy.
+
+Random homogeneous ideals in n <= 4 variables, grevlex and lex, over
+p in {2, 3, 32003, 2^31 - 1}: Hilbert values, syzygy polynomial tuples,
+tangent dimensions and Betti tables must be identical to those of
+`oracle_reference`.  The largest prime is the case where an unsplit
+int64 product in the tangent projection would overflow.  Also
+`linalg.nullspace` against its former scalar loop.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import oracle_reference as ref  # noqa: E402
+from hfstrata import linalg  # noqa: E402
+from hfstrata.field import PrimeField  # noqa: E402
+from hfstrata.groebner import Ideal  # noqa: E402
+from hfstrata.oracle import (  # noqa: E402
+    betti_bruteforce,
+    hf_bruteforce,
+    syzygies_bruteforce,
+    tangent_bruteforce,
+)
+from hfstrata.ring import GREVLEX, LEX, MonomialOrder, RingContext, monomials_of_degree  # noqa: E402
+
+PRIMES = (2, 3, 32003, 2**31 - 1)
+SETTINGS = dict(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def ideals(draw):
+    """Random forms, or products of random linear forms.  The second kind
+    has full-size coefficients in its syzygies and echelon forms, so at
+    p = 2^31 - 1 the tangent projection multiplies entries near 2^31."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 4))
+    order = draw(st.sampled_from((GREVLEX, LEX)))
+    ring = RingContext("xyzw"[:n], PrimeField(p), MonomialOrder(order))
+    top = 3 if n < 4 else 2
+    gens = []
+    if draw(st.booleans()):
+        coeff = st.one_of(st.just(0), st.just(1), st.integers(0, p - 1))
+        for _ in range(draw(st.integers(1, 4 if n < 4 else 3))):
+            monos = monomials_of_degree(n, draw(st.integers(1, top)), order)
+            coeffs = draw(st.lists(coeff, min_size=len(monos), max_size=len(monos)))
+            gens.append(ring.from_terms(zip(monos, coeffs)))
+    else:
+        rnd = draw(st.randoms(use_true_random=False))
+        xs = monomials_of_degree(n, 1, order)
+        linear = [ring.from_terms((x, rnd.randrange(p)) for x in xs) for _ in range(n)]
+        for _ in range(draw(st.integers(1, 3))):
+            f = ring.one()
+            for _ in range(draw(st.integers(1, top))):
+                f = f * linear[draw(st.integers(0, n - 1))]
+            gens.append(f)
+    return Ideal(ring, [f for f in gens if not f.is_zero()])
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(ideals())
+def test_oracle_matches_reference(ideal):
+    for d in range(6):
+        assert hf_bruteforce(ideal, d) == ref.hf(ideal, d), d
+    if not ideal.generators:
+        return
+    top = max(f.homogeneous_degree() for f in ideal.generators)
+    assert syzygies_bruteforce(ideal, top + 1) == ref.syzygies(ideal, top + 1)
+    # two degrees past the generators: the echelon forms of I_e are large
+    # enough there for an unsplit product to overflow
+    assert tangent_bruteforce(ideal, top + 2) == ref.tangent(ideal, top + 2)
+    new = betti_bruteforce(ideal, ideal.ring.n + 1, top + 2)
+    assert new == ref.betti(ideal, ideal.ring.n + 1, top + 2)
+
+
+def nullspace_loop(a, p):
+    """`linalg.nullspace` as it was: one scalar assignment per entry."""
+    r, _, pivots = linalg.rref(a, p)
+    free = [c for c in range(a.shape[1]) if c not in set(pivots)]
+    basis = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for row, pc in enumerate(pivots):
+            basis[pc, k] = (-int(r[row, fc])) % p
+    return basis
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(st.sampled_from(PRIMES), st.integers(0, 7), st.integers(0, 7), st.data())
+def test_nullspace_matches_loop(p, rows, cols, data):
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, p - 1))
+    a = np.array(
+        data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)),
+        dtype=np.int64,
+    ).reshape(rows, cols)
+    ns = linalg.nullspace(a, p)
+    assert ns.dtype == np.int64
+    assert np.array_equal(ns, nullspace_loop(a, p))

@@ -1,29 +1,64 @@
 """Golden digests of CLI outputs: performance work must not change answers.
 
 Each case runs `hfstrata.cli.run` on an ideal file in a fixed working
-directory and hashes its exit code, stdout and stderr.  The digests were
-recorded with the max-scan reduction loop that preceded heap-ordered
-normal forms; any change that alters a printed Gröbner basis,
-resolution, Betti table, dimension or report shows up here.
+directory and hashes its exit code, stdout and stderr.  The engine
+digests were recorded with the max-scan reduction loop that preceded
+heap-ordered normal forms, the `oracle` digests with the per-term
+`row_of` matrix builders that preceded the coordinate builders; any
+change that alters a printed Gröbner basis, resolution, Betti table,
+dimension or report shows up here.
 
 A failure lists the cases whose digests moved; `pytest -vv` also
 prints their new values, to record after a deliberate output change.
 """
 
 import hashlib
+from itertools import combinations_with_replacement
 
 import pytest
 
 from hfstrata.cli import run
 
+HEADER = "field 32003\nvars x y z w\nideal:\n"
+TWISTED_CUBIC = "x*z - y^2\nx*w - y*z\ny*w - z^2\n"
+
+
+def _quartics():
+    """The degree-4 monomials in x, y, z, w as ideal-file text."""
+    out = []
+    for c in combinations_with_replacement("xyzw", 4):
+        out.append("*".join(v if c.count(v) == 1 else f"{v}^{c.count(v)}" for v in dict.fromkeys(c)))
+    return out
+
+
+def _dense_quartic(k):
+    """A dense quartic form with fixed coefficients."""
+    return " + ".join(f"{(1 + 37 * i + 101 * k) % 32003}*{m}" for i, m in enumerate(_quartics()))
+
+
 FILES = {
-    "twisted_cubic.ideal": "field 32003\nvars x y z w\nideal:\nx*z - y^2\nx*w - y*z\ny*w - z^2\n",
+    "twisted_cubic.ideal": HEADER + TWISTED_CUBIC,
     "twisted_cubic_lex.ideal": (
         "field 32003\nvars x y z w\norder lex\nideal:\nx*z - y^2\nx*w - y*z\ny*w - z^2\n"
     ),
     "quadric_cone.ideal": "field 32003\nvars x y z w\nideal:\nx*w - y*z\n",
     "fermat_cubic.ideal": "field 32003\nvars x y z w\nideal:\nx^3 + y^3 + z^3 + w^3\n",
+    "ci_x2_y2.ideal": "field 32003\nvars x y\nideal:\nx^2\ny^2\n",
+    "max_cube_sq.ideal": "field 32003\nvars x y z\nideal:\nx^2\nx*y\nx*z\ny^2\ny*z\nz^2\n",
+    "twisted_cubic_trunc4.ideal": HEADER + TWISTED_CUBIC + "".join(m + "\n" for m in _quartics()),
+    "quadric_cone_curve4.ideal": (
+        HEADER + "x*w - y*z\n" + _dense_quartic(1) + "\n" + _dense_quartic(2) + "\n"
+    ),
 }
+
+ORACLE_INPUTS = (
+    "twisted_cubic.ideal",
+    "quadric_cone.ideal",
+    "ci_x2_y2.ideal",
+    "max_cube_sq.ideal",
+    "twisted_cubic_trunc4.ideal",
+    "quadric_cone_curve4.ideal",
+)
 
 CASES = (
     [
@@ -41,6 +76,14 @@ CASES = (
         for name in ("twisted_cubic.ideal", "twisted_cubic_lex.ideal", "quadric_cone.ideal")
         for cmd in ("gb", "res", "tangent", "ext1")
     ]
+    + [
+        ("oracle", mode, name)
+        for name in ORACLE_INPUTS
+        for mode in ("hilb", "syz", "tangent", "betti")
+        if (mode, name) != ("betti", "quadric_cone_curve4.ideal")
+    ]
+    # the complete intersection of degrees 2, 4, 4 ends at (2, 10)
+    + [("oracle", "betti", "quadric_cone_curve4.ideal", "--bound", "10", "--max-step", "3")]
 )
 
 DIGESTS = {
@@ -68,6 +111,30 @@ DIGESTS = {
     "res quadric_cone.ideal": "b4292cabda2faf8d5ff4168296b489c997fa00211fe32a0f768ce306b04a6451",
     "tangent quadric_cone.ideal": "81972a1db6a81b009a6b7d9623a10d9f4bfe683e4e87e56e82d1f2a9e81ab4a1",
     "ext1 quadric_cone.ideal": "46897a2f2d99891be415dc8c08dca470a93c530c8a81a5c6d3d73acaa86748dd",
+    "oracle hilb twisted_cubic.ideal": "79457904ee28461817291cc526758ab5f46622f6399e7898290a33a8e1cf0c91",
+    "oracle syz twisted_cubic.ideal": "57d5d7d2d56e53c6ccb8492079358d10bc8f06a9f729a76166934597a63ec07b",
+    "oracle tangent twisted_cubic.ideal": "6505a84d518f06d520ae15d26bb21e690f87acd18fa38bcd57ce042a8052b133",
+    "oracle betti twisted_cubic.ideal": "6015fa5d894bff7ddbf3633f5871d3e7721b8e816dd26414233c66507e09c661",
+    "oracle hilb quadric_cone.ideal": "33b340a5c0b25aa9b0a9ecaa31e737e24b91e0f2998450274786701094de0925",
+    "oracle syz quadric_cone.ideal": "625a595a58f8889f907efb677e717f4a01edb0dd5cf470b11c59f43c5f44cef4",
+    "oracle tangent quadric_cone.ideal": "81972a1db6a81b009a6b7d9623a10d9f4bfe683e4e87e56e82d1f2a9e81ab4a1",
+    "oracle betti quadric_cone.ideal": "6cdeb6c7df87dddf132317987d815c02fdd0ef13beb8fabae58224323667c693",
+    "oracle hilb ci_x2_y2.ideal": "aa3134011cef05b13a4191351c1d45bc937f58bb7a6f4ee50d6994c68264d413",
+    "oracle syz ci_x2_y2.ideal": "c7f467b07f9b958927810f01da3b42dae69c5fa0631fe06114116e4ec836050f",
+    "oracle tangent ci_x2_y2.ideal": "8c2f6041c1dee88b300c38229caf1070735bc56732dff3aef46c01af5da26888",
+    "oracle betti ci_x2_y2.ideal": "0993f98eb886cbc683e3a3cb2fb775f285f9e74154b375e8070b0dbcf5c6890d",
+    "oracle hilb max_cube_sq.ideal": "4e1a861204866267eb604094dbb1556e9c610c3ef8ef60928a83f001fdd5c68a",
+    "oracle syz max_cube_sq.ideal": "93878b78f8bd75a453fcaaa52c8f7f44183e9f4f3af0b8f1e6c445d847683a86",
+    "oracle tangent max_cube_sq.ideal": "46897a2f2d99891be415dc8c08dca470a93c530c8a81a5c6d3d73acaa86748dd",
+    "oracle betti max_cube_sq.ideal": "a6b86d1988031ebc78021a68e586f8340f890b81a844744f708bee72995f888f",
+    "oracle hilb twisted_cubic_trunc4.ideal": "43c91ead59865f254e977bc5a719bee80608d19b523c5101b32ac65481ad9cea",
+    "oracle syz twisted_cubic_trunc4.ideal": "90f5f0b9f0a3fa36f846dffdc9ec144e71fbeb9af2c1e94e4876d08106df0a39",
+    "oracle tangent twisted_cubic_trunc4.ideal": "6505a84d518f06d520ae15d26bb21e690f87acd18fa38bcd57ce042a8052b133",
+    "oracle betti twisted_cubic_trunc4.ideal": "ac0be032c4adc4452e257f5050276527f355d0db1a3bb226d4c5a8dcd14f3ad4",
+    "oracle hilb quadric_cone_curve4.ideal": "699b06235d1fb711e04d5b67902dc747107f94947c59c19201d111637b1ecd7a",
+    "oracle syz quadric_cone_curve4.ideal": "47d3ffa93ffe2c898423e00ed84f9accaa0899b6a880f5ae4af7367a41819e56",
+    "oracle tangent quadric_cone_curve4.ideal": "8e3b286102ebd565f98893eaed656974928c33024fbec701e3d81d515ccbdb6f",
+    "oracle betti quadric_cone_curve4.ideal --bound 10 --max-step 3": "3a933269b87304d8def69be58df8083e22f966453785e268efa5d89a61bbe391",
 }
 
 
