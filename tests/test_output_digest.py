@@ -4,9 +4,11 @@ Each case runs `hfstrata.cli.run` on an ideal file in a fixed working
 directory and hashes its exit code, stdout and stderr.  The engine
 digests were recorded with the max-scan reduction loop that preceded
 heap-ordered normal forms, the `oracle` digests with the per-term
-`row_of` matrix builders that preceded the coordinate builders; any
-change that alters a printed Gröbner basis, resolution, Betti table,
-dimension or report shows up here.
+`row_of` matrix builders that preceded the coordinate builders, and the
+`verify-prop31` error paths, negative control and further truncations
+with the two separate truncation presentations that preceded
+`deform.Truncation`.  Any change that alters a printed Gröbner basis,
+resolution, Betti table, dimension or report shows up here.
 
 A failure lists the cases whose digests moved; `pytest -vv` also
 prints their new values, to record after a deliberate output change.
@@ -72,6 +74,14 @@ CASES = (
     ]
     + [("verify-prop31", "twisted_cubic.ideal", "--m", str(m)) for m in (4, 5)]
     + [
+        ("verify-prop31", "twisted_cubic.ideal", "--m", "2"),  # below reg + 2: exit 2
+        ("verify-prop31", "twisted_cubic.ideal", "--m", "2", "--force"),  # negative control
+        ("verify-prop31", "twisted_cubic.ideal", "--m", "0", "--force"),  # m < 1: exit 2
+        ("verify-prop31", "quadric_cone.ideal", "--m", "4"),
+        ("verify-prop31", "ci_x2_y2.ideal", "--m", "5"),
+        ("truncate", "twisted_cubic.ideal", "--m", "4"),
+    ]
+    + [
         (cmd, name)
         for name in ("twisted_cubic.ideal", "twisted_cubic_lex.ideal", "quadric_cone.ideal")
         for cmd in ("gb", "res", "tangent", "ext1")
@@ -99,6 +109,12 @@ DIGESTS = {
     "cone-curve fermat_cubic.ideal --m 5 --seed 2": "c7e7a2f307dd88b105a99e539e668f1ccb9dda6868f2207d799e02c4eebf8d0f",
     "verify-prop31 twisted_cubic.ideal --m 4": "c45a535f6cc602e92c48cc22a2a7a2fe13944d60108dac06ecff74d80f7e17ba",
     "verify-prop31 twisted_cubic.ideal --m 5": "7b0970c8c631a3f0c5a8b4c8ab57039080b0cda19c0151477b5cfcb54740057d",
+    "verify-prop31 twisted_cubic.ideal --m 2": "46722cadf5ca9afcb7976d17e4ffad7b3112ad3afab877f55e6ebebcc59d22c8",
+    "verify-prop31 twisted_cubic.ideal --m 2 --force": "a6ee80c45cd7974b8b25e75437f0e440d2564e89a60e83cf0fa6015365b58ee5",
+    "verify-prop31 twisted_cubic.ideal --m 0 --force": "7ab9fd2fe86f08e99955a6ed1c660a0809f957f5ab32cfbacb5d44f8111d2f75",
+    "verify-prop31 quadric_cone.ideal --m 4": "204a26004936e21171329d9de2114dee2d34e7aedbdb6a373fd742d776769562",
+    "verify-prop31 ci_x2_y2.ideal --m 5": "6265090348438983f0461c814fca5eaeab1fdd7825652ff950129d340613e900",
+    "truncate twisted_cubic.ideal --m 4": "fccc226421cb2cb99bcc320318e02c98fb7f4aa25127c226ad84210a52457231",
     "gb twisted_cubic.ideal": "7441f73bdecee15892ce80aa1b354d6ae5bc31375401c703cce84bf2b66857ec",
     "res twisted_cubic.ideal": "4d553c2f08a82f241f6280a9cc7ab040e7100d32a36bef7578722d4b05cc3494",
     "tangent twisted_cubic.ideal": "6505a84d518f06d520ae15d26bb21e690f87acd18fa38bcd57ce042a8052b133",
