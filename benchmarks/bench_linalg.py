@@ -1,8 +1,8 @@
-"""Benchmark the two RREF backends (compiled kernel vs numpy fallback).
+"""Benchmark the mod-p RREF kernel on random dense matrices.
 
 The mod-p row reduction is the hot kernel behind the brute-force oracle,
-the deformation solvers, and the resolution pruning, so this is the
-comparison that decides whether building the extension is worth it.
+the deformation solvers, the Koszul Betti numbers and the Nakayama
+selection; this times it alone, best of a few runs per size.
 
 Usage:
     python benchmarks/bench_linalg.py [--sizes 100x100,300x200] [--repeat 5]
@@ -14,12 +14,7 @@ import time
 
 import numpy as np
 
-from hfstrata.linalg import _fallback
-
-try:
-    from hfstrata.linalg import _kernel
-except ImportError:
-    _kernel = None
+from hfstrata.linalg import rref_inplace
 
 P = 32003
 
@@ -58,21 +53,11 @@ def main():
         sizes.append((int(m), int(n)))
 
     print(f"p = {P}, repeat = {args.repeat} (best of)")
-    header = f"{'size':>10} {'numpy fallback':>16} {'compiled kernel':>16} {'speedup':>9}"
-    print(header)
-    print("-" * len(header))
+    print(f"{'size':>10} {'rref_inplace':>14} {'rank':>6}")
     for m, n in sizes:
         base = random_matrix(rng, m, n)
-        t_py, r_py = bench(_fallback.rref_inplace, base, args.repeat)
-        if _kernel is None:
-            print(f"{m}x{n:>5} {t_py * 1e3:>14.2f}ms {'(not built)':>16} {'-':>9}")
-            continue
-        t_c, r_c = bench(_kernel.rref_inplace, base, args.repeat)
-        assert r_py == r_c, "backends disagree"
-        print(
-            f"{m}x{n:>5} {t_py * 1e3:>14.2f}ms {t_c * 1e3:>14.2f}ms "
-            f"{t_py / t_c:>8.2f}x"
-        )
+        t, (rank, _) = bench(rref_inplace, base, args.repeat)
+        print(f"{m:>4}x{n:<5} {t * 1e3:>12.2f}ms {rank:>6}")
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ from .deform import (
     ComparisonReport,
     Ext1Space,
     TangentSpace,
+    Truncation,
     compare_truncation,
     ext1_space,
     tangent_space,
@@ -94,6 +95,7 @@ __all__ = [
     "ComparisonReport",
     "Ext1Space",
     "TangentSpace",
+    "Truncation",
     "compare_truncation",
     "ext1_space",
     "tangent_space",

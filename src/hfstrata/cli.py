@@ -27,7 +27,7 @@ from .field import DEFAULT_PRIME, NotPrimeError, PrimeField
 from .groebner import Ideal, buchberger
 from .invariants import betti_table, hilbert_function, minimal_free_resolution, regularity
 from .deform import ext1_space, tangent_space
-from .oracle import betti_bruteforce, hf_bruteforce, syzygies_bruteforce, tangent_bruteforce
+from .oracle import _syz_coords, betti_bruteforce, hf_bruteforce, tangent_bruteforce
 from .ring import GREVLEX, LEX, MonomialOrder, RingContext
 from .strata import cone_curve, truncate_ideal, verify_prop31
 
@@ -338,9 +338,9 @@ def cmd_oracle(args):
     if args.mode == "hilb":
         print(" ".join(str(hf_bruteforce(ideal, d)) for d in range(args.up_to + 1)))
     elif args.mode == "syz":
-        syz = syzygies_bruteforce(ideal, args.bound)
-        for e in sorted(syz):
-            print(f"{e} {len(syz[e])}")
+        kernels = _syz_coords(ideal, args.bound).items() if ideal.generators else ()
+        for e, (_, _, kernel) in kernels:
+            print(f"{e} {kernel.shape[1]}")
     elif args.mode == "tangent":
         print(tangent_bruteforce(ideal, args.bound))
     elif args.mode == "betti":

@@ -5,12 +5,18 @@ resolution data is fixed: graded pieces (S/I)_d are coordinatized by the
 standard monomials of the active order (sorted descending), maps become
 matrices, and dimensions become ranks.
 
-The truncation comparison realizes the ideal of the fattened cone point
-by the block generator list [minimal generators of I_Y] + [standard
-monomials of I_Y in degree m], together with first syzygies split as
-[extensions of the I_Y syzygies] + [certificate syzygies of degree >= m].
-That presentation makes the comparison map alpha -> (alpha, 0) a literal
-matrix identity between the two tangent-space coordinate systems.
+A `Truncation` holds what the comparison of I_Y with the ideal
+I_Gamma = I_Y + m^m of the fattened cone point reads, each piece
+computed once: the minimal generators and the first and second syzygies
+(sigma_2, sigma_3) of I_Y, the standard-monomial coordinates of S/I_Y
+and S/I_Gamma, and one Gamma `Ideal` on the block generator list
+[minimal generators of I_Y] + [standard monomials of I_Y in degree m],
+with first syzygies split as [extensions of the I_Y syzygies] +
+[certificate syzygies of degree >= m].  That presentation makes the
+comparison map alpha -> (alpha, 0) a literal matrix identity between
+the two tangent-space coordinate systems.  Gamma's Gröbner basis, Betti
+table and minimal resolution are cached on its `Ideal`, so verify-prop31
+and the comparison share them.
 """
 
 import numpy as np
@@ -157,26 +163,27 @@ def tangent_space(ideal: Ideal) -> TangentSpace:
     return _solve_tangent(qb, degrees, sig2, gens)
 
 
+def _ext1(qb: QuotientBasis, degrees, sig2, sig3) -> Ext1Space:
+    """Degree-0 cycles at F_2 modulo boundaries from F_1, from the
+    generator degrees and the sigma_2, sigma_3 columns of a resolution."""
+    if not sig2:
+        return Ext1Space(0, (), 0, 0)
+    p = qb.ring.field.p
+    cycle_layout = HomLayout(qb, [e for _, e in sig2])
+    cycles = linalg.nullspace(_pairing_matrix(cycle_layout, sig3), p)
+    cycle_dim = cycles.shape[1]
+    boundary = _pairing_matrix(HomLayout(qb, degrees), sig2)  # rows live in the cycle coordinates
+    boundary_rank = linalg.rank(boundary, p) if boundary.size else 0
+    basis = tuple(cycle_layout.lift(cycles[:, k]) for k in range(cycle_dim))
+    return Ext1Space(cycle_dim - boundary_rank, basis, boundary_rank, cycle_dim)
+
+
 def ext1_space(ideal: Ideal) -> Ext1Space:
     """Ext^1_S(I, S/I)_0 = degree-0 cycles at F_2 modulo boundaries from F_1."""
     if ideal.generators and ideal.is_unit_ideal():
         raise DegenerateInputError("obstruction space of the unit ideal is undefined")
-    if ideal.is_zero_ideal():
-        return Ext1Space(0, (), 0, 0)
     _, degrees, sig2, sig3 = _resolution_data(ideal, 3)
-    qb = QuotientBasis(ideal)
-    if not sig2:
-        return Ext1Space(0, (), 0, 0)
-    cycle_layout = HomLayout(qb, [e for _, e in sig2])
-    constraints = _pairing_matrix(cycle_layout, sig3)
-    p = qb.ring.field.p
-    cycles = linalg.nullspace(constraints, p)
-    cycle_dim = cycles.shape[1]
-    gen_layout = HomLayout(qb, degrees)
-    boundary = _pairing_matrix(gen_layout, sig2)  # rows live in the cycle coordinates
-    boundary_rank = linalg.rank(boundary, p) if boundary.size else 0
-    basis = tuple(cycle_layout.lift(cycles[:, k]) for k in range(cycle_dim))
-    return Ext1Space(cycle_dim - boundary_rank, basis, boundary_rank, cycle_dim)
+    return _ext1(QuotientBasis(ideal), degrees, sig2, sig3)
 
 
 class ComparisonReport:
@@ -217,81 +224,79 @@ class ComparisonReport:
         return f"ComparisonReport({self.to_json()})"
 
 
-def truncation_presentation(ideal_y: Ideal, m: int):
-    """Block presentation of I_Y + m^m.
-
-    Returns (gamma, block_gens, block_degrees, gamma_columns, r) where
-    the first r generators are the minimal generators of I_Y, the rest
-    are the degree-m standard monomials of I_Y, and gamma_columns lists
-    first syzygies: I_Y columns padded with zeros, then degree >= m
-    certificate syzygies of the block generators.  Any syzygy of degree
-    < m has zero strand entries and already lies in the span of the
-    padded columns, so the list generates for every m >= 1.
-    """
-    ring = ideal_y.ring
-    gens_y, degrees_y, sig2_y, _ = _resolution_data(ideal_y, ring.n + 2)
-    qb_y = QuotientBasis(ideal_y)
-    strand = [ring.monomial(e) for e in qb_y.monomials(m)]
-    block_gens = list(gens_y) + strand
-    block_degrees = list(degrees_y) + [m] * len(strand)
-    if not block_gens:
-        raise DegenerateInputError("truncation of the unit ideal is undefined")
-    gamma = Ideal(ring, block_gens)
-    t1 = len(strand)
-    r = len(gens_y)
-    zero = ring.zero()
-    columns = [
-        (tuple(vec) + (zero,) * t1, e) for vec, e in sig2_y
-    ]
-    extras = vector_syzygies(ring, [(g,) for g in block_gens], (0,))
-    for vec in extras:
-        e = vector_degree(vec, block_degrees)
-        if e >= m:
-            columns.append((vec, e))
-    return gamma, block_gens, block_degrees, columns, r
-
-
-def compare_truncation(ideal_y: Ideal, m: int, override: bool = False) -> ComparisonReport:
-    """Tangent bijection and obstruction injection for I_Y -> I_Y + m^m.
+class Truncation:
+    """I_Gamma = I_Y + m^m in the block presentation, with the I_Y data
+    the comparison reads.
 
     Requires m >= reg(I_Y) + 2 unless override is set (negative
-    controls); a report is produced either way, with check outcomes as
-    data rather than errors.
+    controls).  The first r block generators are the minimal generators
+    of I_Y, the rest the degree-m standard monomials of I_Y; `columns`
+    lists first syzygies as (vector, degree): the I_Y columns padded
+    with zeros, then the degree >= m certificate syzygies of the block
+    generators.  Any syzygy of degree < m has zero strand entries and
+    already lies in the span of the padded columns, so the list
+    generates for every m >= 1.
     """
-    ring = ideal_y.ring
-    if ideal_y.generators and ideal_y.is_unit_ideal():
-        raise DegenerateInputError("truncation comparison of the unit ideal is undefined")
-    reg = regularity(ideal_y)
-    if m < reg + 2 and not override:
-        raise ParameterError(
-            f"truncation needs m >= reg(I_Y) + 2 = {reg + 2}, got m = {m}", required=reg
-        )
-    p = ring.field.p
 
-    gens_y, degrees_y, sig2_y, sig3_y = _resolution_data(ideal_y, ring.n + 2)
-    qb_y = QuotientBasis(ideal_y)
-    gamma, block_gens, block_degrees, gamma_cols, r = truncation_presentation(ideal_y, m)
-    qb_g = QuotientBasis(gamma)
+    def __init__(self, ideal_y: Ideal, m: int, override: bool = False):
+        if m < 1:
+            raise ParameterError(f"truncation degree must be >= 1, got {m}")
+        if ideal_y.generators and ideal_y.is_unit_ideal():
+            raise DegenerateInputError("cannot truncate the unit ideal")
+        reg = regularity(ideal_y)
+        if m < reg + 2 and not override:
+            raise ParameterError(
+                f"truncation needs m >= reg(I_Y) + 2 = {reg + 2}, got m = {m}", required=reg
+            )
+        ring = ideal_y.ring
+        self.m, self.reg = m, reg
+        self.gens_y, self.degrees_y, self.sig2_y, self.sig3_y = _resolution_data(ideal_y, 3)
+        self.qb_y = QuotientBasis(ideal_y)
+        strand = [ring.monomial(e) for e in self.qb_y.monomials(m)]
+        self.r = len(self.gens_y)
+        self.block_gens = list(self.gens_y) + strand
+        self.block_degrees = list(self.degrees_y) + [m] * len(strand)
+        self.gamma = Ideal(ring, self.block_gens)
+        self.qb_gamma = QuotientBasis(self.gamma)
+        zero = ring.zero()
+        self.columns = [(tuple(vec) + (zero,) * len(strand), e) for vec, e in self.sig2_y]
+        for vec in vector_syzygies(ring, [(g,) for g in self.block_gens], (0,)):
+            e = vector_degree(vec, self.block_degrees)
+            if e >= m:
+                self.columns.append((vec, e))
+
+
+def _quotient_images(qb: QuotientBasis, degrees, vectors, count):
+    """Columns of the slotwise quotient map into ⊕_j (S/I)_{degrees[j]}:
+    the first `count` slots of each vector reduced, the others zero."""
+    images = np.zeros((sum(qb.dim(d) for d in degrees), len(vectors)), dtype=np.int64)
+    for k, vec in enumerate(vectors):
+        col = []
+        for j, d in enumerate(degrees):
+            col.extend(qb.coords(vec[j], d) if j < count else [0] * qb.dim(d))
+        images[:, k] = col
+    return images
+
+
+def compare_truncation(trunc: Truncation) -> ComparisonReport:
+    """Tangent bijection and obstruction injection for I_Y -> I_Gamma.
+
+    A report is produced for every m the Truncation accepted, negative
+    controls included, with check outcomes as data rather than errors.
+    """
+    qb_y, qb_g = trunc.qb_y, trunc.qb_gamma
+    p = qb_y.ring.field.p
 
     # every strand slot lives in (S/I_Gamma)_{>=m} = 0, the structural
     # fact making alpha' and alpha∘tau_2 vanish identically
-    if hilbert_function(gamma, m) != 0:
+    if hilbert_function(trunc.gamma, trunc.m) != 0:
         raise RuntimeError("truncation quotient is nonzero in degree m")
 
-    tangent_y = _solve_tangent(qb_y, degrees_y, sig2_y, gens_y)
-    tangent_g = _solve_tangent(qb_g, block_degrees, gamma_cols, tuple(block_gens))
+    tangent_y = _solve_tangent(qb_y, trunc.degrees_y, trunc.sig2_y, trunc.gens_y)
+    tangent_g = _solve_tangent(qb_g, trunc.block_degrees, trunc.columns, tuple(trunc.block_gens))
 
     # the comparison acts slotwise by the quotient map q: S/I_Y -> S/I_Gamma
-    images = np.zeros((tangent_g.layout.total, tangent_y.dimension), dtype=np.int64)
-    for k in range(tangent_y.dimension):
-        vec = tangent_y.basis[k]
-        col = []
-        for j, d in enumerate(tangent_g.layout.degrees):
-            if j < r:
-                col.extend(qb_g.coords(vec[j], d))
-            else:
-                col.extend([0] * qb_g.dim(d))
-        images[:, k] = col
+    images = _quotient_images(qb_g, trunc.block_degrees, tangent_y.basis, trunc.r)
     solved = linalg.solve(tangent_g.basis_matrix, images, p)
     tangent_rank = linalg.rank(images.T, p)
     tangent_bijective = (
@@ -299,38 +304,23 @@ def compare_truncation(ideal_y: Ideal, m: int, override: bool = False) -> Compar
         and tangent_y.dimension == tangent_g.dimension == tangent_rank
     )
 
-    # obstruction side: cycles for I_Y, boundaries on both presentations
-    ext_y = ext1_space(ideal_y)
-    ext_g = ext1_space(gamma)
-    if sig2_y:
-        cycle_layout_y = HomLayout(qb_y, [e for _, e in sig2_y])
-        cycles_y = linalg.nullspace(_pairing_matrix(cycle_layout_y, sig3_y), p)
-        boundary_y = _pairing_matrix(HomLayout(qb_y, degrees_y), sig2_y)
-        dim_by = linalg.rank(boundary_y.T, p) if boundary_y.size else 0
-
+    # obstruction side: each Ext^1 from its ideal's own minimal resolution
+    ext_y = _ext1(qb_y, trunc.degrees_y, trunc.sig2_y, trunc.sig3_y)
+    _, degrees_g, sig2_g, sig3_g = _resolution_data(trunc.gamma, 3)
+    ext_g = _ext1(qb_g, degrees_g, sig2_g, sig3_g)
+    kernel_dim = 0
+    if ext_y.cycle_dim:
         # Gamma cycle coordinates: only the padded I_Y columns contribute
         # (degree >= m blocks are zero); phi maps q slotwise.
-        gamma_cycle_layout = HomLayout(qb_g, [e for _, e in gamma_cols])
-        boundary_g = _pairing_matrix(HomLayout(qb_g, block_degrees), gamma_cols)
-        phi_images = np.zeros((gamma_cycle_layout.total, cycles_y.shape[1]), dtype=np.int64)
-        for k in range(cycles_y.shape[1]):
-            vec = cycle_layout_y.lift(cycles_y[:, k])
-            col = []
-            for c, e in enumerate(gamma_cycle_layout.degrees):
-                if c < len(sig2_y):
-                    col.extend(qb_g.coords(vec[c], e))
-                else:
-                    col.extend([0] * qb_g.dim(e))
-            phi_images[:, k] = col
-        dim_zy = cycles_y.shape[1]
+        boundary_g = _pairing_matrix(HomLayout(qb_g, trunc.block_degrees), trunc.columns)
+        phi_images = _quotient_images(
+            qb_g, [e for _, e in trunc.columns], ext_y.cycle_basis, len(trunc.sig2_y)
+        )
         rank_bg = linalg.rank(boundary_g, p) if boundary_g.size else 0
         stacked = np.hstack([boundary_g, phi_images]) if boundary_g.size else phi_images
         rank_both = linalg.rank(stacked, p) if stacked.size else 0
         # ker(H_Y -> H_Gamma) = {cycles whose image is a Gamma-boundary} / B_Y
-        dim_w = dim_zy - (rank_both - rank_bg)
-        kernel_dim = dim_w - dim_by
-    else:
-        kernel_dim = 0
+        kernel_dim = ext_y.cycle_dim - (rank_both - rank_bg) - ext_y.boundary_rank
 
     return ComparisonReport(
         tangent_dim_Y=tangent_y.dimension,
@@ -341,6 +331,6 @@ def compare_truncation(ideal_y: Ideal, m: int, override: bool = False) -> Compar
         ext1_dim_Gamma=ext_g.dimension,
         obstruction_kernel_dim=int(kernel_dim),
         obstruction_injective=bool(kernel_dim == 0),
-        m=m,
-        reg=reg,
+        m=trunc.m,
+        reg=trunc.reg,
     )

@@ -7,8 +7,8 @@ the standard monomials of the reduced Gröbner basis; the degrees
 searched are capped by the Taylor resolution of the lead term ideal.
 Resolutions iterate Schreyer syzygies and select minimal generators
 (Nakayama via dense rank over F_p) only in the degrees where the Betti
-table has an entry, so the maps never contain unit entries.  A pivot
-sweep is kept as a final normalization pass and safety net.
+table has an entry, so the maps never contain unit entries; a unit
+entry raises.  Levels are built only as far as a caller asks.
 """
 
 from itertools import combinations
@@ -465,121 +465,50 @@ def minimal_generator_subset(ring, vectors, ambient_shifts, counts=None):
     return chosen, chosen_degs
 
 
-def _build_levels(ring, vectors, ambient_shifts, betti):
-    """Iterate [minimal generators -> Schreyer syzygies] along the Betti table."""
-    levels = []
-    current, shifts = list(vectors), tuple(ambient_shifts)
-    top = betti.max_index()
-    for k in range(top + 1):
-        counts = {j: b for (i, j), b in betti.items() if i == k}
-        chosen, degs = minimal_generator_subset(ring, current, shifts, counts)
-        levels.append((chosen, tuple(degs), shifts))
-        if k < top:
-            current = vector_syzygies(ring, chosen, shifts)
-            shifts = tuple(degs)
-    return levels
-
-
-def _maps_from_levels(ring, levels):
-    modules = [GradedFreeModule(degs) for _, degs, _ in levels]
-    maps = []
-    for k in range(1, len(levels)):
-        chosen, _, _ = levels[k]
-        entries = [
-            [chosen[j][i] for j in range(len(chosen))] for i in range(modules[k - 1].rank)
-        ]
-        maps.append(GradedMap(ring, modules[k], modules[k - 1], entries))
-    return modules, maps
-
-
-def _pivot_minimize(ring, generator_row, modules, maps):
-    """Cancel unit entries by pivoting (lexicographically first position).
-
-    With per-level minimal generators this is a no-op; it remains as the
-    normalization/safety pass and services hand-built resolutions.
-    """
-    generator_row = list(generator_row)
-    shift_lists = [list(m.shifts) for m in modules]
-    mats = [[list(row) for row in g.entries] for g in maps]
-    p = ring.field.p
-
-    def find_unit():
-        for k, mat in enumerate(mats):
-            for i, row in enumerate(mat):
-                for j, f in enumerate(row):
-                    if not f.is_zero() and sum(f.lead_exps()) == 0:
-                        return k, i, j
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        k, i, j = hit
-        mat = mats[k]
-        u = mat[i][j].lead_coeff()
-        uinv = pow(u, p - 2, p)
-        nrows, ncols = len(mat), len(mat[0])
-        for a in range(nrows):
-            if a == i:
-                continue
-            if mat[a][j].is_zero():
-                continue
-            for b in range(ncols):
-                if b == j:
-                    continue
-                corr = mat[a][j] * mat[i][b]
-                mat[a][b] = mat[a][b] - corr.scale(uinv)
-        mats[k] = [
-            [mat[a][b] for b in range(ncols) if b != j] for a in range(nrows) if a != i
-        ]
-        if k + 1 < len(mats):
-            mats[k + 1] = [row for r, row in enumerate(mats[k + 1]) if r != j]
-        if k == 0:
-            del generator_row[i]
-        else:
-            mats[k - 1] = [[e for c, e in enumerate(row) if c != i] for row in mats[k - 1]]
-        del shift_lists[k][i]
-        del shift_lists[k + 1][j]
-        # drop modules that became zero at the tail
-        while shift_lists and not shift_lists[-1]:
-            shift_lists.pop()
-            mats.pop()
-
-    modules = [GradedFreeModule(s) for s in shift_lists]
-    gmaps = [
-        GradedMap(ring, modules[k + 1], modules[k], mats[k]) for k in range(len(mats))
-    ]
-    return generator_row, modules, gmaps
-
-
-def _compute_resolution(ideal: Ideal) -> Resolution:
+def _extend_resolution(ideal: Ideal, res, max_step: int) -> Resolution:
+    """`res` (None before the first level) extended through `max_step`
+    levels, or to its end: each level takes the Schreyer syzygies of the
+    one before and keeps minimal generators along the Betti table."""
     ring = ideal.ring
-    if ideal.is_zero_ideal():
-        return Resolution(ring, (), [], [], True)
-    vectors = [(f,) for f in ideal.generators]
-    levels = _build_levels(ring, vectors, (0,), betti_table(ideal))
-    generator_row = tuple(v[0] for v in levels[0][0])
-    modules, maps = _maps_from_levels(ring, levels)
-    generator_row, modules, maps = _pivot_minimize(ring, generator_row, modules, maps)
-    res = Resolution(ring, generator_row, modules, maps, True)
+    betti = betti_table(ideal)
+    res = res or Resolution(ring, (), [], [], True)
+    row, modules, maps = res.generator_row, list(res.modules), list(res.maps)
+    while len(modules) < min(max_step, betti.max_index() + 1):
+        k = len(modules)
+        if k == 0:
+            vectors, shifts = [(f,) for f in ideal.generators], (0,)
+        elif k == 1:
+            vectors, shifts = vector_syzygies(ring, [(g,) for g in row], (0,)), modules[0].shifts
+        else:
+            last = [maps[-1].column(j) for j in range(modules[-1].rank)]
+            vectors, shifts = vector_syzygies(ring, last, modules[-2].shifts), modules[-1].shifts
+        counts = {j: b for (i, j), b in betti.items() if i == k}
+        chosen, degs = minimal_generator_subset(ring, vectors, shifts, counts)
+        modules.append(GradedFreeModule(degs))
+        if k == 0:
+            row = tuple(v[0] for v in chosen)
+        else:
+            entries = [[v[i] for v in chosen] for i in range(len(shifts))]
+            maps.append(GradedMap(ring, modules[k], modules[k - 1], entries))
+    res = Resolution(ring, row, modules, maps, True)
     if res.has_constant_entry():
-        raise RuntimeError("resolution still has a unit entry after minimization")
+        raise RuntimeError("minimal resolution has a unit entry")
     return res
 
 
 def minimal_free_resolution(ideal: Ideal, max_step: int) -> Resolution:
-    """Minimal free resolution of the ideal through `max_step` syzygy steps.
+    """Minimal free resolution of the ideal through `max_step` levels.
 
-    The full finite resolution is computed once and cached; a larger
-    `max_step` than the projective dimension simply returns all of it.
+    Levels are built only as far as asked and cached on the ideal; a
+    later call asking for more extends the cached ones.  A `max_step`
+    past the projective dimension returns the whole resolution.
     """
     if max_step < 1:
         raise ParameterError(f"max_step must be >= 1, got {max_step}")
     with ideal._lock:
-        if ideal._resolution is None:
-            ideal._resolution = _compute_resolution(ideal)
         res = ideal._resolution
+        if res is None or res.length() < min(max_step, betti_table(ideal).max_index() + 1):
+            res = ideal._resolution = _extend_resolution(ideal, res, max_step)
     if res.length() <= max_step:
         return res
     return Resolution(

@@ -1,34 +1,45 @@
 """Dense exact linear algebra over F_p.
 
-The single hot primitive is an in-place reduced row echelon form; it has
-two interchangeable backends selected at import time:
-
-* ``hfstrata.linalg._kernel`` - Cython, built by setup.py;
-* ``hfstrata.linalg._fallback`` - vectorized numpy, always available.
-
-Both use identical pivoting (first nonzero row, columns left to right),
-so every downstream result is bit-identical either way.  Set
-``HFSTRATA_PURE=1`` to force the fallback.  Matrices are C-contiguous
-int64 arrays with entries already reduced into [0, p).
+The single hot primitive is an in-place reduced row echelon form,
+vectorized over rows with numpy.  Matrices are C-contiguous int64 arrays
+with entries already reduced into [0, p); with p < 2**31 the row updates
+stay within int64.
 """
-
-import os
 
 import numpy as np
 
-if os.environ.get("HFSTRATA_PURE"):
-    from ._fallback import rref_inplace
 
-    BACKEND = "python"
-else:
-    try:
-        from ._kernel import rref_inplace
+def rref_inplace(a, p):
+    """In-place reduced row echelon form; returns (rank, pivot_columns).
 
-        BACKEND = "compiled"
-    except ImportError:
-        from ._fallback import rref_inplace
-
-        BACKEND = "python"
+    The pivot of each column is its first nonzero row at or below the
+    current rank, columns are visited left to right, and pivot rows are
+    scaled to 1.
+    """
+    m, n = a.shape
+    r = 0
+    pivots = []
+    for c in range(n):
+        if r >= m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], :] = a[[i, r], :]
+        v = int(a[r, c])
+        if v != 1:
+            inv = pow(v, p - 2, p)
+            a[r, c:] = (a[r, c:] * inv) % p
+        rows = np.nonzero(a[:, c])[0]
+        rows = rows[rows != r]
+        if rows.size:
+            f = a[rows, c][:, None]
+            a[rows, c:] = (a[rows, c:] - f * a[r, c:]) % p
+        pivots.append(c)
+        r += 1
+    return r, pivots
 
 
 def as_matrix(rows, ncols):

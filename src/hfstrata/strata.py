@@ -12,7 +12,7 @@ tool's job includes exhibiting negative controls.
 
 import random
 
-from .deform import compare_truncation
+from .deform import Truncation, compare_truncation
 from .errors import DegenerateInputError, GenericityError, ParameterError
 from .groebner import Ideal, ideal_sum, maximal_ideal_power
 from .invariants import (
@@ -113,7 +113,8 @@ def verify_prop31(
         )
     if degree_bound is None:
         degree_bound = reg + m + 4
-    gamma = truncate_ideal(ideal_y, m, override=True)
+    trunc = Truncation(ideal_y, m, override=True)  # the bound is checked above
+    gamma = trunc.gamma
 
     hilbert_ok = True
     first_failure = None
@@ -151,7 +152,7 @@ def verify_prop31(
     if strands and strands[0] != t1_expected:
         shape_ok = False
 
-    comparison = compare_truncation(ideal_y, m, override=override)
+    comparison = compare_truncation(trunc)
     return TruncationReport(
         m=m,
         reg=reg,

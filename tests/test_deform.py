@@ -1,11 +1,6 @@
 import pytest
 
-from hfstrata.deform import (
-    compare_truncation,
-    ext1_space,
-    tangent_space,
-    truncation_presentation,
-)
+from hfstrata.deform import Truncation, compare_truncation, ext1_space, tangent_space
 from hfstrata.errors import ParameterError
 from hfstrata.groebner import Ideal, ideal_member, maximal_ideal_power, syzygies
 from hfstrata.invariants import hilbert_function, minimal_free_resolution, regularity
@@ -124,7 +119,7 @@ def test_ext1_length_one_resolution_identity(corpus):
 
 
 def test_compare_truncation_twisted_cubic():
-    rep = compare_truncation(twisted_cubic(), 4)
+    rep = compare_truncation(Truncation(twisted_cubic(), 4))
     assert rep.tangent_bijective and rep.obstruction_injective
     assert rep.tangent_dim_Y == rep.tangent_dim_Gamma == TWISTED_CUBIC_TANGENT_DIM
     assert rep.tangent_rank == TWISTED_CUBIC_TANGENT_DIM
@@ -134,19 +129,19 @@ def test_compare_truncation_koszul():
     r = ring2()
     x, y = r.variable(0), r.variable(1)
     ci = Ideal(r, [x * x, y * y])
-    rep = compare_truncation(ci, 5)  # reg + 2
+    rep = compare_truncation(Truncation(ci, 5))  # reg + 2
     assert rep.tangent_bijective and rep.obstruction_injective
     assert rep.m == 5 and rep.reg == 3
 
 
 def test_compare_truncation_requires_bound():
     with pytest.raises(ParameterError) as exc:
-        compare_truncation(twisted_cubic(), 2)
+        Truncation(twisted_cubic(), 2)
     assert exc.value.required == 2  # carries reg(I_Y)
 
 
 def test_compare_truncation_negative_control():
-    rep = compare_truncation(twisted_cubic(), 2, override=True)
+    rep = compare_truncation(Truncation(twisted_cubic(), 2, override=True))
     assert rep.m == 2
     # dimensions are reported, equality is NOT asserted by the tool
     assert rep.tangent_dim_Y == TWISTED_CUBIC_TANGENT_DIM
@@ -155,7 +150,7 @@ def test_compare_truncation_negative_control():
 
 
 def test_comparison_report_json_keys():
-    rep = compare_truncation(twisted_cubic(), 4)
+    rep = compare_truncation(Truncation(twisted_cubic(), 4))
     assert list(rep.to_json().keys()) == [
         "tangent_dim_Y",
         "tangent_dim_Gamma",
@@ -172,16 +167,16 @@ def test_comparison_report_json_keys():
 
 def test_truncation_presentation_block_structure():
     tc = twisted_cubic()
-    gamma, gens, degrees, columns, r = truncation_presentation(tc, 4)
-    assert r == 3
-    assert degrees == [2, 2, 2] + [4] * 13  # t_1 = h_4(S/I_Y) = 13
-    assert hilbert_function(gamma, 4) == 0
+    trunc = Truncation(tc, 4)
+    assert trunc.r == 3
+    assert trunc.block_degrees == [2, 2, 2] + [4] * 13  # t_1 = h_4(S/I_Y) = 13
+    assert hilbert_function(trunc.gamma, 4) == 0
     zero = tc.ring.zero()
-    for vec, e in columns:
+    for vec, e in trunc.columns:
         # block shape: columns of degree < m vanish on the strand slots
         if e < 4:
-            assert all(f == zero for f in vec[r:])
+            assert all(f == zero for f in vec[trunc.r:])
         total = zero
-        for a, g in zip(vec, gens):
+        for a, g in zip(vec, trunc.block_gens):
             total = total + a * g
         assert total.is_zero()

@@ -163,6 +163,32 @@ def test_truncated_resolution_steps():
     assert len(full.modules) == 2
 
 
+def test_resolution_built_only_as_far_as_asked(monkeypatch):
+    """tangent_space reads sigma_2 only, so it builds two levels; a later
+    call for more extends them to the resolution of a fresh ideal."""
+    from hfstrata import invariants
+    from hfstrata.deform import tangent_space
+    from hfstrata.strata import truncate_ideal
+
+    calls = []
+    original = invariants.vector_syzygies
+
+    def counting(ring, vectors, shifts):
+        calls.append(len(vectors))
+        return original(ring, vectors, shifts)
+
+    monkeypatch.setattr(invariants, "vector_syzygies", counting)
+    gamma = truncate_ideal(twisted_cubic(), 4)
+    tangent_space(gamma)
+    assert calls == [16]
+    assert gamma._resolution.length() == 2
+    full = minimal_free_resolution(gamma, 10)
+    assert len(calls) == 3 and full.length() == 4
+    fresh = minimal_free_resolution(truncate_ideal(twisted_cubic(), 4), 10)
+    assert full.generator_row == fresh.generator_row
+    assert [m.entries for m in full.maps] == [m.entries for m in fresh.maps]
+
+
 def test_euler_characteristic_of_resolution(corpus):
     """Alternating sum of shift contributions reproduces the HS numerator."""
     for name, ideal in corpus.items():

@@ -1,15 +1,8 @@
 import random
 
 import numpy as np
-import pytest
 
 from hfstrata import linalg
-from hfstrata.linalg import _fallback
-
-try:
-    from hfstrata.linalg import _kernel
-except ImportError:  # extension not built; fallback covers everything
-    _kernel = None
 
 P = 32003
 
@@ -60,19 +53,41 @@ def test_greedy_independent_rows_prefers_early_rows():
     assert linalg.greedy_independent_rows(a, P) == [0, 2]
 
 
-@pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
-def test_backends_identical():
+def reference_rref(rows, p):
+    """Gauss-Jordan on lists of ints, pivoting as rref_inplace does: the
+    first nonzero row at or below the rank, columns left to right."""
+    a = [[x % p for x in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    rank, pivots = 0, []
+    for c in range(ncols):
+        i = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[rank], a[i] = a[i], a[rank]
+        inv = pow(a[rank][c], p - 2, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for k in range(len(a)):
+            if k != rank and a[k][c]:
+                f = a[k][c]
+                a[k] = [(x - f * y) % p for x, y in zip(a[k], a[rank])]
+        pivots.append(c)
+        rank += 1
+    return a, rank, pivots
+
+
+def test_rref_inplace_matches_reference():
     rng = random.Random(99)
-    for _ in range(40):
-        m = rng.randrange(1, 12)
-        n = rng.randrange(1, 12)
-        a = random_matrix(rng, m, n, density=rng.choice([0.2, 0.5, 0.9]))
-        a1 = np.ascontiguousarray(a.copy())
-        a2 = np.ascontiguousarray(a.copy())
-        r1 = _kernel.rref_inplace(a1, P)
-        r2 = _fallback.rref_inplace(a2, P)
-        assert r1 == r2
-        assert (a1 == a2).all()
+    for p in (2, 3, 32003, 2**31 - 1):
+        for _ in range(40):
+            m = rng.randrange(1, 12)
+            n = rng.randrange(1, 12)
+            a = random_matrix(rng, m, n, p, density=rng.choice([0.2, 0.5, 0.9]))
+            if rng.random() < 0.3:  # repeated rows force dependent pivots
+                a[rng.randrange(m)] = a[rng.randrange(m)]
+            ref, rank, pivots = reference_rref(a.tolist(), p)
+            work = np.ascontiguousarray(a.copy())
+            assert linalg.rref_inplace(work, p) == (rank, pivots), p
+            assert work.tolist() == ref, p
 
 
 def test_empty_shapes():

@@ -194,6 +194,40 @@ def test_cone_curve_computes_each_groebner_basis_once(monkeypatch):
     assert calls == [1, 3]
 
 
+def test_verify_prop31_computes_each_fact_once(monkeypatch):
+    """With I_Y's GB and Betti table known, one verify-prop31 computes one
+    GB and one Koszul table (for Gamma) and Ext^1 once per ideal, with
+    Gamma resolved from its minimal generators through sigma_3 only."""
+    from hfstrata import deform, groebner, invariants
+
+    tc = twisted_cubic()
+    tc.groebner_basis()
+    invariants.betti_table(tc)
+    calls = {"gb": [], "koszul": [], "ext1": [], "syz": []}
+
+    def count(key, fn, record=lambda *args: None):
+        def wrapper(*args):
+            calls[key].append(record(*args))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(groebner, "buchberger_basis", count("gb", groebner.buchberger_basis))
+    monkeypatch.setattr(invariants, "_koszul_betti", count("koszul", invariants._koszul_betti))
+    monkeypatch.setattr(deform, "_ext1", count("ext1", deform._ext1, lambda qb, *_: qb.ideal))
+    syz = count("syz", groebner.vector_syzygies, lambda ring, vectors, shifts: len(vectors))
+    monkeypatch.setattr(deform, "vector_syzygies", syz)
+    monkeypatch.setattr(invariants, "vector_syzygies", syz)
+    report = verify_prop31(tc, 4)
+    assert report.all_ok()
+    assert len(calls["gb"]) == 1 and len(calls["koszul"]) == 1
+    assert [ideal is tc for ideal in calls["ext1"]] == [True, False]
+    # I_Y's 3 generators, the 16 block generators, then Gamma's 16 minimal
+    # generators and its minimal first syzygies, and no further level
+    first = sum(b for (i, _), b in report.betti_gamma.items() if i == 1)
+    assert calls["syz"] == [3, 16, 16, first]
+
+
 def test_cone_curve_complete_intersection():
     zero3 = Ideal(ring3(), [])
     curve, report = cone_curve(zero3, 2, seed=1)
