@@ -257,9 +257,15 @@ def cmd_gb(args):
     return 0
 
 
+def _degrees_up_to(up_to):
+    if up_to < 0:
+        raise ParameterError(f"--up-to must be >= 0, got {up_to}")
+    return range(up_to + 1)
+
+
 def cmd_hilb(args):
     _, _, ideal = _load(args.file)
-    print(" ".join(str(hilbert_function(ideal, d)) for d in range(args.up_to + 1)))
+    print(" ".join(str(hilbert_function(ideal, d)) for d in _degrees_up_to(args.up_to)))
     return 0
 
 
@@ -336,7 +342,7 @@ def cmd_cone_curve(args):
 def cmd_oracle(args):
     _, _, ideal = _load(args.file)
     if args.mode == "hilb":
-        print(" ".join(str(hf_bruteforce(ideal, d)) for d in range(args.up_to + 1)))
+        print(" ".join(str(hf_bruteforce(ideal, d)) for d in _degrees_up_to(args.up_to)))
     elif args.mode == "syz":
         kernels = _syz_coords(ideal, args.bound).items() if ideal.generators else ()
         for e, (_, _, kernel) in kernels:

@@ -4,17 +4,28 @@ The engine works uniformly on elements of graded free modules: a vector
 is a dict mapping (exponent tuple, component) to a coefficient, ordered
 term-over-position by the ring's monomial order.  Ideals are the rank-1
 case.  Every basis element carries a certificate expressing it in terms
-of the input generators; reducing the S-pairs of the final reduced
-Gröbner basis to zero then yields Schreyer-style generators of the full
-syzygy module, already written over the original generators.
+of the input generators; reducing S-pairs of the final reduced Gröbner
+basis to zero then yields Schreyer generators of the full syzygy module,
+already written over the original generators.
+
+The syzygy pass reduces only the Schreyer-frame pairs: for each basis
+index i, one pair (i, j), j > i, per minimal generator of the monomial
+ideal of multipliers lcm(lt_i, lt_j) / lt_i (La Scala-Stillman).  Their
+syzygies have the lead terms of the whole Schreyer Gröbner basis of the
+syzygy module (Eisenbud, Thm 15.10), so they generate it.  A dropped
+pair (i, j) has some k with lt_k | lcm(lt_i, lt_j), so its lead-term
+syzygy is a combination of those of (i, k) and (k, j): the kept pairs
+generate the lead-term syzygies, and their reducing to zero, which the
+pass checks, still certifies the basis (Buchberger's criterion).
 
 All reduction runs through one normal-form loop, `_reduce_full`: S-pair
-reduction in Buchberger, interreduction, the syzygy pass and the public
-`divide` (whose divisors enter as monic elements with their inverse lead
-coefficients as certificates).  It visits terms largest first from a
-min-heap keyed by `MonomialOrder.heap_key`, pushing each term when it
-enters the working dict and skipping popped terms that have cancelled,
-so it never rescans the dict for its lead term.
+reduction in Buchberger, interreduction, the syzygy pass, the public
+`divide` and `QuotientBasis` normal forms (whose divisors enter as monic
+elements with their inverse lead coefficients as certificates, built by
+`_divisor_elems`).  It visits terms largest first from a min-heap keyed
+by `MonomialOrder.heap_key`, pushing each term when it enters the
+working dict and skipping popped terms that have cancelled, so it never
+rescans the dict for its lead term.
 """
 
 import threading
@@ -224,32 +235,55 @@ def _interreduce(basis, p, order):
     return final
 
 
+def _frame_pairs(gb):
+    """The pairs (i, j), i < j, whose S-pairs the syzygy pass reduces.
+
+    For each i, the multipliers m_ji = lcm(lt_i, lt_j) / lt_i over the
+    j > i with lt_j in lt_i's component; one pair per multiplier minimal
+    under divisibility, with the smallest j among equal multipliers.
+    Under the Schreyer order (ties broken towards the smaller index) the
+    syzygy of pair (i, j) has lead term m_ji e_i.
+    """
+    pairs = []
+    for i, gi in enumerate(gb):
+        lt, comp = gi.lead
+        first = {}
+        for j in range(i + 1, len(gb)):
+            tj, cj = gb[j].lead
+            if cj == comp:
+                first.setdefault(monomial_div(monomial_lcm(lt, tj), lt), j)
+        minimal = []
+        for mult in sorted(first, key=sum):
+            if not any(monomial_divides(m, mult) for m in minimal):
+                minimal.append(mult)
+                pairs.append((i, first[mult]))
+    return pairs
+
+
 def _syzygy_certs(gens, p, order, ambient_rank, ambient_shifts):
     """Schreyer generators of the syzygy module of `gens`.
 
-    Reduces every same-component S-pair of the reduced GB to zero and
-    keeps the certificate, then adds the interreduction relations
+    Reduces the Schreyer-frame S-pairs of the reduced GB (`_frame_pairs`;
+    the module docstring says why they suffice) to zero and keeps the
+    certificates, then adds the interreduction relations
     e_i - (expression of gen i over the GB).  The result generates
     ker(e_i -> gens[i]) in the free module with one slot per generator.
     """
     gb = _module_groebner(gens, p, order, ambient_rank, ambient_shifts, track_certs=True)
     syz = []
-    for j in range(len(gb)):
-        for i in range(j):
-            ti, tj = gb[i].lead, gb[j].lead
-            if ti[1] != tj[1]:
-                continue
-            lcm = monomial_lcm(ti[0], tj[0])
-            s, cs = {}, {}
-            _addmul_into(s, 1, monomial_div(lcm, ti[0]), gb[i].vec, p)
-            _addmul_into(s, p - 1, monomial_div(lcm, tj[0]), gb[j].vec, p)
-            _addmul_into(cs, 1, monomial_div(lcm, ti[0]), gb[i].cert, p)
-            _addmul_into(cs, p - 1, monomial_div(lcm, tj[0]), gb[j].cert, p)
-            tail, cert = _reduce_full(s, cs, gb, p, order)
-            if tail:
-                raise RuntimeError("S-pair of a Gröbner basis did not reduce to zero")
-            if cert:
-                syz.append(cert)
+    for i, j in _frame_pairs(gb):
+        ti, tj = gb[i].lead, gb[j].lead
+        lcm = monomial_lcm(ti[0], tj[0])
+        s, cs = {}, {}
+        _addmul_into(s, 1, monomial_div(lcm, ti[0]), gb[i].vec, p)
+        _addmul_into(s, p - 1, monomial_div(lcm, tj[0]), gb[j].vec, p)
+        _addmul_into(cs, 1, monomial_div(lcm, ti[0]), gb[i].cert, p)
+        _addmul_into(cs, p - 1, monomial_div(lcm, tj[0]), gb[j].cert, p)
+        tail, cert = _reduce_full(s, cs, gb, p, order)
+        if tail:
+            raise RuntimeError("S-pair of a Gröbner basis did not reduce to zero")
+        if cert:
+            syz.append(cert)
     for idx, vec in enumerate(gens):
         if not vec:
             continue
@@ -298,10 +332,15 @@ def _vec_from_polys(polys):
 
 
 def _polys_from_vec(vec, ring, rank):
-    buckets = [{} for _ in range(rank)]
+    """One polynomial per slot; the empty slots share one zero."""
+    buckets = {}
     for (exps, comp), c in vec.items():
-        buckets[comp][exps] = c
-    return tuple(ring._from_dict(b) for b in buckets)
+        bucket = buckets.get(comp)
+        if bucket is None:
+            bucket = buckets[comp] = {}
+        bucket[exps] = c
+    zero = ring.zero()
+    return tuple(ring._from_dict(buckets[k]) if k in buckets else zero for k in range(rank))
 
 
 def vector_syzygies(ring, vectors, ambient_shifts):
@@ -397,6 +436,20 @@ class Ideal:
         return ideal_sum(self, other)
 
 
+def _divisor_elems(ring, divisors):
+    """Divisor i as the monic element g_i / lc_i with cert {(1, i): 1/lc_i}."""
+    p = ring.field.p
+    zero = (0,) * ring.n
+    basis = []
+    for gi, g in enumerate(divisors):
+        inv = ring.field.inv(g.lead_coeff())
+        vec = _vec_from_polys((g,))
+        if inv != 1:
+            vec = _scale_vec(vec, inv, p)
+        basis.append(_Elem(vec, {(zero, gi): inv}, (g.lead_exps(), 0)))
+    return basis
+
+
 def divide(f: Polynomial, divisors):
     """Multivariate division of f by an ordered list of divisors.
 
@@ -416,20 +469,11 @@ def divide(f: Polynomial, divisors):
         if g.is_zero():
             raise DegenerateInputError("zero divisor in division algorithm")
     p = ring.field.p
-    zero = (0,) * ring.n
-    basis = []
-    for gi, g in enumerate(divisors):
-        inv = ring.field.inv(g.lead_coeff())
-        vec = _vec_from_polys((g,))
-        if inv != 1:
-            vec = _scale_vec(vec, inv, p)
-        basis.append(_Elem(vec, {(zero, gi): inv}, (g.lead_exps(), 0)))
+    basis = _divisor_elems(ring, divisors)
     tail, cert = _reduce_full(_vec_from_polys((f,)), {}, basis, p, ring.order)
-    quotients = [{} for _ in divisors]
-    for (mult, gi), c in cert.items():
-        quotients[gi][mult] = p - c
+    quotients = {t: p - c for t, c in cert.items()}
     return (
-        tuple(ring._from_dict(q) for q in quotients),
+        _polys_from_vec(quotients, ring, len(divisors)),
         _polys_from_vec(tail, ring, 1)[0],
     )
 

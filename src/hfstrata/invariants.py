@@ -18,7 +18,14 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateInputError, ParameterError
-from .groebner import Ideal, divide, vector_degree, vector_syzygies
+from .groebner import (
+    Ideal,
+    _divisor_elems,
+    _reduce_full,
+    _vec_from_polys,
+    vector_degree,
+    vector_syzygies,
+)
 from .ring import (
     GradedFreeModule,
     GradedMap,
@@ -174,6 +181,7 @@ class QuotientBasis:
         self._gb = ideal.groebner_basis()
         self._lead = [g.lead_exps() for g in self._gb]
         self._cache = {}
+        self._divisors = None
 
     def monomials(self, d):
         """Degree-d monomials outside the lead term ideal, descending."""
@@ -191,16 +199,23 @@ class QuotientBasis:
 
     def coords(self, f, d):
         """Coordinates of the class of f in (S/I)_d."""
+        return self._vec_coords(_vec_from_polys((f,)), d)
+
+    def _vec_coords(self, vec, d):
+        """Coordinates of the normal form of an engine vector of degree d.
+
+        The normal form carries no certificate; the GB's monic divisors
+        are built on first use and kept.
+        """
         monos = self.monomials(d)
         index = self._cache[d][1]
         row = [0] * len(monos)
-        if f.is_zero():
-            return row
-        if self._gb:
-            _, f = divide(f, self._gb)
-        p = self.ring.field.p
-        for exps, c in f.terms:
-            row[index[exps]] = (row[index[exps]] + c) % p
+        if vec and self._gb:
+            if self._divisors is None:
+                self._divisors = _divisor_elems(self.ring, self._gb)
+            vec, _ = _reduce_full(vec, None, self._divisors, self.ring.field.p, self.ring.order)
+        for (exps, _), c in vec.items():
+            row[index[exps]] = c
         return row
 
     def variable_matrix(self, t, d):
@@ -212,7 +227,7 @@ class QuotientBasis:
             if e in index:
                 mat[index[e], col] = 1
             else:
-                mat[:, col] = self.coords(self.ring.monomial(e), d + 1)
+                mat[:, col] = self._vec_coords({(e, 0): 1}, d + 1)
         return mat
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +174,20 @@ def test_cli_oracle_bound_below_generators_exit2(capsys, tmp_path):
         assert captured.out == "" and "degree_bound below" in captured.err, mode
     assert run(["oracle", "betti", str(path), "--bound", "5"]) == 0
     assert capsys.readouterr().out.split() == "0 1 total:2 1 2: 1 . 3: 1 . 4: . 1".split()
+
+
+def test_python_m_hfstrata_from_a_checkout(tc_file):
+    """`PYTHONPATH=src python -m hfstrata` runs the CLI without an install."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "hfstrata", "hilb", tc_file, "--up-to", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "1 4 7 10\n", "")
 
 
 def test_cli_parse_error_exit2(capsys, tmp_path):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hfstrata import linalg
+from hfstrata import groebner, linalg
 from hfstrata.errors import DegenerateInputError, ParameterError, StructureError
 from hfstrata.field import PrimeField
 from hfstrata.groebner import (
@@ -18,7 +18,7 @@ from hfstrata.groebner import (
 from hfstrata.ring import RingContext, module_piece_basis, poly_coords
 from hfstrata.strata import random_forms
 
-from conftest import build_corpus, ring2, ring4, twisted_cubic
+from conftest import build_corpus, ring2, ring3, ring4, twisted_cubic
 
 
 def f7_ring2():
@@ -139,10 +139,8 @@ def test_twisted_cubic_syzygies_linear():
     assert degrees[0] == 3  # linear syzygies exist
 
 
-def syzygy_span_rank(ideal, basis, degree):
-    """Rank of the degree-`degree` span of a syzygy generating set."""
-    ring = ideal.ring
-    shifts = [f.homogeneous_degree() for f in ideal.generators]
+def syzygy_span_rank(ring, shifts, basis, degree):
+    """Rank of the degree-`degree` span of a syzygy generating set in ⊕ S(-shifts)."""
     coords = module_piece_basis(ring, shifts, degree)
     index = {k: c for c, k in enumerate(coords)}
     rows = []
@@ -176,7 +174,35 @@ def test_syzygy_spans_match_oracle(corpus):
         basis = syzygies(ideal)
         oracle = syzygies_bruteforce(ideal, bound)
         for e in sorted(oracle):
-            assert syzygy_span_rank(ideal, basis.elements, e) == len(oracle[e]), (name, e)
+            span = syzygy_span_rank(ideal.ring, basis.ambient.shifts, basis.elements, e)
+            assert span == len(oracle[e]), (name, e)
+
+
+def test_syzygy_pass_rejects_a_non_groebner_basis(monkeypatch):
+    """The pruned S-pair set still certifies the basis it is handed.
+
+    (x^2, xy + z^2, y^2) is not a Gröbner basis: the S-pair of x^2 and
+    xy + z^2 leaves -xz^2.  The pair (x^2, y^2) is pruned, since the
+    multiplier y of (x^2, xy) divides its multiplier y^2, but the kept
+    pair (x^2, xy + z^2) must still fail to reduce to zero.
+    """
+    r = ring3()
+    x, y, z = (r.variable(i) for i in range(3))
+    gens = [x * x, x * y + z * z, y * y]
+
+    def not_a_gb(vecs, p, order, ambient_rank, ambient_shifts, track_certs=True):
+        key = groebner._term_key_fn(order)
+        zero = (0,) * r.n
+        elems = [
+            groebner._Elem(dict(v), {(zero, i): 1}, max(v, key=key)) for i, v in enumerate(vecs)
+        ]
+        return sorted(elems, key=lambda e: key(e.lead), reverse=True)
+
+    monkeypatch.setattr(groebner, "_module_groebner", not_a_gb)
+    gb = not_a_gb([groebner._vec_from_polys((f,)) for f in gens], r.field.p, r.order, 1, (0,))
+    assert (0, 2) not in groebner._frame_pairs(gb)
+    with pytest.raises(RuntimeError, match="did not reduce to zero"):
+        syzygies(Ideal(r, gens))
 
 
 def test_division_contract_random(corpus):

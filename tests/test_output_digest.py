@@ -7,8 +7,10 @@ heap-ordered normal forms, the `oracle` digests with the per-term
 `row_of` matrix builders that preceded the coordinate builders, and the
 `verify-prop31` error paths, negative control and further truncations
 with the two separate truncation presentations that preceded
-`deform.Truncation`.  Any change that alters a printed Gröbner basis,
-resolution, Betti table, dimension or report shows up here.
+`deform.Truncation`; the two negative `--up-to` cases were recorded
+when they started to exit 2 instead of printing an empty line.  Any
+change that alters a printed Gröbner basis, resolution, Betti table,
+dimension or report shows up here.
 
 A failure lists the cases whose digests moved; `pytest -vv` also
 prints their new values, to record after a deliberate output change.
@@ -94,6 +96,11 @@ CASES = (
     ]
     # the complete intersection of degrees 2, 4, 4 ends at (2, 10)
     + [("oracle", "betti", "quadric_cone_curve4.ideal", "--bound", "10", "--max-step", "3")]
+    # a negative --up-to exits 2
+    + [
+        ("hilb", "twisted_cubic.ideal", "--up-to", "-1"),
+        ("oracle", "hilb", "twisted_cubic.ideal", "--up-to", "-2"),
+    ]
 )
 
 DIGESTS = {
@@ -151,6 +158,8 @@ DIGESTS = {
     "oracle syz quadric_cone_curve4.ideal": "47d3ffa93ffe2c898423e00ed84f9accaa0899b6a880f5ae4af7367a41819e56",
     "oracle tangent quadric_cone_curve4.ideal": "8e3b286102ebd565f98893eaed656974928c33024fbec701e3d81d515ccbdb6f",
     "oracle betti quadric_cone_curve4.ideal --bound 10 --max-step 3": "3a933269b87304d8def69be58df8083e22f966453785e268efa5d89a61bbe391",
+    "hilb twisted_cubic.ideal --up-to -1": "a8413c20cc3222db63611cb50c6f2896cfe51b92f35c2504bb56f4be9b351bd0",
+    "oracle hilb twisted_cubic.ideal --up-to -2": "0a4ba220b178b2fc931531b278447de072af6a931dcb33206845ebdd124d5feb",
 }
 
 
