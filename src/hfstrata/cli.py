@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .errors import (
@@ -422,11 +423,16 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    """The parser, built on the first `run` and reused by later ones."""
+    return build_parser()
+
+
 def run(argv) -> int:
     """Dispatch one invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

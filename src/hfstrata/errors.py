@@ -44,3 +44,7 @@ class ParseError(HfStrataError):
         self.line = line
         self.col = col
         super().__init__(f"line {line}, col {col}: {message}")
+
+
+class ExponentOverflowError(HfStrataError):
+    """An exponent reached 2^15, the limit of the engine's packed terms."""

@@ -1,12 +1,25 @@
 """Buchberger's algorithm with syzygy certificates.
 
 The engine works uniformly on elements of graded free modules: a vector
-is a dict mapping (exponent tuple, component) to a coefficient, ordered
-term-over-position by the ring's monomial order.  Ideals are the rank-1
-case.  Every basis element carries a certificate expressing it in terms
-of the input generators; reducing S-pairs of the final reduced Gröbner
-basis to zero then yields Schreyer generators of the full syzygy module,
-already written over the original generators.
+is a dict mapping a packed term to a coefficient.  A term x^e e_comp is
+one Python int (`_Packing`, after Bachmann-Schönemann's packed monomial
+words): with B = 2^16, n variables and k bits for the component,
+
+    key = ((W(e) * B^n + sum_i e_i B^i) << k) + comp,
+
+where W(e) = -deg(e) for grevlex and W(e) = -sum_i e_i B^(n-1-i) for
+lex.  A smaller key is a larger term (the order on the monomial, then
+the lower component), so a lead term is `min(vec)` and heaps hold plain
+ints; x^a times a term is `key + pack(a)`; and x^a e_c divides x^b e_c'
+iff `key_b - key_a` has no bit set in the component bits or in the top
+(guard) bit of any exponent field.  Exponents must stay below 2^15: an
+input exponent at or above it, or a new term whose guard bit is set,
+raises `ExponentOverflowError` instead of a wrong answer.
+
+Ideals are the rank-1 case.  Every basis element carries a certificate
+expressing it in terms of the input generators; reducing S-pairs of the
+final reduced Gröbner basis to zero then yields Schreyer generators of
+the full syzygy module, already written over the original generators.
 
 The syzygy pass reduces only the Schreyer-frame pairs: for each basis
 index i, one pair (i, j), j > i, per minimal generator of the monomial
@@ -22,48 +35,104 @@ All reduction runs through one normal-form loop, `_reduce_full`: S-pair
 reduction in Buchberger, interreduction, the syzygy pass, the public
 `divide` and `QuotientBasis` normal forms (whose divisors enter as monic
 elements with their inverse lead coefficients as certificates, built by
-`_divisor_elems`).  It visits terms largest first from a min-heap keyed
-by `MonomialOrder.heap_key`, pushing each term when it enters the
-working dict and skipping popped terms that have cancelled, so it never
-rescans the dict for its lead term.
+`_divisor_elems`).  It visits terms largest first from a min-heap of
+packed keys (Monagan-Pearce heap division), pushing each term when it
+enters the working dict and skipping popped terms that have cancelled,
+so it never rescans the dict for its lead term.
 """
 
+import struct
 import threading
 from heapq import heapify, heappop, heappush
+from operator import mul
+from typing import NamedTuple
 
-from .errors import DegenerateInputError, ParameterError, StructureError
+from .errors import (
+    DegenerateInputError,
+    ExponentOverflowError,
+    ParameterError,
+    StructureError,
+)
 from .ring import (
+    GREVLEX,
     GradedFreeModule,
     Polynomial,
     RingContext,
     monomial_div,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
     monomials_of_degree,
 )
 
 # ---------------------------------------------------------------------------
-# vector representation: dict {(exps, comp): coeff}
+# packed terms
 # ---------------------------------------------------------------------------
 
-
-def _term_key_fn(order):
-    okey = order.key
-
-    def key(term):
-        exps, comp = term
-        return (okey(exps), -comp)
-
-    return key
+EXP_BITS = 16
+EXP_LIMIT = 1 << (EXP_BITS - 1)  # exponents stay below 2^15, the guard bit
 
 
-def _addmul_into(target, coeff, mult, src, p):
-    """target += coeff * x^mult * src (in place)."""
+def _overflow():
+    return ExponentOverflowError(
+        f"an exponent reached {EXP_LIMIT}: the engine packs exponents below 2^15"
+    )
+
+
+class _Packing:
+    """The packed int keys of terms x^e e_comp for one n, order and rank.
+
+    See the module docstring for the layout.  `div_mask` holds the guard
+    bits and the component bits: `key_b - key_a` avoids it iff term a
+    divides term b.  `guard` holds the guard bits alone.
+    """
+
+    __slots__ = ("n", "shift", "comp_mask", "guard", "div_mask", "_weights", "_low", "_unpack")
+
+    def __init__(self, n: int, order_kind: str, rank: int):
+        k = max(rank - 1, 0).bit_length()
+        top = 1 << (EXP_BITS * n)
+        if order_kind == GREVLEX:
+            order_weights = [-1] * n
+        else:
+            order_weights = [-(1 << (EXP_BITS * (n - 1 - i))) for i in range(n)]
+        self.n = n
+        self.shift = k
+        self.comp_mask = (1 << k) - 1
+        self.guard = sum(EXP_LIMIT << (EXP_BITS * i) for i in range(n)) << k
+        self.div_mask = self.guard | self.comp_mask
+        self._weights = tuple(
+            (w * top + (1 << (EXP_BITS * i))) << k for i, w in enumerate(order_weights)
+        )
+        self._low = top - 1
+        self._unpack = struct.Struct(f"<{n}H").unpack
+
+    def pack(self, exps, comp=0):
+        """The key of x^exps e_comp; raises on an exponent of 2^15 or more."""
+        if max(exps) >= EXP_LIMIT:
+            raise _overflow()
+        return sum(map(mul, exps, self._weights)) + comp
+
+    def mul(self, key, mono):
+        """The key of x^a times the term `key`, for mono = pack(a)."""
+        product = key + mono
+        if product & self.guard:
+            raise _overflow()
+        return product
+
+    def unpack(self, key):
+        """(exps, comp) of a key."""
+        fields = (key >> self.shift) & self._low
+        return self._unpack(fields.to_bytes(2 * self.n, "little")), key & self.comp_mask
+
+
+def _addmul_into(target, coeff, mult, src, p, guard):
+    """target += coeff * x^mult * src (in place); mult is a packed monomial."""
     if coeff % p == 0:
         return
-    for (exps, comp), v in src.items():
-        k = (monomial_mul(exps, mult), comp)
+    for t, v in src.items():
+        k = t + mult
+        if k & guard:
+            raise _overflow()
         val = (target.get(k, 0) + coeff * v) % p
         if val:
             target[k] = val
@@ -71,16 +140,15 @@ def _addmul_into(target, coeff, mult, src, p):
             target.pop(k, None)
 
 
-class _Elem:
-    __slots__ = ("vec", "cert", "lead")
+class _Elem(NamedTuple):
+    """A monic basis element: its vector, certificate and lead term."""
 
-    def __init__(self, vec, cert, lead):
-        self.vec = vec
-        self.cert = cert
-        self.lead = lead
+    vec: dict
+    cert: dict | None
+    lead: int
 
 
-def _reduce_full(h, cert, basis, p, order):
+def _reduce_full(h, cert, basis, p, pk):
     """Total normal form of h against monic basis elements.
 
     Returns (tail, cert) where tail has no term divisible by any basis
@@ -88,47 +156,46 @@ def _reduce_full(h, cert, basis, p, order):
     cert as the same multiple of that element's cert, so if cert writes
     h over the generators on input, it writes tail over them on output.
 
-    Terms are visited largest first through a min-heap on the order's
-    inverted key; a term is pushed when it enters the working dict, and
-    popped entries no longer in the dict are skipped.  Reducing t only
-    adds terms below t, so each term is processed once.  Ties on the
-    monomial fall back to comparing (exps, comp): the lower component,
-    the larger term, pops first.  Among basis elements whose lead
+    Terms are visited largest first through a min-heap of keys; a term
+    is pushed when it enters the working dict, and popped entries no
+    longer in the dict are skipped.  Reducing t only adds terms below t,
+    so each term is processed once.  Among basis elements whose lead
     divides t, the first in list order is used.
     """
-    hkey = order.heap_key
+    mask, guard = pk.div_mask, pk.guard
     h = dict(h)
+    get = h.get
     cert = None if cert is None else dict(cert)
-    heap = [(hkey(t[0]), t) for t in h]
+    heap = list(h)
     heapify(heap)
     tail = {}
     while heap:
-        t = heappop(heap)[1]
-        c = h.get(t)
+        t = heappop(heap)
+        c = get(t)
         if c is None:
             continue
-        texps, tcomp = t
-        for g in basis:
-            gexps, gcomp = g.lead
-            if gcomp == tcomp and monomial_divides(gexps, texps):
-                mult = monomial_div(texps, gexps)
-                m = p - c
-                for (exps, comp), v in g.vec.items():
-                    e = monomial_mul(exps, mult)
-                    k = (e, comp)
-                    old = h.get(k)
-                    if old is None:
-                        h[k] = m * v % p
-                        heappush(heap, (hkey(e), k))
+        for vec, gcert, lead in basis:
+            mult = t - lead
+            if mult & mask:
+                continue
+            m = p - c
+            for u, v in vec.items():
+                e = u + mult
+                old = get(e)
+                if old is None:
+                    if e & guard:
+                        raise _overflow()
+                    h[e] = m * v % p
+                    heappush(heap, e)
+                else:
+                    val = (old + m * v) % p
+                    if val:
+                        h[e] = val
                     else:
-                        val = (old + m * v) % p
-                        if val:
-                            h[k] = val
-                        else:
-                            del h[k]
-                if cert is not None:
-                    _addmul_into(cert, m, mult, g.cert, p)
-                break
+                        del h[e]
+            if cert is not None:
+                _addmul_into(cert, m, mult, gcert, p, guard)
+            break
         else:
             tail[t] = c
             del h[t]
@@ -139,33 +206,34 @@ def _scale_vec(vec, c, p):
     return {t: (c * v) % p for t, v in vec.items()}
 
 
-def _module_groebner(gens, p, order, ambient_rank, ambient_shifts, track_certs=True):
+def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True):
     """Reduced Gröbner basis of the submodule generated by `gens`.
 
     Returns a list of monic _Elem sorted descending by lead term; each
     cert writes the element over the input generators.  Pair selection
     is the normal strategy (lowest shifted lcm degree, then the order on
-    the lcm); the product criterion applies only in rank 1, the chain
-    criterion everywhere.
+    the lcm, then the component); the product criterion applies only in
+    rank 1, the chain criterion everywhere.
     """
-    key = _term_key_fn(order)
-    okey = order.key
+    mask, guard = pk.div_mask, pk.guard
     basis = []
+    leads = []  # basis[i].lead
+    lead_exps = []  # (exps, comp) of basis[i].lead
     heap = []
     done = set()
 
     def push_pairs(j):
-        tj = basis[j].lead
+        tj, cj = lead_exps[j]
         for i in range(j):
-            ti = basis[i].lead
-            if ti[1] != tj[1]:
+            ti, ci = lead_exps[i]
+            if ci != cj:
                 continue
-            lcm = monomial_lcm(ti[0], tj[0])
-            deg = sum(lcm) + ambient_shifts[ti[1]]
-            heappush(heap, (deg, okey(lcm), ti[1], i, j))
+            lcm = monomial_lcm(ti, tj)
+            # (deg, -pack(lcm)) sorts as (deg, order.key(lcm))
+            heappush(heap, (sum(lcm) + ambient_shifts[ci], -pk.pack(lcm), ci, i, j))
 
     def add_elem(vec, cert):
-        lead = max(vec, key=key)
+        lead = min(vec)
         lc = vec[lead]
         if lc != 1:
             inv = pow(lc, p - 2, p)
@@ -173,69 +241,66 @@ def _module_groebner(gens, p, order, ambient_rank, ambient_shifts, track_certs=T
             if cert is not None:
                 cert = _scale_vec(cert, inv, p)
         basis.append(_Elem(vec, cert, lead))
+        leads.append(lead)
+        lead_exps.append(pk.unpack(lead))
         push_pairs(len(basis) - 1)
 
     for idx, vec in enumerate(gens):
         if not vec:
             continue
-        cert = {(((0,) * len(next(iter(vec))[0])), idx): 1} if track_certs else None
-        add_elem(dict(vec), cert)
+        add_elem(dict(vec), {idx: 1} if track_certs else None)  # key idx is 1 * e_idx
 
     while heap:
-        _, _, comp, i, j = heappop(heap)
+        _, neg_lcm, comp, i, j = heappop(heap)
         if (i, j) in done:
             continue
         done.add((i, j))
-        ti, tj = basis[i].lead, basis[j].lead
-        lcm = monomial_lcm(ti[0], tj[0])
-        if ambient_rank == 1 and monomial_mul(ti[0], tj[0]) == lcm:
-            continue  # product criterion (valid for ideals only)
+        li, lj = leads[i], leads[j]
+        lcm = comp - neg_lcm
+        if ambient_rank == 1 and li + lj == lcm:
+            continue  # product criterion (valid for ideals only; comp is 0)
         skip = False
-        for k, elem in enumerate(basis):
-            if k == i or k == j or elem.lead[1] != comp:
+        for k, lk in enumerate(leads):
+            if k == i or k == j or (lcm - lk) & mask:
                 continue
-            if monomial_divides(elem.lead[0], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
-                    break
+            a = (min(i, k), max(i, k))
+            b = (min(j, k), max(j, k))
+            if a in done and b in done:
+                skip = True
+                break
         if skip:
             continue
         s, cs = {}, ({} if track_certs else None)
-        _addmul_into(s, 1, monomial_div(lcm, ti[0]), basis[i].vec, p)
-        _addmul_into(s, p - 1, monomial_div(lcm, tj[0]), basis[j].vec, p)
+        _addmul_into(s, 1, lcm - li, basis[i].vec, p, guard)
+        _addmul_into(s, p - 1, lcm - lj, basis[j].vec, p, guard)
         if track_certs:
-            _addmul_into(cs, 1, monomial_div(lcm, ti[0]), basis[i].cert, p)
-            _addmul_into(cs, p - 1, monomial_div(lcm, tj[0]), basis[j].cert, p)
-        tail, cert = _reduce_full(s, cs, basis, p, order)
+            _addmul_into(cs, 1, lcm - li, basis[i].cert, p, guard)
+            _addmul_into(cs, p - 1, lcm - lj, basis[j].cert, p, guard)
+        tail, cert = _reduce_full(s, cs, basis, p, pk)
         if tail:
             add_elem(tail, cert)
 
-    return _interreduce(basis, p, order)
+    return _interreduce(basis, p, pk)
 
 
-def _interreduce(basis, p, order):
+def _interreduce(basis, p, pk):
     """Prune to the minimal basis and tail-reduce: the reduced GB."""
-    key = _term_key_fn(order)
+    mask = pk.div_mask
     kept = []
-    for i in sorted(range(len(basis)), key=lambda i: key(basis[i].lead)):
-        t = basis[i].lead
-        if any(
-            k.lead[1] == t[1] and monomial_divides(k.lead[0], t[0]) for k in kept
-        ):
+    for g in sorted(basis, key=lambda g: -g.lead):  # smallest lead term first
+        if any(not (g.lead - k.lead) & mask for k in kept):
             continue
-        kept.append(basis[i])
+        kept.append(g)
     final = []
     for g in kept:
         others = [h for h in kept if h is not g]
-        tail, cert = _reduce_full(g.vec, g.cert, others, p, order)
+        tail, cert = _reduce_full(g.vec, g.cert, others, p, pk)
         final.append(_Elem(tail, cert, g.lead))
-    final.sort(key=lambda e: key(e.lead), reverse=True)
+    final.sort(key=lambda e: e.lead)
     return final
 
 
-def _frame_pairs(gb):
+def _frame_pairs(gb, pk):
     """The pairs (i, j), i < j, whose S-pairs the syzygy pass reduces.
 
     For each i, the multipliers m_ji = lcm(lt_i, lt_j) / lt_i over the
@@ -244,12 +309,12 @@ def _frame_pairs(gb):
     Under the Schreyer order (ties broken towards the smaller index) the
     syzygy of pair (i, j) has lead term m_ji e_i.
     """
+    leads = [pk.unpack(g.lead) for g in gb]
     pairs = []
-    for i, gi in enumerate(gb):
-        lt, comp = gi.lead
+    for i, (lt, comp) in enumerate(leads):
         first = {}
         for j in range(i + 1, len(gb)):
-            tj, cj = gb[j].lead
+            tj, cj = leads[j]
             if cj == comp:
                 first.setdefault(monomial_div(monomial_lcm(lt, tj), lt), j)
         minimal = []
@@ -260,26 +325,29 @@ def _frame_pairs(gb):
     return pairs
 
 
-def _syzygy_certs(gens, p, order, ambient_rank, ambient_shifts):
+def _syzygy_certs(gens, p, pk, ambient_rank, ambient_shifts):
     """Schreyer generators of the syzygy module of `gens`.
 
     Reduces the Schreyer-frame S-pairs of the reduced GB (`_frame_pairs`;
     the module docstring says why they suffice) to zero and keeps the
     certificates, then adds the interreduction relations
-    e_i - (expression of gen i over the GB).  The result generates
-    ker(e_i -> gens[i]) in the free module with one slot per generator.
+    e_i - (expression of gen i over the GB).  The result, as `_canon`
+    term tuples, generates ker(e_i -> gens[i]) in the free module with
+    one slot per generator.
     """
-    gb = _module_groebner(gens, p, order, ambient_rank, ambient_shifts, track_certs=True)
+    guard = pk.guard
+    gb = _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True)
     syz = []
-    for i, j in _frame_pairs(gb):
-        ti, tj = gb[i].lead, gb[j].lead
-        lcm = monomial_lcm(ti[0], tj[0])
+    for i, j in _frame_pairs(gb, pk):
+        li, lj = gb[i].lead, gb[j].lead
+        (ti, comp), (tj, _) = pk.unpack(li), pk.unpack(lj)
+        lcm = pk.pack(monomial_lcm(ti, tj), comp)
         s, cs = {}, {}
-        _addmul_into(s, 1, monomial_div(lcm, ti[0]), gb[i].vec, p)
-        _addmul_into(s, p - 1, monomial_div(lcm, tj[0]), gb[j].vec, p)
-        _addmul_into(cs, 1, monomial_div(lcm, ti[0]), gb[i].cert, p)
-        _addmul_into(cs, p - 1, monomial_div(lcm, tj[0]), gb[j].cert, p)
-        tail, cert = _reduce_full(s, cs, gb, p, order)
+        _addmul_into(s, 1, lcm - li, gb[i].vec, p, guard)
+        _addmul_into(s, p - 1, lcm - lj, gb[j].vec, p, guard)
+        _addmul_into(cs, 1, lcm - li, gb[i].cert, p, guard)
+        _addmul_into(cs, p - 1, lcm - lj, gb[j].cert, p, guard)
+        tail, cert = _reduce_full(s, cs, gb, p, pk)
         if tail:
             raise RuntimeError("S-pair of a Gröbner basis did not reduce to zero")
         if cert:
@@ -287,35 +355,34 @@ def _syzygy_certs(gens, p, order, ambient_rank, ambient_shifts):
     for idx, vec in enumerate(gens):
         if not vec:
             continue
-        zero_exps = (0,) * len(next(iter(vec))[0])
-        tail, cert = _reduce_full(vec, {(zero_exps, idx): 1}, gb, p, order)
+        tail, cert = _reduce_full(vec, {idx: 1}, gb, p, pk)
         if tail:
             raise RuntimeError("generator did not reduce to zero against its own GB")
         if cert:
             syz.append(cert)
-    return _canonical_syzygy_list(syz, gens, p, order, ambient_shifts, _term_key_fn(order))
+    return _canonical_syzygy_list(syz, gens, pk, ambient_shifts)
 
 
-def _canonical_syzygy_list(syz, gens, p, order, ambient_shifts, key):
-    """Dedupe and sort syzygy certificates deterministically."""
-    gen_degrees = [_vec_degree(v, ambient_shifts) for v in gens]
+def _canonical_syzygy_list(syz, gens, pk, ambient_shifts):
+    """Dedupe and sort syzygy certificates deterministically.
 
-    def canon(vec):
-        return tuple(sorted(vec.items(), key=lambda kv: key(kv[0]), reverse=True))
-
-    seen = {}
-    for vec in syz:
-        c = canon(vec)
-        if c not in seen:
-            seen[c] = vec
-    out = list(seen.items())
-    out.sort(key=lambda cv: (_vec_degree(cv[1], gen_degrees), cv[0]))
-    return [vec for _, vec in out]
+    Returns them as `_canon` term tuples, sorted by (shifted degree,
+    terms), so ties compare decoded exponent tuples.
+    """
+    gen_degrees = [_vec_degree(_canon(v, pk), ambient_shifts) for v in gens]
+    unique = {_canon(vec, pk) for vec in syz}
+    return sorted(unique, key=lambda c: (_vec_degree(c, gen_degrees), c))
 
 
-def _vec_degree(vec, shifts):
+def _canon(vec, pk):
+    """The terms of vec as ((exps, comp), coeff), descending."""
+    unpack = pk.unpack
+    return tuple((unpack(t), vec[t]) for t in sorted(vec))
+
+
+def _vec_degree(canon, shifts):
     """Shifted degree of a homogeneous vector (max over terms in general)."""
-    return max(sum(exps) + shifts[comp] for (exps, comp) in vec)
+    return max(sum(exps) + shifts[comp] for (exps, comp), _ in canon)
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +390,25 @@ def _vec_degree(vec, shifts):
 # ---------------------------------------------------------------------------
 
 
-def _vec_from_polys(polys):
-    vec = {}
-    for comp, f in enumerate(polys):
-        for exps, c in f.terms:
-            vec[(exps, comp)] = c
-    return vec
+def _vec_from_polys(polys, pk):
+    pack = pk.pack
+    return {pack(exps, comp): c for comp, f in enumerate(polys) for exps, c in f.terms}
 
 
-def _polys_from_vec(vec, ring, rank):
+def _polys_from_vec(vec, pk, ring, rank):
+    return _polys_from_canon(_canon(vec, pk), ring, rank)
+
+
+def _polys_from_canon(canon, ring, rank):
     """One polynomial per slot; the empty slots share one zero."""
     buckets = {}
-    for (exps, comp), c in vec.items():
+    for (exps, comp), c in canon:
         bucket = buckets.get(comp)
         if bucket is None:
-            bucket = buckets[comp] = {}
-        bucket[exps] = c
+            bucket = buckets[comp] = []
+        bucket.append((exps, c))
     zero = ring.zero()
-    return tuple(ring._from_dict(buckets[k]) if k in buckets else zero for k in range(rank))
+    return tuple(Polynomial(ring, buckets[k]) if k in buckets else zero for k in range(rank))
 
 
 def vector_syzygies(ring, vectors, ambient_shifts):
@@ -351,18 +419,19 @@ def vector_syzygies(ring, vectors, ambient_shifts):
     polynomials, one slot per input vector.
     """
     rank = len(ambient_shifts)
+    pk = _Packing(ring.n, ring.order.kind, max(rank, len(vectors)))
     vecs = []
     for v in vectors:
         if len(v) != rank:
             raise StructureError("vector length does not match ambient rank")
-        vec = _vec_from_polys(v)
+        vec = _vec_from_polys(v, pk)
         if not vec:
             raise DegenerateInputError("zero vector among module generators")
         vecs.append(vec)
     if not vecs:
         return []
-    certs = _syzygy_certs(vecs, ring.field.p, ring.order, rank, tuple(ambient_shifts))
-    return [_polys_from_vec(c, ring, len(vectors)) for c in certs]
+    certs = _syzygy_certs(vecs, ring.field.p, pk, rank, tuple(ambient_shifts))
+    return [_polys_from_canon(c, ring, len(vectors)) for c in certs]
 
 
 def vector_degree(polys, ambient_shifts):
@@ -436,17 +505,16 @@ class Ideal:
         return ideal_sum(self, other)
 
 
-def _divisor_elems(ring, divisors):
-    """Divisor i as the monic element g_i / lc_i with cert {(1, i): 1/lc_i}."""
+def _divisor_elems(ring, divisors, pk):
+    """Divisor i as the monic element g_i / lc_i with cert {e_i: 1/lc_i}."""
     p = ring.field.p
-    zero = (0,) * ring.n
     basis = []
     for gi, g in enumerate(divisors):
         inv = ring.field.inv(g.lead_coeff())
-        vec = _vec_from_polys((g,))
+        vec = _vec_from_polys((g,), pk)
         if inv != 1:
             vec = _scale_vec(vec, inv, p)
-        basis.append(_Elem(vec, {(zero, gi): inv}, (g.lead_exps(), 0)))
+        basis.append(_Elem(vec, {gi: inv}, min(vec)))  # key gi is 1 * e_gi
     return basis
 
 
@@ -457,7 +525,7 @@ def divide(f: Polynomial, divisors):
     of r divisible by any lead term; always reduces by the first divisor
     in list order, so the output is deterministic.  This is the engine's
     normal form: divisor i enters as the monic g_i / lc_i with cert
-    {(1, i): 1/lc_i}, so the returned cert is minus the quotients.
+    {e_i: 1/lc_i}, so the returned cert is minus the quotients.
     """
     divisors = list(divisors)
     if not divisors:
@@ -469,22 +537,24 @@ def divide(f: Polynomial, divisors):
         if g.is_zero():
             raise DegenerateInputError("zero divisor in division algorithm")
     p = ring.field.p
-    basis = _divisor_elems(ring, divisors)
-    tail, cert = _reduce_full(_vec_from_polys((f,)), {}, basis, p, ring.order)
+    pk = _Packing(ring.n, ring.order.kind, len(divisors))
+    basis = _divisor_elems(ring, divisors, pk)
+    tail, cert = _reduce_full(_vec_from_polys((f,), pk), {}, basis, p, pk)
     quotients = {t: p - c for t, c in cert.items()}
     return (
-        _polys_from_vec(quotients, ring, len(divisors)),
-        _polys_from_vec(tail, ring, 1)[0],
+        _polys_from_vec(quotients, pk, ring, len(divisors)),
+        _polys_from_vec(tail, pk, ring, 1)[0],
     )
 
 
 def buchberger_basis(ring: RingContext, generators):
     """Reduced Gröbner basis of a list of homogeneous polynomials."""
-    vecs = [_vec_from_polys((f,)) for f in generators if not f.is_zero()]
+    pk = _Packing(ring.n, ring.order.kind, 1)
+    vecs = [_vec_from_polys((f,), pk) for f in generators if not f.is_zero()]
     if not vecs:
         return ()
-    gb = _module_groebner(vecs, ring.field.p, ring.order, 1, (0,), track_certs=False)
-    return tuple(_polys_from_vec(e.vec, ring, 1)[0] for e in gb)
+    gb = _module_groebner(vecs, ring.field.p, pk, 1, (0,), track_certs=False)
+    return tuple(_polys_from_vec(e.vec, pk, ring, 1)[0] for e in gb)
 
 
 def buchberger(ideal: Ideal):

@@ -21,6 +21,7 @@ from .errors import DegenerateInputError, ParameterError
 from .groebner import (
     Ideal,
     _divisor_elems,
+    _Packing,
     _reduce_full,
     _vec_from_polys,
     vector_degree,
@@ -180,26 +181,41 @@ class QuotientBasis:
         self.ring = ideal.ring
         self._gb = ideal.groebner_basis()
         self._lead = [g.lead_exps() for g in self._gb]
+        self._lead_set = frozenset(self._lead)
+        self._pk = _Packing(self.ring.n, self.ring.order.kind, max(1, len(self._gb)))
         self._cache = {}
         self._divisors = None
 
     def monomials(self, d):
-        """Degree-d monomials outside the lead term ideal, descending."""
-        if d not in self._cache:
-            monos = tuple(
-                m
-                for m in monomials_of_degree(self.ring.n, d, self.ring.order.kind)
-                if not any(monomial_divides(le, m) for le in self._lead)
-            )
-            self._cache[d] = (monos, {m: i for i, m in enumerate(monos)})
-        return self._cache[d][0]
+        """Degree-d monomials outside the lead term ideal, descending.
+
+        The standard monomials form an order ideal, and the lead terms
+        of the reduced GB are the minimal generators of the lead term
+        ideal.  So a degree-d monomial c = x_t u, u standard, is
+        standard iff every c / x_s is standard and c is no lead term:
+        degree d is built from degree d - 1, in time that grows with
+        the standard monomials, not with S_d.
+        """
+        if d < 0:
+            return ()
+        cache = self._cache  # degrees 0, 1, ..., len(cache) - 1
+        if not cache:
+            zero = (0,) * self.ring.n
+            self._store(() if zero in self._lead_set else (zero,))
+        for e in range(len(cache), d + 1):
+            self._store(_standard_successors(cache[e - 1][0], self._lead_set, self.ring.order))
+        return cache[d][0]
+
+    def _store(self, monos):
+        pack = self._pk.pack
+        self._cache[len(self._cache)] = (monos, {pack(m): i for i, m in enumerate(monos)})
 
     def dim(self, d):
         return len(self.monomials(d))
 
     def coords(self, f, d):
         """Coordinates of the class of f in (S/I)_d."""
-        return self._vec_coords(_vec_from_polys((f,)), d)
+        return self._vec_coords(_vec_from_polys((f,), self._pk), d)
 
     def _vec_coords(self, vec, d):
         """Coordinates of the normal form of an engine vector of degree d.
@@ -212,23 +228,42 @@ class QuotientBasis:
         row = [0] * len(monos)
         if vec and self._gb:
             if self._divisors is None:
-                self._divisors = _divisor_elems(self.ring, self._gb)
-            vec, _ = _reduce_full(vec, None, self._divisors, self.ring.field.p, self.ring.order)
-        for (exps, _), c in vec.items():
-            row[index[exps]] = c
+                self._divisors = _divisor_elems(self.ring, self._gb, self._pk)
+            vec, _ = _reduce_full(vec, None, self._divisors, self.ring.field.p, self._pk)
+        for t, c in vec.items():
+            row[index[t]] = c
         return row
 
     def variable_matrix(self, t, d):
         """Matrix of multiplication by x_t from (S/I)_d to (S/I)_{d+1}."""
         mat = np.zeros((self.dim(d + 1), self.dim(d)), dtype=np.int64)
         index = self._cache[d + 1][1]
-        for col, m in enumerate(self.monomials(d)):
-            e = m[:t] + (m[t] + 1,) + m[t + 1 :]
+        x_t = self._pk.pack(tuple(int(s == t) for s in range(self.ring.n)))
+        for col, key in enumerate(self._cache[d][1]):  # packed keys in basis order
+            e = self._pk.mul(key, x_t)
             if e in index:
                 mat[index[e], col] = 1
             else:
-                mat[:, col] = self._vec_coords({(e, 0): 1}, d + 1)
+                mat[:, col] = self._vec_coords({e: 1}, d + 1)
         return mat
+
+
+def _standard_successors(monos, leads, order):
+    """The standard monomials of degree d + 1 from those of degree d, descending."""
+    prev = set(monos)
+    out = set()
+    for u in monos:
+        for t in range(len(u)):
+            c = u[:t] + (u[t] + 1,) + u[t + 1 :]
+            if c in out or c in leads:
+                continue
+            if all(
+                c[:s] + (c[s] - 1,) + c[s + 1 :] in prev
+                for s in range(len(c))
+                if c[s] and s != t
+            ):
+                out.add(c)
+    return tuple(sorted(out, key=order.key, reverse=True))
 
 
 # ---------------------------------------------------------------------------

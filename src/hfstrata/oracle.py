@@ -226,6 +226,8 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
     monomial multiples of lower-degree ones (Nakayama by rank); the
     chosen representatives feed the next homological level.
     """
+    if max_step < 0:
+        raise ParameterError(f"max_step must be >= 0, got {max_step}")
     ring = ideal.ring
     p = ring.field.p
     gens = list(ideal.generators)

@@ -37,12 +37,6 @@ class MonomialOrder:
             return (sum(exps), tuple(-e for e in reversed(exps)))
         return exps
 
-    def heap_key(self, exps):
-        """Inverted sort key: smaller key = larger monomial, for min-heaps."""
-        if self.kind == GREVLEX:
-            return (-sum(exps), exps[::-1])
-        return tuple(-e for e in exps)
-
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.kind == other.kind
 

@@ -104,7 +104,11 @@ def verify_prop31(
     ideal_y: Ideal, m: int, degree_bound=None, override: bool = False
 ) -> TruncationReport:
     """Check the three claims for one truncation: Hilbert function,
-    resolution shape with strand multiplicities, and both comparison maps."""
+    resolution shape with strand multiplicities, and both comparison maps.
+    A degree bound below m would leave the degrees from m on unchecked,
+    so it is refused."""
+    if degree_bound is not None and degree_bound < m:
+        raise ParameterError(f"degree bound must be >= m = {m}, got {degree_bound}")
     reg = regularity(ideal_y)
     if m < reg + 2 and not override:
         raise ParameterError(
@@ -260,6 +264,8 @@ def cone_curve(ideal_x: Ideal, m: int, seed: int, max_trials: int = 5):
     Trial k draws with seed (seed + k - 1), so runs are reproducible and
     the caller can widen the search by raising max_trials or m.
     """
+    if max_trials < 0:
+        raise ParameterError(f"max_trials must be >= 0, got {max_trials}")
     ring = ideal_x.ring
     reg = regularity(ideal_x)
     if m < reg + 2:

@@ -190,17 +190,14 @@ def test_syzygy_pass_rejects_a_non_groebner_basis(monkeypatch):
     x, y, z = (r.variable(i) for i in range(3))
     gens = [x * x, x * y + z * z, y * y]
 
-    def not_a_gb(vecs, p, order, ambient_rank, ambient_shifts, track_certs=True):
-        key = groebner._term_key_fn(order)
-        zero = (0,) * r.n
-        elems = [
-            groebner._Elem(dict(v), {(zero, i): 1}, max(v, key=key)) for i, v in enumerate(vecs)
-        ]
-        return sorted(elems, key=lambda e: key(e.lead), reverse=True)
+    def not_a_gb(vecs, p, pk, ambient_rank, ambient_shifts, track_certs=True):
+        elems = [groebner._Elem(dict(v), {i: 1}, min(v)) for i, v in enumerate(vecs)]
+        return sorted(elems, key=lambda e: e.lead)  # descending terms
 
     monkeypatch.setattr(groebner, "_module_groebner", not_a_gb)
-    gb = not_a_gb([groebner._vec_from_polys((f,)) for f in gens], r.field.p, r.order, 1, (0,))
-    assert (0, 2) not in groebner._frame_pairs(gb)
+    pk = groebner._Packing(r.n, r.order.kind, len(gens))
+    vecs = [groebner._vec_from_polys((f,), pk) for f in gens]
+    assert (0, 2) not in groebner._frame_pairs(not_a_gb(vecs, r.field.p, pk, 1, (0,)), pk)
     with pytest.raises(RuntimeError, match="did not reduce to zero"):
         syzygies(Ideal(r, gens))
 

@@ -8,7 +8,12 @@ heap-ordered normal forms, the `oracle` digests with the per-term
 `verify-prop31` error paths, negative control and further truncations
 with the two separate truncation presentations that preceded
 `deform.Truncation`; the two negative `--up-to` cases were recorded
-when they started to exit 2 instead of printing an empty line.  Any
+when they started to exit 2 instead of printing an empty line.  The two
+`gb` cases on the dense cone curve were recorded with the tuple-keyed
+engine that preceded packed integer terms; the `--bound` below `m`,
+negative `--trials` and negative `--max-step` cases were recorded when
+they started to exit 2 (before: a vacuous `all_ok: true`, exit 3 and a
+level-0 table).  Any
 change that alters a printed Gröbner basis, resolution, Betti table,
 dimension or report shows up here.
 
@@ -52,6 +57,10 @@ FILES = {
     "twisted_cubic_trunc4.ideal": HEADER + TWISTED_CUBIC + "".join(m + "\n" for m in _quartics()),
     "quadric_cone_curve4.ideal": (
         HEADER + "x*w - y*z\n" + _dense_quartic(1) + "\n" + _dense_quartic(2) + "\n"
+    ),
+    "quadric_cone_curve4_lex.ideal": (
+        "field 32003\nvars x y z w\norder lex\nideal:\nx*w - y*z\n"
+        + _dense_quartic(1) + "\n" + _dense_quartic(2) + "\n"
     ),
 }
 
@@ -100,6 +109,15 @@ CASES = (
     + [
         ("hilb", "twisted_cubic.ideal", "--up-to", "-1"),
         ("oracle", "hilb", "twisted_cubic.ideal", "--up-to", "-2"),
+    ]
+    # dense reduced GBs: 10 grevlex elements, 58 lex elements with exponents up to 32
+    + [("gb", "quadric_cone_curve4.ideal"), ("gb", "quadric_cone_curve4_lex.ideal")]
+    # a degree bound below m, a negative trial budget or step count exits 2
+    + [
+        ("verify-prop31", "twisted_cubic.ideal", "--m", "4", "--bound", "-1"),
+        ("verify-prop31", "twisted_cubic.ideal", "--m", "4", "--bound", "3"),
+        ("cone-curve", "quadric_cone.ideal", "--m", "4", "--seed", "1", "--trials", "-1"),
+        ("oracle", "betti", "twisted_cubic.ideal", "--max-step", "-1"),
     ]
 )
 
@@ -160,6 +178,12 @@ DIGESTS = {
     "oracle betti quadric_cone_curve4.ideal --bound 10 --max-step 3": "3a933269b87304d8def69be58df8083e22f966453785e268efa5d89a61bbe391",
     "hilb twisted_cubic.ideal --up-to -1": "a8413c20cc3222db63611cb50c6f2896cfe51b92f35c2504bb56f4be9b351bd0",
     "oracle hilb twisted_cubic.ideal --up-to -2": "0a4ba220b178b2fc931531b278447de072af6a931dcb33206845ebdd124d5feb",
+    "gb quadric_cone_curve4.ideal": "3ea902b1c7dab11b76f74d1bb157395764d85e514189dc396534051bbcbcfbda",
+    "gb quadric_cone_curve4_lex.ideal": "2850281f80d884616db9e04d958c5e588e63f9c7dad222d16bcada4d3db5e14f",
+    "verify-prop31 twisted_cubic.ideal --m 4 --bound -1": "05647d862176b9172aa56a979a7c85794a1e8fe1406ce7a738847661faa34e0d",
+    "verify-prop31 twisted_cubic.ideal --m 4 --bound 3": "d1b44a19c03d5bce0deda76c3af8e10c50e6cc2ffffc713a687039aff8790bf8",
+    "cone-curve quadric_cone.ideal --m 4 --seed 1 --trials -1": "22a1eac0ef537cffa28e497d488220a276626c88d814c114d1945a8497c40908",
+    "oracle betti twisted_cubic.ideal --max-step -1": "6e8a253acc894607dcd9286a28b637ed27e4abd20985569f100b4c194308e844",
 }
 
 

@@ -1,11 +1,13 @@
 """The engine's normal form against a reference max-scan loop.
 
 `_reference_normal_form` and `_reference_divide` are the straightforward
-loops: find the largest remaining term with `max` at every step, reduce
-it by the first basis element (or divisor) whose lead divides it, or move
-it to the remainder.  The engine's `_reduce_full` (heap-ordered) and
-`divide` (which runs through `_reduce_full`) must return the same dicts
-and polynomials on random inputs: module rank 1-3, grevlex and lex,
+loops on (exponent tuple, component) terms: find the largest remaining
+term with `max` at every step, reduce it by the first basis element (or
+divisor) whose lead divides it, or move it to the remainder.  The
+engine's `_reduce_full` (heap-ordered, on packed int terms, so its
+inputs are packed and its outputs unpacked here) and `divide` (which
+runs through `_reduce_full`) must return the same dicts and polynomials
+on random inputs: module rank 1-3, grevlex and lex,
 p in {2, 3, 32003, 2^31 - 1}, non-monic and non-homogeneous divisors,
 and divisor lists whose order decides the quotients.
 """
@@ -17,7 +19,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hfstrata.field import PrimeField  # noqa: E402
-from hfstrata.groebner import _Elem, _reduce_full, divide  # noqa: E402
+from hfstrata.groebner import _Elem, _Packing, _reduce_full, divide  # noqa: E402
 from hfstrata.ring import GREVLEX, LEX, MonomialOrder, RingContext  # noqa: E402
 
 PRIMES = (2, 3, 32003, 2**31 - 1)
@@ -121,13 +123,30 @@ def reduction_inputs(draw):
         basis.append(_Elem({t: c * inv % p for t, c in vec.items()}, cert, lead))
     h = _vectors(draw, exps, coeff, rank, 0, 6)
     cert = _vectors(draw, exps, coeff, n_gens, 0, 3) if draw(st.booleans()) else None
-    return h, cert, basis, p, order
+    return (h, cert, basis, p, order), _Packing(n, order.kind, max(rank, n_gens))
+
+
+def _engine_normal_form(h, cert, basis, p, pk):
+    """`_reduce_full` on the packed inputs, with its outputs unpacked."""
+
+    def pack(vec):
+        return None if vec is None else {pk.pack(*t): c for t, c in vec.items()}
+
+    def unpack(vec):
+        return None if vec is None else {pk.unpack(t): c for t, c in vec.items()}
+
+    elems = [_Elem(pack(g.vec), pack(g.cert), pk.pack(*g.lead)) for g in basis]
+    tail, cert = _reduce_full(pack(h), pack(cert), elems, p, pk)
+    return unpack(tail), unpack(cert)
 
 
 @SETTINGS
 @given(reduction_inputs())
-def test_normal_form_matches_reference(args):
-    assert _reduce_full(*args) == _reference_normal_form(*args)
+def test_normal_form_matches_reference(inputs):
+    (h, cert, basis, p, order), pk = inputs
+    assert _engine_normal_form(h, cert, basis, p, pk) == _reference_normal_form(
+        h, cert, basis, p, order
+    )
 
 
 @st.composite
