@@ -1,0 +1,79 @@
+"""Time the brute-force oracle's hf, tangent and betti on two inputs.
+
+The inputs are the Fermat cubic x^3 + y^3 + z^3 + w^3 plus two dense
+quintics with fixed coefficients over F_32003, a complete intersection
+of degrees 3, 5, 5 and the heaviest tangent case of the perfbench
+`oracle` workload, and the twisted cubic truncated at m = 4 over
+F_(2^31 - 1), where every entry of the tangent and Betti matrices can be
+near 2^31.  `hf` computes h_0 .. h_B, `tangent` uses degree bound B, and
+`betti` searches degrees up to the top of the Betti table.  Each case
+prints the best of a few wall times and the value computed.
+
+Usage:
+    python benchmarks/bench_oracle.py [--repeat 3]
+"""
+
+import argparse
+import time
+from itertools import combinations_with_replacement
+
+from hfstrata import Ideal, PrimeField, RingContext
+from hfstrata.oracle import betti_bruteforce, hf_bruteforce, tangent_bruteforce
+from hfstrata.ring import monomials_of_degree
+
+
+def dense_form(ring, d, k):
+    """Coefficient (1 + 37 i + 101 k) mod 32003 on the i-th degree-d
+    monomial, the monomials listed as multisets of variables."""
+    monos = []
+    for c in combinations_with_replacement(range(ring.n), d):
+        monos.append(tuple(c.count(v) for v in range(ring.n)))
+    return ring.from_terms(((m, (1 + 37 * i + 101 * k) % 32003) for i, m in enumerate(monos)))
+
+
+def inputs():
+    """(name, ideal, B, top degree of the Betti table, homological steps)."""
+    ring = RingContext(("x", "y", "z", "w"), PrimeField(32003))
+    x, y, z, w = (ring.variable(i) for i in range(4))
+    fermat = x * x * x + y * y * y + z * z * z + w * w * w
+    curve = Ideal(ring, [fermat, dense_form(ring, 5, 1), dense_form(ring, 5, 2)])
+
+    ring = RingContext(("x", "y", "z", "w"), PrimeField(2**31 - 1))
+    x, y, z, w = (ring.variable(i) for i in range(4))
+    quartics = [ring.from_terms([(m, 1)]) for m in monomials_of_degree(4, 4, ring.order.kind)]
+    trunc = Ideal(ring, [x * z - y * y, x * w - y * z, y * w - z * z] + quartics)
+    return [
+        ("Fermat cubic curve, m = 5", curve, 10, 13, 3),
+        ("twisted cubic + m^4, p = 2^31-1", trunc, 8, 8, 6),
+    ]
+
+
+def best_of(repeat, fn):
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, value
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args()
+
+    print(f"repeat = {args.repeat} (best of)")
+    print(f"{'input':>32} {'mode':>8} {'seconds':>8}  value")
+    for name, ideal, bound, top, steps in inputs():
+        cases = {
+            "hf": lambda: [hf_bruteforce(ideal, d) for d in range(bound + 1)],
+            "tangent": lambda: tangent_bruteforce(ideal, bound),
+            "betti": lambda: dict(betti_bruteforce(ideal, steps, top).entries),
+        }
+        for mode, fn in cases.items():
+            best, value = best_of(args.repeat, fn)
+            print(f"{name:>32} {mode:>8} {best:>7.3f}s  {value}")
+
+
+if __name__ == "__main__":
+    main()

@@ -15,10 +15,22 @@ only rank, kernel or row selection is read, the columns are just the
 (component, monomial) pairs the rows touch.  Syzygies stay as kernel
 matrices and become Polynomial tuples only in `syzygies_bruteforce`.
 
-Projection: a tangent condition reduces rows V of S_e modulo I_e with the
-reduced echelon form R of I_e as V[:, free] - V[:, pivots] @ R[:, free].
-V is split into 16-bit limbs and each partial product reduced mod p, so
-the product is exact in int64 for every p < 2^31.
+Projection: a tangent condition reduces a_j * x^m modulo I_e, for each
+degree-e syzygy (a_1..a_s) and unknown (j, m).  With R the reduced
+echelon form of I_e, the normal-form table NF of S_e has NF[free] = 1
+and NF[pivots] = -R[:, free], so the reduction is the sum of c * NF[x^(t+m)]
+over the terms c x^t of a_j: a gather of table rows, each product
+reduced mod p, then one segmented sum per syzygy.  Products stay below
+p^2 and each sum adds fewer than 2^32 terms below p, so int64 is exact
+for every p < 2^31, and the work follows the syzygies' nonzeros, not
+dim S_e.
+
+Selection: at each Betti level and degree e the Nakayama selection runs
+on kernel coordinates.  The standard-form kernel basis of ker_e holds an
+identity block in its rows `free`, and z -> z[free] maps ker_e onto F^k
+keeping every linear dependence.  The x_v-multiples of the degree-(e-1)
+kernel lie in ker_e, so they are read at `free` only, and the new basis
+becomes the identity.
 
 Bounds: `syz`, `tangent` and `betti` search degrees up to B (`--bound`)
 and raise ParameterError when B is below the largest generator degree,
@@ -159,10 +171,12 @@ def syzygies_bruteforce(ideal, degree_bound: int):
     return out
 
 
-def _mulmod(a, b, p):
-    """a @ b mod p, exact for entries in [0, p), p < 2^31 and an inner
-    dimension below 2^16: each 16-bit limb product sums below 2^63."""
-    return ((a >> 16) @ b % p * 65536 + (a & 65535) @ b % p) % p
+def _column_runs(block):
+    """Nonzeros of a kernel block column by column: their rows and values,
+    the offset where each column's run starts and that column."""
+    cols, rows = np.nonzero(block.T)
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    return rows, block[rows, cols], starts, cols[starts]
 
 
 def tangent_bruteforce(ideal, degree_bound: int) -> int:
@@ -191,16 +205,29 @@ def tangent_bruteforce(ideal, degree_bound: int) -> int:
         basis, rref, pivots, free = pieces[e]
         if not len(free):
             continue
-        projected = []
-        for j, m in unknowns:
-            # rows a_j * m of every degree-e syzygy, reduced modulo I_e
-            sel = unk_vec == j
-            v = np.zeros((ns.shape[1], len(basis)), dtype=np.int64)
-            v[:, basis.columns(unk_exps[sel] + m)] = ns[sel].T
-            projected.append((v[:, free] - _mulmod(v[:, pivots], rref[:, free], p)) % p)
-        # one block of dim (S/I)_e rows per syzygy, one column per unknown
-        blocks.append(np.stack(projected, axis=2).reshape(-1, len(unknowns)))
+        # row c: the normal form of the c-th monomial of S_e modulo I_e
+        nf = np.zeros((len(basis), len(free)), dtype=np.int64)
+        nf[free] = np.eye(len(free), dtype=np.int64)
+        nf[pivots] = -rref[:, free] % p
+        slots = [(unk_exps[unk_vec == j], _column_runs(ns[unk_vec == j])) for j in range(len(gens))]
+        block = np.zeros((ns.shape[1], len(free), len(unknowns)), dtype=np.int64)
+        for k, (j, m) in enumerate(unknowns):
+            # a_j * m of every degree-e syzygy, reduced modulo I_e
+            exps, (rows, coeff, starts, syz) = slots[j]
+            if len(rows):
+                terms = nf[basis.columns(exps[rows] + m)] * coeff[:, None] % p
+                block[syz, :, k] = np.add.reduceat(terms, starts, axis=0) % p
+        # one row per syzygy and free monomial, one column per unknown
+        block = block.reshape(-1, len(unknowns))
+        blocks.append(block[block.any(axis=1)])
     return len(unknowns) - (linalg.rank(np.vstack(blocks), p) if blocks else 0)
+
+
+def _free_rows(ns):
+    """Rows holding the identity block of a standard-form kernel basis
+    (`linalg.nullspace`): the last nonzero of each column, since the RREF
+    rows behind the other entries are zero left of their pivots."""
+    return len(ns) - 1 - np.argmax(ns[::-1] != 0, axis=0)
 
 
 def _times_variables(prev, unk_vec, unk_exps, e):
@@ -269,8 +296,12 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
         for e, (unk_vec, unk_exps, ns) in kernels.items():
             if not ns.shape[1]:
                 continue
-            base = _times_variables(kernels.get(e - 1), unk_vec, unk_exps, e)
-            keep = linalg.greedy_independent_rows(np.vstack([base, ns.T]), p)
+            # kernel coordinates: z -> z[free] maps ker_e onto F^k and keeps
+            # every linear dependence, so the selection is unchanged
+            free = _free_rows(ns)
+            base = _times_variables(kernels.get(e - 1), unk_vec, unk_exps, e)[:, free]
+            coords = np.vstack([base, np.eye(len(free), dtype=np.int64)])
+            keep = linalg.greedy_independent_rows(coords, p)
             new = [k - len(base) for k in keep if k >= len(base)]
             if new:
                 entries[(step, e)] = len(new)

@@ -3,9 +3,11 @@
 Random homogeneous ideals in n <= 4 variables, grevlex and lex, over
 p in {2, 3, 32003, 2^31 - 1}: Hilbert values, syzygy polynomial tuples,
 tangent dimensions and Betti tables must be identical to those of
-`oracle_reference`.  The largest prime is the case where an unsplit
-int64 product in the tangent projection would overflow.  Also
-`linalg.nullspace` against its former scalar loop.
+`oracle_reference`.  The largest prime is the case where an int64
+matrix product in the tangent projection would overflow, which the
+normal-form table avoids by reducing each product mod p before summing.
+Also `linalg.nullspace` against its former scalar loop, and the two
+facts the Betti selection in kernel coordinates rests on.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from hfstrata import linalg  # noqa: E402
 from hfstrata.field import PrimeField  # noqa: E402
 from hfstrata.groebner import Ideal  # noqa: E402
 from hfstrata.oracle import (  # noqa: E402
+    _free_rows,
     betti_bruteforce,
     hf_bruteforce,
     syzygies_bruteforce,
@@ -88,14 +91,44 @@ def nullspace_loop(a, p):
     return basis
 
 
-@settings(max_examples=150, **SETTINGS)
-@given(st.sampled_from(PRIMES), st.integers(0, 7), st.integers(0, 7), st.data())
-def test_nullspace_matches_loop(p, rows, cols, data):
+def draw_matrix(data, p, rows, cols):
     entry = st.one_of(st.just(0), st.just(1), st.integers(0, p - 1))
-    a = np.array(
+    return np.array(
         data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)),
         dtype=np.int64,
     ).reshape(rows, cols)
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(st.sampled_from(PRIMES), st.integers(0, 7), st.integers(0, 7), st.data())
+def test_nullspace_matches_loop(p, rows, cols, data):
+    a = draw_matrix(data, p, rows, cols)
     ns = linalg.nullspace(a, p)
     assert ns.dtype == np.int64
     assert np.array_equal(ns, nullspace_loop(a, p))
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(st.sampled_from(PRIMES), st.integers(0, 7), st.integers(1, 7), st.data())
+def test_free_rows_are_the_identity_rows(p, rows, cols, data):
+    a = draw_matrix(data, p, rows, cols)
+    ns = linalg.nullspace(a, p)
+    free = _free_rows(ns)
+    pivots = linalg.rref(a, p)[2]
+    assert free.tolist() == [c for c in range(cols) if c not in pivots]
+    assert np.array_equal(ns[free], np.eye(len(free), dtype=np.int64))
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(st.sampled_from(PRIMES), st.integers(0, 7), st.integers(1, 7), st.integers(0, 9), st.data())
+def test_selection_in_kernel_coordinates(p, rows, cols, nbase, data):
+    """Nakayama selection on [B; ns^T] for rows B of the kernel equals the
+    selection on their coordinates [B[:, free]; I]."""
+    ns = linalg.nullspace(draw_matrix(data, p, rows, cols), p)
+    coeffs = draw_matrix(data, p, nbase, ns.shape[1])
+    base = (coeffs.astype(object) @ ns.T.astype(object) % p).astype(np.int64).reshape(nbase, cols)
+    free = _free_rows(ns)
+    identity = np.eye(len(free), dtype=np.int64)
+    assert linalg.greedy_independent_rows(np.vstack([base, ns.T]), p) == (
+        linalg.greedy_independent_rows(np.vstack([base[:, free], identity]), p)
+    )

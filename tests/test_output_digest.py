@@ -13,7 +13,10 @@ when they started to exit 2 instead of printing an empty line.  The two
 engine that preceded packed integer terms; the `--bound` below `m`,
 negative `--trials` and negative `--max-step` cases were recorded when
 they started to exit 2 (before: a vacuous `all_ok: true`, exit 3 and a
-level-0 table).  Any
+level-0 table).  The `oracle` cases on the Fermat cubic curve and on the
+truncation over F_(2^31 - 1) were recorded with the limb-split `V @ R`
+tangent projection and the Nakayama selection over full kernel rows
+that preceded the normal-form table and kernel coordinates.  Any
 change that alters a printed Gröbner basis, resolution, Betti table,
 dimension or report shows up here.
 
@@ -32,17 +35,17 @@ HEADER = "field 32003\nvars x y z w\nideal:\n"
 TWISTED_CUBIC = "x*z - y^2\nx*w - y*z\ny*w - z^2\n"
 
 
-def _quartics():
-    """The degree-4 monomials in x, y, z, w as ideal-file text."""
+def _monomials(d):
+    """The degree-d monomials in x, y, z, w as ideal-file text."""
     out = []
-    for c in combinations_with_replacement("xyzw", 4):
+    for c in combinations_with_replacement("xyzw", d):
         out.append("*".join(v if c.count(v) == 1 else f"{v}^{c.count(v)}" for v in dict.fromkeys(c)))
     return out
 
 
-def _dense_quartic(k):
-    """A dense quartic form with fixed coefficients."""
-    return " + ".join(f"{(1 + 37 * i + 101 * k) % 32003}*{m}" for i, m in enumerate(_quartics()))
+def _dense_form(d, k):
+    """A dense degree-d form with fixed coefficients."""
+    return " + ".join(f"{(1 + 37 * i + 101 * k) % 32003}*{m}" for i, m in enumerate(_monomials(d)))
 
 
 FILES = {
@@ -54,13 +57,19 @@ FILES = {
     "fermat_cubic.ideal": "field 32003\nvars x y z w\nideal:\nx^3 + y^3 + z^3 + w^3\n",
     "ci_x2_y2.ideal": "field 32003\nvars x y\nideal:\nx^2\ny^2\n",
     "max_cube_sq.ideal": "field 32003\nvars x y z\nideal:\nx^2\nx*y\nx*z\ny^2\ny*z\nz^2\n",
-    "twisted_cubic_trunc4.ideal": HEADER + TWISTED_CUBIC + "".join(m + "\n" for m in _quartics()),
+    "twisted_cubic_trunc4.ideal": HEADER + TWISTED_CUBIC + "".join(m + "\n" for m in _monomials(4)),
+    "twisted_cubic_trunc4_p31.ideal": (
+        HEADER.replace("32003", "2147483647") + TWISTED_CUBIC + "".join(m + "\n" for m in _monomials(4))
+    ),
     "quadric_cone_curve4.ideal": (
-        HEADER + "x*w - y*z\n" + _dense_quartic(1) + "\n" + _dense_quartic(2) + "\n"
+        HEADER + "x*w - y*z\n" + _dense_form(4, 1) + "\n" + _dense_form(4, 2) + "\n"
     ),
     "quadric_cone_curve4_lex.ideal": (
         "field 32003\nvars x y z w\norder lex\nideal:\nx*w - y*z\n"
-        + _dense_quartic(1) + "\n" + _dense_quartic(2) + "\n"
+        + _dense_form(4, 1) + "\n" + _dense_form(4, 2) + "\n"
+    ),
+    "fermat_cubic_curve5.ideal": (
+        HEADER + "x^3 + y^3 + z^3 + w^3\n" + _dense_form(5, 1) + "\n" + _dense_form(5, 2) + "\n"
     ),
 }
 
@@ -119,6 +128,10 @@ CASES = (
         ("cone-curve", "quadric_cone.ideal", "--m", "4", "--seed", "1", "--trials", "-1"),
         ("oracle", "betti", "twisted_cubic.ideal", "--max-step", "-1"),
     ]
+    # the heaviest tangent case: first syzygies of degrees 3, 5, 5 reach 10
+    + [("oracle", "tangent", "fermat_cubic_curve5.ideal", "--bound", "10")]
+    # the normal-form table and kernel-coordinate selection at p = 2^31 - 1
+    + [("oracle", mode, "twisted_cubic_trunc4_p31.ideal") for mode in ("tangent", "betti")]
 )
 
 DIGESTS = {
@@ -184,6 +197,9 @@ DIGESTS = {
     "verify-prop31 twisted_cubic.ideal --m 4 --bound 3": "d1b44a19c03d5bce0deda76c3af8e10c50e6cc2ffffc713a687039aff8790bf8",
     "cone-curve quadric_cone.ideal --m 4 --seed 1 --trials -1": "22a1eac0ef537cffa28e497d488220a276626c88d814c114d1945a8497c40908",
     "oracle betti twisted_cubic.ideal --max-step -1": "6e8a253acc894607dcd9286a28b637ed27e4abd20985569f100b4c194308e844",
+    "oracle tangent fermat_cubic_curve5.ideal --bound 10": "c74cb04eb0f892f6df7e006325d12c71c23d302e4b04f2d742dc18b179d8cf93",
+    "oracle tangent twisted_cubic_trunc4_p31.ideal": "6505a84d518f06d520ae15d26bb21e690f87acd18fa38bcd57ce042a8052b133",
+    "oracle betti twisted_cubic_trunc4_p31.ideal": "ac0be032c4adc4452e257f5050276527f355d0db1a3bb226d4c5a8dcd14f3ad4",
 }
 
 
