@@ -1,8 +1,10 @@
-"""Benchmark the mod-p RREF kernel on random dense matrices.
+"""Benchmark the mod-p elimination kernels on random matrices.
 
-The mod-p row reduction is the hot kernel behind the brute-force oracle,
-the deformation solvers, the Koszul Betti numbers and the Nakayama
-selection; this times it alone, best of a few runs per size.
+`rref_inplace` builds the reduced row echelon form, for callers that
+read its rows; `rank` does forward elimination only, after peeling
+singleton rows, for callers that read only a rank or pivot columns.
+This times both on the same matrices, best of a few runs per size, and
+checks that they find the same rank.
 
 Usage:
     python benchmarks/bench_linalg.py [--sizes 100x100,300x200] [--repeat 5]
@@ -14,7 +16,7 @@ import time
 
 import numpy as np
 
-from hfstrata.linalg import rref_inplace
+from hfstrata.linalg import rank, rref_inplace
 
 P = 32003
 
@@ -53,11 +55,13 @@ def main():
         sizes.append((int(m), int(n)))
 
     print(f"p = {P}, repeat = {args.repeat} (best of)")
-    print(f"{'size':>10} {'rref_inplace':>14} {'rank':>6}")
+    print(f"{'size':>10} {'rref_inplace':>14} {'rank':>12} {'value':>6}")
     for m, n in sizes:
         base = random_matrix(rng, m, n)
-        t, (rank, _) = bench(rref_inplace, base, args.repeat)
-        print(f"{m:>4}x{n:<5} {t * 1e3:>12.2f}ms {rank:>6}")
+        t_rref, (r_rref, _) = bench(rref_inplace, base, args.repeat)
+        t_rank, r_rank = bench(rank, base, args.repeat)
+        assert r_rank == r_rref, (m, n, r_rank, r_rref)
+        print(f"{m:>4}x{n:<5} {t_rref * 1e3:>12.2f}ms {t_rank * 1e3:>10.2f}ms {r_rank:>6}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .field import DEFAULT_PRIME, NotPrimeError, PrimeField
 from .groebner import Ideal, buchberger
 from .invariants import betti_table, hilbert_function, minimal_free_resolution, regularity
 from .deform import ext1_space, tangent_space
-from .oracle import _syz_coords, betti_bruteforce, hf_bruteforce, tangent_bruteforce
+from .oracle import betti_bruteforce, hf_bruteforce, syzygy_counts, tangent_bruteforce
 from .ring import GREVLEX, LEX, MonomialOrder, RingContext
 from .strata import cone_curve, truncate_ideal, verify_prop31
 
@@ -345,9 +345,8 @@ def cmd_oracle(args):
     if args.mode == "hilb":
         print(" ".join(str(hf_bruteforce(ideal, d)) for d in _degrees_up_to(args.up_to)))
     elif args.mode == "syz":
-        kernels = _syz_coords(ideal, args.bound).items() if ideal.generators else ()
-        for e, (_, _, kernel) in kernels:
-            print(f"{e} {kernel.shape[1]}")
+        for e, count in syzygy_counts(ideal, args.bound).items():
+            print(f"{e} {count}")
     elif args.mode == "tangent":
         print(tangent_bruteforce(ideal, args.bound))
     elif args.mode == "betti":

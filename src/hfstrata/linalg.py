@@ -1,9 +1,27 @@
 """Dense exact linear algebra over F_p.
 
-The single hot primitive is an in-place reduced row echelon form,
-vectorized over rows with numpy.  Matrices are C-contiguous int64 arrays
-with entries already reduced into [0, p); with p < 2**31 the row updates
-stay within int64.
+Two kernels, both vectorized over rows with numpy and both pivoting on
+the first nonzero row at or below the rank, columns left to right:
+
+- `rref_inplace`, the reduced row echelon form, for the callers that
+  read R[:rank, free]: `rref`, `nullspace`, `solve`, the oracle's
+  quotient pieces and normal-form tables.
+- `pivot_columns`, forward elimination only (no back-substitution, no
+  scaling of pivot rows), for the callers that read only a rank or pivot
+  columns: `rank` (the oracle's Hilbert values and syzygy counts, the
+  tangent rank, the Koszul ranks in `invariants`, the ranks in `deform`)
+  and `greedy_independent_rows` (the Nakayama selections).
+
+Before eliminating, `pivot_columns` peels singleton rows until none are
+left.  A row whose one nonzero sits in column c makes c a pivot column,
+since every column left of c is zero in that row.  Dropping that row and
+column c leaves the other pivot columns unchanged, since clearing column
+c with that row changes no other entry.  In the oracle's matrices of
+generator multiples, every multiple of a monomial generator is a
+singleton row.
+
+Matrices are C-contiguous int64 arrays with entries reduced into
+[0, p); with p < 2**31 the row updates stay within int64.
 """
 
 import numpy as np
@@ -63,8 +81,79 @@ def rref(a, p):
     return a, rank, pivots
 
 
+def _peel_singletons(nz):
+    """Clear the columns of singleton rows of the nonzero pattern nz, in
+    place, until no row has exactly one nonzero; returns their mask and
+    the nonzeros left in each row.
+
+    Masks and fancy indexing only, which the kernels use anyway: the
+    first call of another numpy routine (np.unique, a boolean |= or
+    any) raises peak RSS by faulting in more of numpy's code.
+    """
+    counts = nz.sum(axis=1)
+    peeled = np.zeros(nz.shape[1], dtype=bool)
+    while True:
+        single = np.flatnonzero(counts == 1)
+        if not single.size:
+            return peeled, counts
+        hit = np.zeros_like(peeled)  # one entry per column, however many rows share it
+        hit[np.nonzero(nz[single])[1]] = True
+        cols = np.flatnonzero(hit)
+        counts -= nz[:, cols].sum(axis=1)
+        nz[:, cols] = False
+        peeled[cols] = True
+
+
+def _forward_pivots(a, p):
+    """Forward elimination in place; returns the pivot columns.
+
+    Rows at or below the rank are zero left of the current column, so a
+    swap moves only columns c onwards.  The row it moves down was zero in
+    column c, the pivot being the first nonzero, so the other nonzero
+    rows r + nz[1:] keep their places.
+    """
+    m, n = a.shape
+    r = 0
+    pivots = []
+    for c in range(n):
+        if r >= m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], c:] = a[[i, r], c:]
+        if nz.size > 1:
+            rows = r + nz[1:]
+            f = a[rows, c] * pow(int(a[r, c]), p - 2, p) % p
+            a[rows, c:] = (a[rows, c:] - f[:, None] * a[r, c:]) % p
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def pivot_columns(a, p):
+    """Pivot columns of the RREF of a, without building it.
+
+    Singleton rows are peeled first; the rest is one working copy of the
+    rows and columns they leave nonzero, forward-eliminated.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.size == 0:
+        return []
+    nz = a % p != 0
+    pivots, counts = _peel_singletons(nz)
+    rows, cols = np.flatnonzero(counts), np.flatnonzero(nz.sum(axis=0))
+    if rows.size:
+        work = a[rows[:, None], cols]
+        work %= p
+        pivots[cols[_forward_pivots(work, p)]] = True
+    return np.flatnonzero(pivots).tolist()
+
+
 def rank(a, p):
-    return rref(a, p)[1]
+    return len(pivot_columns(a, p))
 
 
 def nullspace(a, p):
@@ -100,12 +189,7 @@ def solve(a, b, p):
 def greedy_independent_rows(m, p):
     """Indices of the lexicographically-first maximal independent row set.
 
-    Equivalent to the pivot columns of the transposed RREF, so earlier
-    rows win ties; used for Nakayama-style minimal generator selection.
+    The pivot columns of the transpose, so earlier rows win ties; used
+    for Nakayama-style minimal generator selection.
     """
-    m = np.asarray(m, dtype=np.int64)
-    if m.size == 0:
-        return []
-    t = np.ascontiguousarray(m.T % p)
-    _, pivots = rref_inplace(t, p)
-    return list(pivots)
+    return pivot_columns(np.asarray(m, dtype=np.int64).T, p)

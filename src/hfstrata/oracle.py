@@ -32,10 +32,19 @@ keeping every linear dependence.  The x_v-multiples of the degree-(e-1)
 kernel lie in ker_e, so they are read at `free` only, and the new basis
 becomes the identity.
 
+Rank only: a Hilbert value is dim S_d minus the rank of the
+generator-multiple matrix, and a syzygy count is the number of unknowns
+minus it, so `hf_bruteforce` and `syzygy_counts` (`oracle syz`) call
+`linalg.rank` and build no echelon rows or kernel basis.  The echelon
+form is built only where its rows are read: the quotient pieces and
+normal-form tables of `tangent_bruteforce`, and the kernel bases of
+`syzygies_bruteforce`, `tangent_bruteforce` and `betti_bruteforce`.
+
 Bounds: `syz`, `tangent` and `betti` search degrees up to B (`--bound`)
 and raise ParameterError when B is below the largest generator degree,
-where a generator would drop out unseen; `tangent` returns 0 first when
-S/I vanishes in every generator degree, as no syzygy can matter then.
+where a generator would drop out unseen, or below 0; `tangent` returns
+0 first when S/I vanishes in every generator degree, as no syzygy can
+matter then.
 """
 
 import numpy as np
@@ -116,13 +125,18 @@ def _multiples(terms, unk_vec, unk_exps, basis=None):
     return mat
 
 
+def _ideal_piece(ideal, d):
+    """The basis of S_d and the matrix of the generators' multiples in it."""
+    ring, basis = ideal.ring, GradedPieceBasis(ideal.ring, d)
+    degs = [f.homogeneous_degree() for f in ideal.generators]
+    return basis, _multiples(_gen_terms(ideal.generators, ring.n), *_unknowns(ring, degs, d), basis)
+
+
 def _quotient_piece(ideal, d):
     """(S/I)_d in coordinates: the basis of S_d, the nonzero RREF rows of
     I_d in it, their pivot columns and the free (non-pivot) columns."""
-    ring, basis = ideal.ring, GradedPieceBasis(ideal.ring, d)
-    degs = [f.homogeneous_degree() for f in ideal.generators]
-    mat = _multiples(_gen_terms(ideal.generators, ring.n), *_unknowns(ring, degs, d), basis)
-    rref, rank, pivots = linalg.rref(mat, ring.field.p)
+    basis, mat = _ideal_piece(ideal, d)
+    rref, rank, pivots = linalg.rref(mat, ideal.ring.field.p)
     return basis, rref[:rank], pivots, np.delete(np.arange(len(basis)), pivots)
 
 
@@ -130,23 +144,48 @@ def hf_bruteforce(ideal, d: int) -> int:
     """dim (S/I)_d = dim S_d - rank of the generator-multiple matrix."""
     if d < 0:
         raise ParameterError(f"degree must be >= 0, got {d}")
-    return len(_quotient_piece(ideal, d)[3])
+    basis, mat = _ideal_piece(ideal, d)
+    return len(basis) - linalg.rank(mat, ideal.ring.field.p)
+
+
+def _check_bound(degs, degree_bound):
+    """Refuse a degree bound below a generator degree, or below 0."""
+    if degs and degree_bound < max(degs):
+        raise ParameterError("degree_bound below the maximal generator degree")
+    if degree_bound < 0:
+        raise ParameterError(f"degree_bound must be >= 0, got {degree_bound}")
+
+
+def _syzygy_matrices(ideal, degree_bound):
+    """(e, slots, multiplier exponents, M) per degree e up to the bound:
+    the unknowns of (⊕_j S(-d_j))_e and the matrix M whose row u is
+    generator slots[u] times its multiplier, so that the degree-e
+    syzygies are the left kernel of M."""
+    gens = ideal.generators
+    degs = [f.homogeneous_degree() for f in gens]
+    _check_bound(degs, degree_bound)
+    if not gens:
+        return
+    terms = _gen_terms(gens, ideal.ring.n)
+    for e in range(min(degs), degree_bound + 1):
+        unk_vec, unk_exps = _unknowns(ideal.ring, degs, e)
+        yield e, unk_vec, unk_exps, _multiples(terms, unk_vec, unk_exps)
 
 
 def _syz_coords(ideal, degree_bound):
     """{e: (slots, multiplier exponents, kernel)}: the unknowns of
     (⊕_j S(-d_j))_e and a basis of the degree-e syzygies as kernel columns."""
-    gens = ideal.generators
-    degs = [f.homogeneous_degree() for f in gens]
-    if degree_bound < max(degs):
-        raise ParameterError("degree_bound below the maximal generator degree")
-    terms = _gen_terms(gens, ideal.ring.n)
-    out = {}
-    for e in range(min(degs), degree_bound + 1):
-        unk_vec, unk_exps = _unknowns(ideal.ring, degs, e)
-        ns = linalg.nullspace(_multiples(terms, unk_vec, unk_exps).T, ideal.ring.field.p)
-        out[e] = unk_vec, unk_exps, ns
-    return out
+    p = ideal.ring.field.p
+    return {e: (unk_vec, unk_exps, linalg.nullspace(mat.T, p))
+            for e, unk_vec, unk_exps, mat in _syzygy_matrices(ideal, degree_bound)}
+
+
+def syzygy_counts(ideal, degree_bound: int):
+    """{e: dim of the degree-e syzygies} = #unknowns - rank, with no
+    kernel basis built."""
+    p = ideal.ring.field.p
+    return {e: len(unk_vec) - linalg.rank(mat, p)
+            for e, unk_vec, _, mat in _syzygy_matrices(ideal, degree_bound)}
 
 
 def syzygies_bruteforce(ideal, degree_bound: int):
@@ -157,8 +196,6 @@ def syzygies_bruteforce(ideal, degree_bound: int):
     """
     ring = ideal.ring
     gens = ideal.generators
-    if not gens:
-        return {}
     out = {}
     for e, (unk_vec, unk_exps, ns) in _syz_coords(ideal, degree_bound).items():
         # columns of ns in order, unknowns in basis order: terms arrive descending
@@ -189,6 +226,7 @@ def tangent_bruteforce(ideal, degree_bound: int) -> int:
     ring = ideal.ring
     gens = ideal.generators
     if not gens:
+        _check_bound([], degree_bound)
         return 0
     p = ring.field.p
     degs = [f.homogeneous_degree() for f in gens]
@@ -258,11 +296,10 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
     ring = ideal.ring
     p = ring.field.p
     gens = list(ideal.generators)
+    degs = [f.homogeneous_degree() for f in gens]
+    _check_bound(degs, degree_bound)
     if not gens:
         return BettiTable({})
-    degs = [f.homogeneous_degree() for f in gens]
-    if degree_bound < max(degs):
-        raise ParameterError("degree_bound below the maximal generator degree")
     entries = {}
 
     # level 0: minimal generators of the ideal among monomial multiples

@@ -8,6 +8,7 @@ from hfstrata.oracle import (
     betti_bruteforce,
     hf_bruteforce,
     syzygies_bruteforce,
+    syzygy_counts,
     tangent_bruteforce,
 )
 
@@ -73,6 +74,17 @@ def test_bound_below_a_generator_degree_raises():
             tangent_bruteforce(ideal, bound)
     assert betti_bruteforce(ideal, 3, 3).entries == {(0, 2): 1, (0, 3): 1}
     assert betti_bruteforce(ideal, 3, 5).entries == {(0, 2): 1, (0, 3): 1, (1, 5): 1}
+
+
+def test_negative_bound_on_the_zero_ideal_raises():
+    zero = Ideal(ring2(), [])
+    for oracle in (syzygies_bruteforce, syzygy_counts, tangent_bruteforce):
+        with pytest.raises(ParameterError):
+            oracle(zero, -1)
+        assert not oracle(zero, 0)
+    with pytest.raises(ParameterError):
+        betti_bruteforce(zero, 3, -1)
+    assert betti_bruteforce(zero, 3, 0).entries == {}
 
 
 def test_betti_koszul():

@@ -16,7 +16,10 @@ they started to exit 2 (before: a vacuous `all_ok: true`, exit 3 and a
 level-0 table).  The `oracle` cases on the Fermat cubic curve and on the
 truncation over F_(2^31 - 1) were recorded with the limb-split `V @ R`
 tangent projection and the Nakayama selection over full kernel rows
-that preceded the normal-form table and kernel coordinates.  Any
+that preceded the normal-form table and kernel coordinates.  The
+three negative `--bound` cases on the zero ideal were recorded when they
+started to exit 2 (before: no output, `0` and an empty Betti table,
+exit 0).  Any
 change that alters a printed Gröbner basis, resolution, Betti table,
 dimension or report shows up here.
 
@@ -68,6 +71,7 @@ FILES = {
         "field 32003\nvars x y z w\norder lex\nideal:\nx*w - y*z\n"
         + _dense_form(4, 1) + "\n" + _dense_form(4, 2) + "\n"
     ),
+    "zero.ideal": "field 32003\nvars x y\nideal:\n",
     "fermat_cubic_curve5.ideal": (
         HEADER + "x^3 + y^3 + z^3 + w^3\n" + _dense_form(5, 1) + "\n" + _dense_form(5, 2) + "\n"
     ),
@@ -132,6 +136,8 @@ CASES = (
     + [("oracle", "tangent", "fermat_cubic_curve5.ideal", "--bound", "10")]
     # the normal-form table and kernel-coordinate selection at p = 2^31 - 1
     + [("oracle", mode, "twisted_cubic_trunc4_p31.ideal") for mode in ("tangent", "betti")]
+    # a negative --bound on the zero ideal exits 2
+    + [("oracle", mode, "zero.ideal", "--bound", "-1") for mode in ("syz", "tangent", "betti")]
 )
 
 DIGESTS = {
@@ -200,6 +206,9 @@ DIGESTS = {
     "oracle tangent fermat_cubic_curve5.ideal --bound 10": "c74cb04eb0f892f6df7e006325d12c71c23d302e4b04f2d742dc18b179d8cf93",
     "oracle tangent twisted_cubic_trunc4_p31.ideal": "6505a84d518f06d520ae15d26bb21e690f87acd18fa38bcd57ce042a8052b133",
     "oracle betti twisted_cubic_trunc4_p31.ideal": "ac0be032c4adc4452e257f5050276527f355d0db1a3bb226d4c5a8dcd14f3ad4",
+    "oracle syz zero.ideal --bound -1": "5bd85a159b0b91679b1daee10d3b09a6960196b1931ece4d2d837f2395a54ca2",
+    "oracle tangent zero.ideal --bound -1": "5bd85a159b0b91679b1daee10d3b09a6960196b1931ece4d2d837f2395a54ca2",
+    "oracle betti zero.ideal --bound -1": "5bd85a159b0b91679b1daee10d3b09a6960196b1931ece4d2d837f2395a54ca2",
 }
 
 
