@@ -3,8 +3,14 @@
 `rref_inplace` builds the reduced row echelon form, for callers that
 read its rows; `rank` does forward elimination only, after peeling
 singleton rows, for callers that read only a rank or pivot columns.
-This times both on the same matrices, best of a few runs per size, and
-checks that they find the same rank.
+This times both on the same matrices, and forward elimination alone
+(`_forward_pivots`, no peel) beside them, best of a few runs per size,
+and checks that all three find the same rank.
+
+Each size is timed on two families: dense rows (density 0.6), where the
+peel finds nothing, and the same with half of the rows replaced by
+singleton rows on random columns, like the multiples of monomial
+generators in the oracle's and the Koszul complex's matrices.
 
 Usage:
     python benchmarks/bench_linalg.py [--sizes 100x100,300x200] [--repeat 5]
@@ -16,14 +22,17 @@ import time
 
 import numpy as np
 
-from hfstrata.linalg import rank, rref_inplace
+from hfstrata.linalg import _forward_pivots, rank, rref_inplace
 
 P = 32003
 
 
-def random_matrix(rng, m, n, density=0.6):
+def random_matrix(rng, m, n, density=0.6, singleton_share=0.0):
     a = np.zeros((m, n), dtype=np.int64)
     for i in range(m):
+        if rng.random() < singleton_share:
+            a[i, rng.randrange(n)] = rng.randrange(1, P)
+            continue
         for j in range(n):
             if rng.random() < density:
                 a[i, j] = rng.randrange(P)
@@ -55,13 +64,18 @@ def main():
         sizes.append((int(m), int(n)))
 
     print(f"p = {P}, repeat = {args.repeat} (best of)")
-    print(f"{'size':>10} {'rref_inplace':>14} {'rank':>12} {'value':>6}")
+    print(f"{'size':>10} {'rows':>10} {'rref_inplace':>14} {'forward':>12} {'rank':>12} {'value':>6}")
     for m, n in sizes:
-        base = random_matrix(rng, m, n)
-        t_rref, (r_rref, _) = bench(rref_inplace, base, args.repeat)
-        t_rank, r_rank = bench(rank, base, args.repeat)
-        assert r_rank == r_rref, (m, n, r_rank, r_rref)
-        print(f"{m:>4}x{n:<5} {t_rref * 1e3:>12.2f}ms {t_rank * 1e3:>10.2f}ms {r_rank:>6}")
+        for label, share in (("dense", 0.0), ("singleton", 0.5)):
+            base = random_matrix(rng, m, n, singleton_share=share)
+            t_rref, (r_rref, _) = bench(rref_inplace, base, args.repeat)
+            t_fwd, pivots = bench(_forward_pivots, base, args.repeat)
+            t_rank, r_rank = bench(rank, base, args.repeat)
+            assert r_rank == r_rref == len(pivots), (m, n, label, r_rank, r_rref, len(pivots))
+            print(
+                f"{m:>4}x{n:<5} {label:>10} {t_rref * 1e3:>12.2f}ms {t_fwd * 1e3:>10.2f}ms"
+                f" {t_rank * 1e3:>10.2f}ms {r_rank:>6}"
+            )
 
 
 if __name__ == "__main__":

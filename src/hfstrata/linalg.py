@@ -16,9 +16,17 @@ Before eliminating, `pivot_columns` peels singleton rows until none are
 left.  A row whose one nonzero sits in column c makes c a pivot column,
 since every column left of c is zero in that row.  Dropping that row and
 column c leaves the other pivot columns unchanged, since clearing column
-c with that row changes no other entry.  In the oracle's matrices of
-generator multiples, every multiple of a monomial generator is a
-singleton row.
+c with that row changes no other entry.  Multiples of monomials are
+singleton rows: on the matrices of one round of each benchmark
+workload, the peel removes 98% of the cells of the Nakayama selections
+and 68% of the Koszul ranks' in `verify-prop31`, and 75% of those of
+`hf_bruteforce`, where it cuts elimination time by a third to two
+thirds.  The dense Betti selections of the oracle have no singleton
+rows and pay only for the nonzero pattern.
+
+Forward elimination is a loop of its own, not `rref_inplace` with the
+rows read off, because it does about half the work: on the same peeled
+matrices of an `oracle` round it takes 0.106 s against 0.188 s.
 
 Matrices are C-contiguous int64 arrays with entries reduced into
 [0, p); with p < 2**31 the row updates stay within int64.
@@ -136,19 +144,20 @@ def _forward_pivots(a, p):
 def pivot_columns(a, p):
     """Pivot columns of the RREF of a, without building it.
 
-    Singleton rows are peeled first; the rest is one working copy of the
-    rows and columns they leave nonzero, forward-eliminated.
+    Singleton rows are peeled from the nonzero pattern of one working
+    copy reduced mod p; the rows and columns they leave nonzero are
+    gathered, if the peel removed any, and forward-eliminated.
     """
-    a = np.asarray(a, dtype=np.int64)
-    if a.size == 0:
+    work = np.array(a, dtype=np.int64, order="C")
+    if work.size == 0:
         return []
-    nz = a % p != 0
+    work %= p
+    nz = work != 0
     pivots, counts = _peel_singletons(nz)
     rows, cols = np.flatnonzero(counts), np.flatnonzero(nz.sum(axis=0))
-    if rows.size:
-        work = a[rows[:, None], cols]
-        work %= p
-        pivots[cols[_forward_pivots(work, p)]] = True
+    if rows.size < work.shape[0] or cols.size < work.shape[1]:
+        work = work[rows[:, None], cols]
+    pivots[cols[_forward_pivots(work, p)]] = True
     return np.flatnonzero(pivots).tolist()
 
 

@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
 
+from hfstrata import cli, linalg
 from hfstrata.errors import ParameterError
 from hfstrata.groebner import Ideal, maximal_ideal_power
 from hfstrata.invariants import HilbertSeries, hilbert_series
 from hfstrata.oracle import (
     GradedPieceBasis,
+    _quotient_piece,
+    _syz_coords,
     betti_bruteforce,
     hf_bruteforce,
     syzygies_bruteforce,
@@ -13,6 +17,7 @@ from hfstrata.oracle import (
 )
 
 from conftest import ring2, twisted_cubic
+from test_output_digest import FILES
 
 
 def test_graded_piece_basis_size():
@@ -128,3 +133,39 @@ def test_oracle_euler_characteristic(corpus):
                 c * comb(n - 1 + d - k, n - 1) for k, c in acc.items() if k <= d
             )
             assert expected == hf_bruteforce(ideal, d), (name, d)
+
+
+def check_rank_only_paths(ideal):
+    """The rank-only paths equal the kernel paths they replace."""
+    for d in range(6):
+        assert hf_bruteforce(ideal, d) == len(_quotient_piece(ideal, d)[3]), d
+    top = max((f.homogeneous_degree() for f in ideal.generators), default=0) + 2
+    kernels = {e: ns.shape[1] for e, (_, _, ns) in _syz_coords(ideal, top).items()}
+    assert syzygy_counts(ideal, top) == kernels
+
+
+def test_rank_only_oracle_matches_kernels_on_corpus(corpus):
+    for ideal in corpus.values():
+        check_rank_only_paths(ideal)
+
+
+def test_rank_paths_make_no_rref_calls(tmp_path, monkeypatch):
+    """`oracle hilb`, `oracle syz` and `greedy_independent_rows` read only
+    ranks and pivot columns; `oracle tangent` still needs echelon rows."""
+    calls = []
+    original = linalg.rref_inplace
+
+    def counting(a, p):
+        calls.append(a.shape)
+        return original(a, p)
+
+    monkeypatch.setattr(linalg, "rref_inplace", counting)
+    for name in ("twisted_cubic_trunc4.ideal", "quadric_cone_curve4.ideal", "max_cube_sq.ideal"):
+        (tmp_path / name).write_text(FILES[name])
+        for mode in ("hilb", "syz"):
+            assert cli.run(["oracle", mode, str(tmp_path / name)]) == 0
+    rng = np.random.default_rng(0)
+    assert linalg.greedy_independent_rows(rng.integers(0, 5, size=(12, 7)), 5)
+    assert calls == []
+    assert cli.run(["oracle", "tangent", str(tmp_path / "max_cube_sq.ideal")]) == 0
+    assert calls

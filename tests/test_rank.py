@@ -6,8 +6,9 @@ They must agree with `reference_rref` on every shape the peel meets:
 singleton chains (a row that becomes a singleton only once an earlier
 singleton's column is dropped), several singleton rows on one column,
 zero rows and columns, entries not yet reduced mod p, and empty shapes.
-The oracle's rank-only paths must equal the kernel paths they replace,
-and make no call of the RREF kernel.
+The oracle's rank-only paths must equal the kernel paths they replace
+on random ideals; `tests/test_oracle.py` checks them on the corpus and
+counts their calls of the RREF kernel, without Hypothesis.
 """
 
 import numpy as np
@@ -17,12 +18,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hfstrata import cli, linalg  # noqa: E402
-from hfstrata.oracle import _quotient_piece, _syz_coords, hf_bruteforce, syzygy_counts  # noqa: E402
+from hfstrata import linalg  # noqa: E402
 
 from test_linalg import reference_rref  # noqa: E402
+from test_oracle import check_rank_only_paths  # noqa: E402
 from test_oracle_reference import PRIMES, SETTINGS, ideals  # noqa: E402
-from test_output_digest import FILES  # noqa: E402
 
 
 def _matrix(rows, ncols):
@@ -82,42 +82,7 @@ def test_rank_and_greedy_rows_match_reference(case):
     assert (a == before).all()  # the caller's matrix is left alone
 
 
-def _check_rank_only_paths(ideal):
-    for d in range(6):
-        assert hf_bruteforce(ideal, d) == len(_quotient_piece(ideal, d)[3]), d
-    top = max((f.homogeneous_degree() for f in ideal.generators), default=0) + 2
-    kernels = {e: ns.shape[1] for e, (_, _, ns) in _syz_coords(ideal, top).items()}
-    assert syzygy_counts(ideal, top) == kernels
-
-
-def test_rank_only_oracle_matches_kernels_on_corpus(corpus):
-    for ideal in corpus.values():
-        _check_rank_only_paths(ideal)
-
-
 @settings(max_examples=60, **SETTINGS)
 @given(ideals())
 def test_rank_only_oracle_matches_kernels_on_random_ideals(ideal):
-    _check_rank_only_paths(ideal)
-
-
-def test_rank_paths_make_no_rref_calls(tmp_path, monkeypatch):
-    """`oracle hilb`, `oracle syz` and `greedy_independent_rows` read only
-    ranks and pivot columns; `oracle tangent` still needs echelon rows."""
-    calls = []
-    original = linalg.rref_inplace
-
-    def counting(a, p):
-        calls.append(a.shape)
-        return original(a, p)
-
-    monkeypatch.setattr(linalg, "rref_inplace", counting)
-    for name in ("twisted_cubic_trunc4.ideal", "quadric_cone_curve4.ideal", "max_cube_sq.ideal"):
-        (tmp_path / name).write_text(FILES[name])
-        for mode in ("hilb", "syz"):
-            assert cli.run(["oracle", mode, str(tmp_path / name)]) == 0
-    rng = np.random.default_rng(0)
-    assert linalg.greedy_independent_rows(rng.integers(0, 5, size=(12, 7)), 5)
-    assert calls == []
-    assert cli.run(["oracle", "tangent", str(tmp_path / "max_cube_sq.ideal")]) == 0
-    assert calls
+    check_rank_only_paths(ideal)
