@@ -7,7 +7,7 @@ between runs, and prints the best of a few wall times with the report's
 overall verdict.
 
 Usage:
-    python benchmarks/bench_verify.py [--cases 3:8,3:12,4:5,4:6,5:4] [--repeat 1]
+    python benchmarks/bench_verify.py [--cases 3:8,3:12,4:5,4:6,5:4,6:4] [--repeat 1]
 
 Each case is `n:m`, the curve degree and the truncation degree.
 """
@@ -31,7 +31,7 @@ def rational_normal_curve(n):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--cases", default="3:8,3:12,4:5,4:6,5:4")
+    parser.add_argument("--cases", default="3:8,3:12,4:5,4:6,5:4,6:4")
     parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args()
 

@@ -17,6 +17,15 @@ comparison map alpha -> (alpha, 0) a literal matrix identity between
 the two tangent-space coordinate systems.  Gamma's Gröbner basis, Betti
 table and minimal resolution are cached on its `Ideal`, so verify-prop31
 and the comparison share them.
+
+The comparison never leaves coordinates.  Below degree m, Gamma and I_Y
+agree (Gamma_e = (I_Y)_e), and so do their lead ideals, since the lead
+ideal of a homogeneous ideal is read degree by degree; so (S/Gamma)_e
+and (S/I_Y)_e have the same standard monomials for e < m.  From degree
+m on, (S/Gamma)_e = 0.  A slot of degree e therefore keeps its I_Y
+coordinates under the quotient map S/I_Y -> S/I_Gamma when e < m and
+has none when e >= m: the images of tangent vectors and cycles of I_Y
+are their rows in the slots of degree below m.
 """
 
 import numpy as np
@@ -96,14 +105,18 @@ def _pairing_matrix(layout: HomLayout, columns):
 class TangentSpace:
     """Hom_S(I, S/I)_0 in the generator/standard-monomial coordinates."""
 
-    __slots__ = ("dimension", "basis", "layout", "basis_matrix", "generators")
+    __slots__ = ("dimension", "layout", "basis_matrix", "generators")
 
-    def __init__(self, dimension, basis, layout, basis_matrix, generators):
+    def __init__(self, dimension, layout, basis_matrix, generators):
         self.dimension = dimension
-        self.basis = basis  # tuple of tuples of polynomial representatives
         self.layout = layout
         self.basis_matrix = basis_matrix  # columns = basis vectors
         self.generators = generators
+
+    @property
+    def basis(self):
+        """The basis vectors as tuples of polynomial representatives, one per slot."""
+        return tuple(self.layout.lift(self.basis_matrix[:, k]) for k in range(self.dimension))
 
     def __repr__(self):
         return f"TangentSpace(dim={self.dimension})"
@@ -112,11 +125,11 @@ class TangentSpace:
 class Ext1Space:
     """Ext^1_S(I, S/I)_0 as degree-0 cycles at F_2 modulo boundaries."""
 
-    __slots__ = ("dimension", "cycle_basis", "boundary_rank", "cycle_dim")
+    __slots__ = ("dimension", "cycles", "boundary_rank", "cycle_dim")
 
-    def __init__(self, dimension, cycle_basis, boundary_rank, cycle_dim):
+    def __init__(self, dimension, cycles, boundary_rank, cycle_dim):
         self.dimension = dimension
-        self.cycle_basis = cycle_basis
+        self.cycles = cycles  # columns = cycle basis, in the sigma_2 slot coordinates
         self.boundary_rank = boundary_rank
         self.cycle_dim = cycle_dim
 
@@ -149,8 +162,7 @@ def _solve_tangent(qb: QuotientBasis, degrees, syz_columns, generators):
     layout = HomLayout(qb, degrees)
     constraints = _pairing_matrix(layout, syz_columns)
     basis_matrix = linalg.nullspace(constraints, qb.ring.field.p)
-    basis = tuple(layout.lift(basis_matrix[:, k]) for k in range(basis_matrix.shape[1]))
-    return TangentSpace(basis_matrix.shape[1], basis, layout, basis_matrix, generators)
+    return TangentSpace(basis_matrix.shape[1], layout, basis_matrix, generators)
 
 
 def tangent_space(ideal: Ideal) -> TangentSpace:
@@ -167,15 +179,13 @@ def _ext1(qb: QuotientBasis, degrees, sig2, sig3) -> Ext1Space:
     """Degree-0 cycles at F_2 modulo boundaries from F_1, from the
     generator degrees and the sigma_2, sigma_3 columns of a resolution."""
     if not sig2:
-        return Ext1Space(0, (), 0, 0)
+        return Ext1Space(0, np.zeros((0, 0), dtype=np.int64), 0, 0)
     p = qb.ring.field.p
-    cycle_layout = HomLayout(qb, [e for _, e in sig2])
-    cycles = linalg.nullspace(_pairing_matrix(cycle_layout, sig3), p)
+    cycles = linalg.nullspace(_pairing_matrix(HomLayout(qb, [e for _, e in sig2]), sig3), p)
     cycle_dim = cycles.shape[1]
     boundary = _pairing_matrix(HomLayout(qb, degrees), sig2)  # rows live in the cycle coordinates
-    boundary_rank = linalg.rank(boundary, p) if boundary.size else 0
-    basis = tuple(cycle_layout.lift(cycles[:, k]) for k in range(cycle_dim))
-    return Ext1Space(cycle_dim - boundary_rank, basis, boundary_rank, cycle_dim)
+    boundary_rank = linalg.rank(boundary, p)
+    return Ext1Space(cycle_dim - boundary_rank, cycles, boundary_rank, cycle_dim)
 
 
 def ext1_space(ideal: Ideal) -> Ext1Space:
@@ -266,16 +276,9 @@ class Truncation:
                 self.columns.append((vec, e))
 
 
-def _quotient_images(qb: QuotientBasis, degrees, vectors, count):
-    """Columns of the slotwise quotient map into ⊕_j (S/I)_{degrees[j]}:
-    the first `count` slots of each vector reduced, the others zero."""
-    images = np.zeros((sum(qb.dim(d) for d in degrees), len(vectors)), dtype=np.int64)
-    for k, vec in enumerate(vectors):
-        col = []
-        for j, d in enumerate(degrees):
-            col.extend(qb.coords(vec[j], d) if j < count else [0] * qb.dim(d))
-        images[:, k] = col
-    return images
+def _rows_below(qb: QuotientBasis, degrees, m):
+    """Mask of the rows of ⊕_j (S/I)_{degrees[j]} in the slots of degree < m."""
+    return np.repeat(np.array(degrees, dtype=np.int64) < m, [qb.dim(d) for d in degrees])
 
 
 def compare_truncation(trunc: Truncation) -> ComparisonReport:
@@ -291,18 +294,23 @@ def compare_truncation(trunc: Truncation) -> ComparisonReport:
     # fact making alpha' and alpha∘tau_2 vanish identically
     if hilbert_function(trunc.gamma, trunc.m) != 0:
         raise RuntimeError("truncation quotient is nonzero in degree m")
+    # and below m the two quotients share their standard monomials, which
+    # makes the quotient map q: S/I_Y -> S/I_Gamma a row selection
+    cycle_degrees = [e for _, e in trunc.sig2_y]
+    for d in {*trunc.degrees_y, *cycle_degrees}:
+        if d < trunc.m and qb_g.monomials(d) != qb_y.monomials(d):
+            raise RuntimeError(f"truncation quotient differs from S/I_Y in degree {d}")
 
     tangent_y = _solve_tangent(qb_y, trunc.degrees_y, trunc.sig2_y, trunc.gens_y)
     tangent_g = _solve_tangent(qb_g, trunc.block_degrees, trunc.columns, tuple(trunc.block_gens))
 
-    # the comparison acts slotwise by the quotient map q: S/I_Y -> S/I_Gamma
-    images = _quotient_images(qb_g, trunc.block_degrees, tangent_y.basis, trunc.r)
-    solved = linalg.solve(tangent_g.basis_matrix, images, p)
+    # Gamma's tangent coordinates: the I_Y slots of degree < m, then
+    # strand slots of degree m, which have none; the basis of T_Gamma is
+    # independent, so T_Y lands in it iff appending the images keeps the rank
+    images = tangent_y.basis_matrix[_rows_below(qb_y, trunc.degrees_y, trunc.m)]
+    included = linalg.rank(np.hstack([tangent_g.basis_matrix, images]), p) == tangent_g.dimension
     tangent_rank = linalg.rank(images.T, p)
-    tangent_bijective = (
-        solved is not None
-        and tangent_y.dimension == tangent_g.dimension == tangent_rank
-    )
+    tangent_bijective = included and tangent_y.dimension == tangent_g.dimension == tangent_rank
 
     # obstruction side: each Ext^1 from its ideal's own minimal resolution
     ext_y = _ext1(qb_y, trunc.degrees_y, trunc.sig2_y, trunc.sig3_y)
@@ -310,15 +318,12 @@ def compare_truncation(trunc: Truncation) -> ComparisonReport:
     ext_g = _ext1(qb_g, degrees_g, sig2_g, sig3_g)
     kernel_dim = 0
     if ext_y.cycle_dim:
-        # Gamma cycle coordinates: only the padded I_Y columns contribute
+        # Gamma cycle coordinates: the padded I_Y columns of degree < m
         # (degree >= m blocks are zero); phi maps q slotwise.
         boundary_g = _pairing_matrix(HomLayout(qb_g, trunc.block_degrees), trunc.columns)
-        phi_images = _quotient_images(
-            qb_g, [e for _, e in trunc.columns], ext_y.cycle_basis, len(trunc.sig2_y)
-        )
-        rank_bg = linalg.rank(boundary_g, p) if boundary_g.size else 0
-        stacked = np.hstack([boundary_g, phi_images]) if boundary_g.size else phi_images
-        rank_both = linalg.rank(stacked, p) if stacked.size else 0
+        phi_images = ext_y.cycles[_rows_below(qb_y, cycle_degrees, trunc.m)]
+        rank_bg = linalg.rank(boundary_g, p)
+        rank_both = linalg.rank(np.hstack([boundary_g, phi_images]), p)
         # ker(H_Y -> H_Gamma) = {cycles whose image is a Gamma-boundary} / B_Y
         kernel_dim = ext_y.cycle_dim - (rank_both - rank_bg) - ext_y.boundary_rank
 

@@ -605,7 +605,7 @@ def graded_piece_matrix(ring, gmap: GradedMap, d: int):
     src = module_piece_basis(ring, gmap.source.shifts, d)
     tgt = module_piece_basis(ring, gmap.target.shifts, d)
     index = {key: col for col, key in enumerate(tgt)}
-    mat = linalg.zeros_matrix(len(src), len(tgt))
+    mat = np.zeros((len(src), len(tgt)), dtype=np.int64)
     p = ring.field.p
     for r, (j, mexps) in enumerate(src):
         row = [0] * len(tgt)

@@ -4,7 +4,7 @@ Two kernels, both vectorized over rows with numpy and both pivoting on
 the first nonzero row at or below the rank, columns left to right:
 
 - `rref_inplace`, the reduced row echelon form, for the callers that
-  read R[:rank, free]: `rref`, `nullspace`, `solve`, the oracle's
+  read R[:rank, free]: `rref`, `nullspace`, the oracle's
   quotient pieces and normal-form tables.
 - `pivot_columns`, forward elimination only (no back-substitution, no
   scaling of pivot rows), for the callers that read only a rank or pivot
@@ -74,10 +74,6 @@ def as_matrix(rows, ncols):
     if not rows:
         return np.zeros((0, ncols), dtype=np.int64)
     return np.ascontiguousarray(np.array(rows, dtype=np.int64))
-
-
-def zeros_matrix(nrows, ncols):
-    return np.zeros((nrows, ncols), dtype=np.int64)
 
 
 def rref(a, p):
@@ -180,20 +176,6 @@ def nullspace(a, p):
     basis[pivots] = -r[:rk, free] % p
     return basis
 
-def solve(a, b, p):
-    """Solve a @ x = b column-wise; returns x or None if inconsistent."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if b.ndim == 1:
-        b = b[:, None]
-    m, n = a.shape
-    aug, _, pivots = rref(np.hstack([a, b]), p)
-    if any(c >= n for c in pivots):
-        return None
-    x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    for row, pc in enumerate(pivots):
-        x[pc] = aug[row, n:]
-    return x
 
 def greedy_independent_rows(m, p):
     """Indices of the lexicographically-first maximal independent row set.

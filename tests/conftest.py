@@ -33,6 +33,13 @@ def quadric_cone(order=GREVLEX, p=P):
     return Ideal(r, [x * w - y * z])
 
 
+def skew_lines(order=GREVLEX, p=P):
+    """Two skew lines in P^3: (x, y) ∩ (z, w)."""
+    r = ring4(order, p)
+    x, y, z, w = (r.variable(i) for i in range(4))
+    return Ideal(r, [x * z, x * w, y * z, y * w])
+
+
 def rational_normal_quartic(order=GREVLEX, p=P):
     """2x2 minors of the Hankel matrix [[a, b, c, d], [b, c, d, e]]."""
     r = RingContext(("a", "b", "c", "d", "e"), PrimeField(p), MonomialOrder(order))

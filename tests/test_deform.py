@@ -1,12 +1,22 @@
+import numpy as np
 import pytest
 
-from hfstrata.deform import Truncation, compare_truncation, ext1_space, tangent_space
+from hfstrata.deform import (
+    HomLayout,
+    Truncation,
+    _ext1,
+    _rows_below,
+    _solve_tangent,
+    compare_truncation,
+    ext1_space,
+    tangent_space,
+)
 from hfstrata.errors import ParameterError
 from hfstrata.groebner import Ideal, ideal_member, maximal_ideal_power, syzygies
 from hfstrata.invariants import hilbert_function, minimal_free_resolution, regularity
 from hfstrata.oracle import tangent_bruteforce
 
-from conftest import ring2, twisted_cubic
+from conftest import build_corpus, ring2, skew_lines, twisted_cubic
 
 # frozen oracle regression value: tangent_bruteforce on the twisted cubic
 TWISTED_CUBIC_TANGENT_DIM = 12
@@ -180,3 +190,65 @@ def test_truncation_presentation_block_structure():
         for a, g in zip(vec, trunc.block_gens):
             total = total + a * g
         assert total.is_zero()
+
+
+def _round_trip(qb_y, qb_gamma, degrees, matrix):
+    """Reference images in Gamma's coordinates: each column lifted to one
+    polynomial per I_Y slot, each reduced in (S/I_Gamma) of its degree."""
+    lift = HomLayout(qb_y, degrees).lift
+    images = np.zeros((HomLayout(qb_gamma, degrees).total, matrix.shape[1]), dtype=np.int64)
+    for k in range(matrix.shape[1]):
+        images[:, k] = [c for f, d in zip(lift(matrix[:, k]), degrees) for c in qb_gamma.coords(f, d)]
+    return images
+
+
+@pytest.mark.parametrize("p", [32003, 2**31 - 1])
+def test_row_selection_matches_polynomial_round_trip(p):
+    """Below m, S/I_Gamma keeps the standard monomials of S/I_Y; from m
+    on it is zero.  So lifting a tangent vector or an Ext^1 cycle of I_Y
+    to polynomials and reducing it modulo Gamma gives its rows in the
+    slots of degree < m, and Gamma's layouts have just those rows."""
+    ideals = dict(build_corpus(p=p), skew_lines=skew_lines(p=p))
+    for name, ideal in ideals.items():
+        reg = regularity(ideal) if not ideal.is_zero_ideal() else 0
+        for m in sorted({1, 2, reg + 1, reg + 2, reg + 3}):
+            trunc = Truncation(ideal, m, override=True)
+            qb_y, qb_g = trunc.qb_y, trunc.qb_gamma
+            tangent = _solve_tangent(qb_y, trunc.degrees_y, trunc.sig2_y, trunc.gens_y)
+            cycles = _ext1(qb_y, trunc.degrees_y, trunc.sig2_y, trunc.sig3_y).cycles
+            cycle_degrees = [e for _, e in trunc.sig2_y]
+            cases = [
+                (trunc.degrees_y, tangent.basis_matrix, trunc.block_degrees),
+                (cycle_degrees, cycles, [e for _, e in trunc.columns]),
+            ]
+            for degrees, matrix, gamma_degrees in cases:
+                selected = matrix[_rows_below(qb_y, degrees, m)]
+                assert np.array_equal(selected, _round_trip(qb_y, qb_g, degrees, matrix)), (name, m)
+                assert selected.shape[0] == HomLayout(qb_g, gamma_degrees).total, (name, m)
+
+
+def test_comparison_makes_no_lift_calls(monkeypatch):
+    """Tangent spaces, Ext^1 and the truncation comparison stay in
+    coordinates; `TangentSpace.basis` lifts only when read."""
+    calls = []
+    original = HomLayout.lift
+
+    def counting(self, column):
+        calls.append(len(self.degrees))
+        return original(self, column)
+
+    monkeypatch.setattr(HomLayout, "lift", counting)
+    for ideal, m in ((twisted_cubic(), 4), (skew_lines(), 3)):
+        tangent_space(ideal)
+        ext1_space(ideal)
+        compare_truncation(Truncation(ideal, m, override=True))
+    assert calls == []
+
+    tc = twisted_cubic()
+    t = tangent_space(tc)
+    basis = t.basis
+    assert len(calls) == t.dimension == TWISTED_CUBIC_TANGENT_DIM
+    assert isinstance(basis, tuple) and len(basis) == t.dimension
+    for element in basis:
+        assert isinstance(element, tuple) and len(element) == len(t.generators)
+        assert all(f.ring is tc.ring for f in element)

@@ -19,7 +19,10 @@ tangent projection and the Nakayama selection over full kernel rows
 that preceded the normal-form table and kernel coordinates.  The
 three negative `--bound` cases on the zero ideal were recorded when they
 started to exit 2 (before: no output, `0` and an empty Betti table,
-exit 0).  Any
+exit 0).  The `verify-prop31` cases at `m = 1, 3` on the twisted cubic
+and on two skew lines were recorded with the polynomial round trip
+(lift, then reduce modulo Gamma) that preceded comparing the tangent and
+obstruction spaces by row selection.  Any
 change that alters a printed Gröbner basis, resolution, Betti table,
 dimension or report shows up here.
 
@@ -72,6 +75,7 @@ FILES = {
         + _dense_form(4, 1) + "\n" + _dense_form(4, 2) + "\n"
     ),
     "zero.ideal": "field 32003\nvars x y\nideal:\n",
+    "skew_lines.ideal": HEADER + "x*z\nx*w\ny*z\ny*w\n",
     "fermat_cubic_curve5.ideal": (
         HEADER + "x^3 + y^3 + z^3 + w^3\n" + _dense_form(5, 1) + "\n" + _dense_form(5, 2) + "\n"
     ),
@@ -138,6 +142,15 @@ CASES = (
     + [("oracle", mode, "twisted_cubic_trunc4_p31.ideal") for mode in ("tangent", "betti")]
     # a negative --bound on the zero ideal exits 2
     + [("oracle", mode, "zero.ideal", "--bound", "-1") for mode in ("syz", "tangent", "betti")]
+    # truncations below reg + 2: at m = 1, Gamma = m and its block generators
+    # are not minimal; at m = 3 the tangent map is injective, not onto
+    + [("verify-prop31", "twisted_cubic.ideal", "--m", str(m), "--force") for m in (1, 3)]
+    # two skew lines: the only case where Y cycles become Gamma-boundaries
+    # (obstruction_kernel_dim = 6 at m = 3), and one passing truncation
+    + [
+        ("verify-prop31", "skew_lines.ideal", "--m", "3", "--force"),
+        ("verify-prop31", "skew_lines.ideal", "--m", "4"),
+    ]
 )
 
 DIGESTS = {
@@ -209,6 +222,10 @@ DIGESTS = {
     "oracle syz zero.ideal --bound -1": "5bd85a159b0b91679b1daee10d3b09a6960196b1931ece4d2d837f2395a54ca2",
     "oracle tangent zero.ideal --bound -1": "5bd85a159b0b91679b1daee10d3b09a6960196b1931ece4d2d837f2395a54ca2",
     "oracle betti zero.ideal --bound -1": "5bd85a159b0b91679b1daee10d3b09a6960196b1931ece4d2d837f2395a54ca2",
+    "verify-prop31 twisted_cubic.ideal --m 1 --force": "2ffd1ff2fa75a0ff40728f1f6f22ad636c9ce16761c98df3625115dcb4962ee1",
+    "verify-prop31 twisted_cubic.ideal --m 3 --force": "1923b3bbf173c60bac733ba6a216780d9d72c50a4ec74781881205cc9159f024",
+    "verify-prop31 skew_lines.ideal --m 3 --force": "08a50c41f9f1d5f66e200a069c0e94fd1e8e347f849bc5ca1c3226e928a2f5da",
+    "verify-prop31 skew_lines.ideal --m 4": "3aa108a49534291935dfc632c97b7ea97ba64ba067cb81f256d6d15cf82c4688",
 }
 
 
