@@ -216,10 +216,9 @@ def test_row_selection_matches_polynomial_round_trip(p):
             qb_y, qb_g = trunc.qb_y, trunc.qb_gamma
             tangent = _solve_tangent(qb_y, trunc.degrees_y, trunc.sig2_y, trunc.gens_y)
             cycles = _ext1(qb_y, trunc.degrees_y, trunc.sig2_y, trunc.sig3_y).cycles
-            cycle_degrees = [e for _, e in trunc.sig2_y]
             cases = [
                 (trunc.degrees_y, tangent.basis_matrix, trunc.block_degrees),
-                (cycle_degrees, cycles, [e for _, e in trunc.columns]),
+                ([e for _, e in trunc.sig2_y], cycles, [e for _, e in trunc.columns]),
             ]
             for degrees, matrix, gamma_degrees in cases:
                 selected = matrix[_rows_below(qb_y, degrees, m)]
