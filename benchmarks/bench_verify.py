@@ -1,4 +1,5 @@
-"""Time verify_prop31 on rational normal curves at growing truncation degrees.
+"""Time verify_prop31 on rational normal curves at growing truncation
+degrees, and the tangent and obstruction spaces of cone curves.
 
 The rational normal curve of degree n is cut out by the 2x2 minors of the
 2 x n Hankel matrix in n + 1 variables (n = 3: the twisted cubic).  Each
@@ -6,17 +7,28 @@ case builds a fresh ideal, so no Gröbner basis or Betti table is cached
 between runs, and prints the best of a few wall times with the report's
 overall verdict.
 
-Usage:
-    python benchmarks/bench_verify.py [--cases 3:8,3:12,4:5,4:6,5:4,6:4] [--repeat 1]
+A cone case is a surface cone I_X and a degree m: `cone_curve(I_X, m,
+seed=1)` draws the curve I_C = I_X + (g_1, g_2), and `tangent_space` and
+`ext1_space` are each timed on a fresh copy of I_C, Gröbner basis,
+Betti table and resolution included.  The surfaces are the quadric cone
+xw - yz and the Fermat cubic x^3 + y^3 + z^3 + w^3 in P^3, and the cone
+over the twisted cubic in five variables; their curves come from dense
+random forms, the dense side of the Nakayama selection.
 
-Each case is `n:m`, the curve degree and the truncation degree.
+Usage:
+    python benchmarks/bench_verify.py [--cases 3:8,3:12,4:5,4:6,5:4,6:4]
+        [--cones fermat:6,quadric:6,tc5:4] [--repeat 1]
+
+Each case is `n:m`, the curve degree and the truncation degree; each cone
+is `surface:m`.  An empty list skips its table.
 """
 
 import argparse
 import time
 
 from hfstrata import Ideal, PrimeField, RingContext
-from hfstrata.strata import verify_prop31
+from hfstrata.deform import ext1_space, tangent_space
+from hfstrata.strata import cone_curve, verify_prop31
 
 P = 32003
 NAMES = "abcdefghij"
@@ -29,23 +41,50 @@ def rational_normal_curve(n):
     return Ideal(ring, [v[i] * v[j + 1] - v[i + 1] * v[j] for i in range(n) for j in range(i + 1, n)])
 
 
+def surface(name):
+    """The surface cone I_X called `name`."""
+    ring = RingContext(tuple(NAMES[: 5 if name == "tc5" else 4]), PrimeField(P))
+    a, b, c, d = (ring.variable(i) for i in range(4))
+    gens = {
+        "quadric": [a * d - b * c],
+        "fermat": [a * a * a + b * b * b + c * c * c + d * d * d],
+        "tc5": [a * c - b * b, a * d - b * c, b * d - c * c],
+    }[name]
+    return Ideal(ring, gens)
+
+
+def best_of(repeat, fn):
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, value
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cases", default="3:8,3:12,4:5,4:6,5:4,6:4")
+    parser.add_argument("--cones", default="fermat:6,quadric:6,tc5:4")
     parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args()
 
     print(f"p = {P}, repeat = {args.repeat} (best of)")
-    print(f"{'curve':>8} {'m':>3} {'verify_prop31':>14} {'ok':>5}")
-    for token in args.cases.split(","):
+    if args.cases:
+        print(f"{'curve':>8} {'m':>3} {'verify_prop31':>14} {'ok':>5}")
+    for token in filter(None, args.cases.split(",")):
         n, m = (int(x) for x in token.split(":"))
-        best, ok = float("inf"), None
-        for _ in range(args.repeat):
-            ideal = rational_normal_curve(n)
-            t0 = time.perf_counter()
-            ok = verify_prop31(ideal, m).all_ok()
-            best = min(best, time.perf_counter() - t0)
+        best, ok = best_of(args.repeat, lambda: verify_prop31(rational_normal_curve(n), m).all_ok())
         print(f"{'RNC ' + str(n):>8} {m:>3} {best:>13.2f}s {str(ok):>5}")
+    if args.cones:
+        print(f"{'surface':>8} {'m':>3} {'tangent_space':>14} {'dim':>4} {'ext1_space':>11} {'dim':>4}")
+    for token in filter(None, args.cones.split(",")):
+        name, m = token.split(":")
+        curve, _ = cone_curve(surface(name), int(m), seed=1)
+        gens = curve.generators  # a fresh Ideal for each call caches nothing between them
+        t_tan, tan = best_of(args.repeat, lambda: tangent_space(Ideal(curve.ring, gens)))
+        t_ext, ext = best_of(args.repeat, lambda: ext1_space(Ideal(curve.ring, gens)))
+        print(f"{name:>8} {m:>3} {t_tan:>13.2f}s {tan.dimension:>4} {t_ext:>10.2f}s {ext.dimension:>4}")
 
 
 if __name__ == "__main__":

@@ -14,9 +14,11 @@ and S/I_Gamma, and one Gamma `Ideal` on the block generator list
 with first syzygies split as [extensions of the I_Y syzygies] +
 [certificate syzygies of degree >= m].  That presentation makes the
 comparison map alpha -> (alpha, 0) a literal matrix identity between
-the two tangent-space coordinate systems.  Gamma's Gröbner basis, Betti
-table and minimal resolution are cached on its `Ideal`, so verify-prop31
-and the comparison share them.
+the two tangent-space coordinate systems.  Gamma's Gröbner basis, first
+syzygies, Betti table and minimal resolution are cached on its `Ideal`,
+so verify-prop31 and the comparison share them; the block generators
+are minimal whenever m > reg(I_Y), and then the first level of Gamma's
+resolution reuses the certificate syzygies instead of recomputing them.
 
 The comparison never leaves coordinates.  Below degree m, Gamma and I_Y
 agree (Gamma_e = (I_Y)_e), and so do their lead ideals, since the lead
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateInputError, ParameterError
-from .groebner import Ideal, vector_degree, vector_syzygies
+from .groebner import Ideal, syzygies, vector_degree
 from .invariants import QuotientBasis, hilbert_function, minimal_free_resolution, regularity
 
 
@@ -105,11 +107,12 @@ def _pairing_matrix(layout: HomLayout, columns):
 class TangentSpace:
     """Hom_S(I, S/I)_0 in the generator/standard-monomial coordinates."""
 
-    __slots__ = ("dimension", "layout", "basis_matrix", "generators")
+    __slots__ = ("dimension", "layout", "constraints", "basis_matrix", "generators")
 
-    def __init__(self, dimension, layout, basis_matrix, generators):
+    def __init__(self, dimension, layout, constraints, basis_matrix, generators):
         self.dimension = dimension
         self.layout = layout
+        self.constraints = constraints  # the pairing matrix, of rank layout.total - dimension
         self.basis_matrix = basis_matrix  # columns = basis vectors
         self.generators = generators
 
@@ -162,7 +165,7 @@ def _solve_tangent(qb: QuotientBasis, degrees, syz_columns, generators):
     layout = HomLayout(qb, degrees)
     constraints = _pairing_matrix(layout, syz_columns)
     basis_matrix = linalg.nullspace(constraints, qb.ring.field.p)
-    return TangentSpace(basis_matrix.shape[1], layout, basis_matrix, generators)
+    return TangentSpace(basis_matrix.shape[1], layout, constraints, basis_matrix, generators)
 
 
 def tangent_space(ideal: Ideal) -> TangentSpace:
@@ -270,7 +273,7 @@ class Truncation:
         self.qb_gamma = QuotientBasis(self.gamma)
         zero = ring.zero()
         self.columns = [(tuple(vec) + (zero,) * len(strand), e) for vec, e in self.sig2_y]
-        for vec in vector_syzygies(ring, [(g,) for g in self.block_gens], (0,)):
+        for vec in syzygies(self.gamma):
             e = vector_degree(vec, self.block_degrees)
             if e >= m:
                 self.columns.append((vec, e))
@@ -319,11 +322,12 @@ def compare_truncation(trunc: Truncation) -> ComparisonReport:
     kernel_dim = 0
     if ext_y.cycle_dim:
         # Gamma cycle coordinates: the padded I_Y columns of degree < m
-        # (degree >= m blocks are zero); phi maps q slotwise.
-        boundary_g = _pairing_matrix(HomLayout(qb_g, trunc.block_degrees), trunc.columns)
+        # (degree >= m blocks are zero); phi maps q slotwise.  Gamma's
+        # boundaries are spanned by T_Gamma's constraint matrix, whose
+        # rank is the codimension of T_Gamma.
         phi_images = ext_y.cycles[_rows_below(qb_y, cycle_degrees, trunc.m)]
-        rank_bg = linalg.rank(boundary_g, p)
-        rank_both = linalg.rank(np.hstack([boundary_g, phi_images]), p)
+        rank_bg = tangent_g.layout.total - tangent_g.dimension
+        rank_both = linalg.rank(np.hstack([tangent_g.constraints, phi_images]), p)
         # ker(H_Y -> H_Gamma) = {cycles whose image is a Gamma-boundary} / B_Y
         kernel_dim = ext_y.cycle_dim - (rank_both - rank_bg) - ext_y.boundary_rank
 

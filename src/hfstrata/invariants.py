@@ -6,9 +6,11 @@ beta_{i,j}(I) = dim H_{i+1}(K(x) ⊗ S/I)_j, with S/I coordinatized by
 the standard monomials of the reduced Gröbner basis; the degrees
 searched are capped by the Taylor resolution of the lead term ideal.
 Resolutions iterate Schreyer syzygies and select minimal generators
-(Nakayama via dense rank over F_p) only in the degrees where the Betti
-table has an entry, so the maps never contain unit entries; a unit
-entry raises.  Levels are built only as far as a caller asks.
+(Nakayama, by sparse echelon insertion over F_p) only in the degrees
+where the Betti table has an entry, so the maps never contain unit
+entries; a unit entry raises.  The first level reuses the syzygies
+cached on the ideal when every generator is minimal.  Levels are built
+only as far as a caller asks.
 """
 
 from itertools import combinations
@@ -19,11 +21,14 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateInputError, ParameterError
 from .groebner import (
+    EXP_LIMIT,
     Ideal,
     _divisor_elems,
+    _overflow,
     _Packing,
     _reduce_full,
     _vec_from_polys,
+    syzygies,
     vector_degree,
     vector_syzygies,
 )
@@ -466,44 +471,42 @@ class Resolution:
         return " -> ".join(chain)
 
 
-def _vector_coord_row(ring, vec, index, ncols, mult_exps=None):
-    row = [0] * ncols
-    p = ring.field.p
-    for comp, f in enumerate(vec):
-        if not f.is_zero():
-            poly_coords(f, index, row, p, component=comp, mult_exps=mult_exps)
-    return row
-
-
 def minimal_generator_subset(ring, vectors, ambient_shifts, counts=None):
     """Nakayama selection: subsequence minimally generating the module.
 
     Processes degrees in ascending order; in each degree keeps the
     vectors independent modulo multiples of everything already chosen.
+    Rows are sparse, keyed by packed term: the multiple x^a v of a chosen
+    vector is its packed terms shifted by pack(a), and the rows go one at
+    a time into `linalg.echelon_insert`, the multiples first, so a
+    candidate is kept when it is outside the span of the rows before it.
     `counts` ({degree: number of minimal generators}, one level of the
     Betti table) skips the degrees that keep nothing, and a visited
     degree keeping another number raises RuntimeError.
     """
     p = ring.field.p
+    pk = _Packing(ring.n, ring.order.kind, len(ambient_shifts))
     degrees = [vector_degree(v, ambient_shifts) for v in vectors]
     chosen = []
     chosen_degs = []
+    packed = []  # the chosen vectors' packed terms
     for e in sorted(set(degrees)):
         if counts is not None and not counts.get(e):
             continue
-        basis = module_piece_basis(ring, ambient_shifts, e)
-        index = {key: col for col, key in enumerate(basis)}
-        ncols = len(basis)
-        rows = []
-        for g, dg in zip(chosen, chosen_degs):
+        if e - min(ambient_shifts) >= EXP_LIMIT:  # a multiple's exponent could overflow its field
+            raise _overflow()
+        echelon = {}
+        for vec, dg in zip(packed, chosen_degs):
             for mexps in monomials_of_degree(ring.n, e - dg, ring.order.kind):
-                rows.append(_vector_coord_row(ring, g, index, ncols, mexps))
-        nbase = len(rows)
-        cands = [k for k, d in enumerate(degrees) if d == e]
-        for k in cands:
-            rows.append(_vector_coord_row(ring, vectors[k], index, ncols))
-        keep = set(linalg.greedy_independent_rows(linalg.as_matrix(rows, ncols), p))
-        kept = [k for pos, k in enumerate(cands) if nbase + pos in keep]
+                mono = pk.pack(mexps)
+                linalg.echelon_insert(echelon, {t + mono: c for t, c in vec.items()}, p)
+        kept = []
+        for k, d in enumerate(degrees):
+            if d == e:
+                vec = _vec_from_polys(vectors[k], pk)
+                if linalg.echelon_insert(echelon, dict(vec), p):
+                    kept.append(k)
+                    packed.append(vec)
         if counts is not None and len(kept) != counts[e]:
             raise RuntimeError(
                 f"degree {e} keeps {len(kept)} generators, the Betti table says {counts[e]}"
@@ -527,6 +530,8 @@ def _extend_resolution(ideal: Ideal, res, max_step: int) -> Resolution:
         k = len(modules)
         if k == 0:
             vectors, shifts = [(f,) for f in ideal.generators], (0,)
+        elif k == 1 and row == ideal.generators:  # every generator is minimal
+            vectors, shifts = syzygies(ideal).elements, modules[0].shifts
         elif k == 1:
             vectors, shifts = vector_syzygies(ring, [(g,) for g in row], (0,)), modules[0].shifts
         else:

@@ -1,7 +1,8 @@
-"""Dense exact linear algebra over F_p.
+"""Exact linear algebra over F_p.
 
-Two kernels, both vectorized over rows with numpy and both pivoting on
-the first nonzero row at or below the rank, columns left to right:
+Two dense kernels, both vectorized over rows with numpy and both
+pivoting on the first nonzero row at or below the rank, columns left to
+right:
 
 - `rref_inplace`, the reduced row echelon form, for the callers that
   read R[:rank, free]: `rref`, `nullspace`, the oracle's
@@ -10,7 +11,7 @@ the first nonzero row at or below the rank, columns left to right:
   scaling of pivot rows), for the callers that read only a rank or pivot
   columns: `rank` (the oracle's Hilbert values and syzygy counts, the
   tangent rank, the Koszul ranks in `invariants`, the ranks in `deform`)
-  and `greedy_independent_rows` (the Nakayama selections).
+  and `greedy_independent_rows` (the oracle's Nakayama selections).
 
 Before eliminating, `pivot_columns` peels singleton rows until none are
 left.  A row whose one nonzero sits in column c makes c a pivot column,
@@ -18,19 +19,27 @@ since every column left of c is zero in that row.  Dropping that row and
 column c leaves the other pivot columns unchanged, since clearing column
 c with that row changes no other entry.  Multiples of monomials are
 singleton rows: on the matrices of one round of each benchmark
-workload, the peel removes 98% of the cells of the Nakayama selections
-and 68% of the Koszul ranks' in `verify-prop31`, and 75% of those of
-`hf_bruteforce`, where it cuts elimination time by a third to two
-thirds.  The dense Betti selections of the oracle have no singleton
-rows and pay only for the nonzero pattern.
+workload, the peel removes 68% of the cells of the Koszul ranks in
+`verify-prop31`, and 75% of those of `hf_bruteforce`, where it cuts
+elimination time by a third to two thirds.  The dense Betti selections
+of the oracle have no singleton rows and pay only for the nonzero
+pattern.
 
 Forward elimination is a loop of its own, not `rref_inplace` with the
 rows read off, because it does about half the work: on the same peeled
 matrices of an `oracle` round it takes 0.106 s against 0.188 s.
 
-Matrices are C-contiguous int64 arrays with entries reduced into
+Dense matrices are C-contiguous int64 arrays with entries reduced into
 [0, p); with p < 2**31 the row updates stay within int64.
+
+One sparse kernel, `echelon_insert`, serves the engine's Nakayama
+selection, whose rows are monomial multiples of a few vectors and about
+0.1% nonzero: it inserts {column: value} rows one at a time into an
+echelon basis keyed by pivot column, in time that follows the rows'
+nonzeros, and never builds a matrix.
 """
+
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -155,6 +164,41 @@ def pivot_columns(a, p):
         work = work[rows[:, None], cols]
     pivots[cols[_forward_pivots(work, p)]] = True
     return np.flatnonzero(pivots).tolist()
+
+
+def echelon_insert(echelon, row, p):
+    """Add a sparse row to an echelon basis unless it lies in its span;
+    returns whether it was added.
+
+    `row` is a {column: value} dict with entries in [0, p), and is used
+    up.  `echelon` maps each pivot column to the rest of its basis row,
+    the entries right of the pivot, scaled so that the pivot is 1.  The
+    row's smallest column, popped from a heap of its columns, is cleared
+    with the basis row pivoting there until it is no pivot, and the
+    scaled rest joins the basis, or until the row is zero.  Every nonzero
+    combination of basis rows has a pivot as its smallest column, so that
+    decides membership in the span.  Inserting rows in turn keeps those
+    outside the span of the ones before: `greedy_independent_rows`' rule.
+    """
+    heap = list(row)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        v = row.pop(c)
+        if not v:
+            continue
+        rest = echelon.get(c)
+        if rest is None:
+            inv = pow(v, p - 2, p)
+            echelon[c] = {k: x * inv % p for k, x in row.items() if x}
+            return True
+        for k, x in rest.items():
+            old = row.get(k)
+            if old is None:
+                heappush(heap, k)
+                old = 0
+            row[k] = (old - v * x) % p
+    return False
 
 
 def rank(a, p):

@@ -205,3 +205,30 @@ def test_cli_missing_file_exit2(capsys):
 def test_cli_usage_error_exit2(capsys):
     assert run(["hilb"]) == 2  # missing required arguments
     capsys.readouterr()
+
+
+def test_verify_prop31_leaves_no_cycles_among_its_objects(tc_file, tmp_path, capsys):
+    """The caches on an `Ideal` hold nothing that points back to it, so a
+    run frees its ideals, quotient bases, syzygies and polynomials by
+    reference counting alone: with the collector off during the run, a
+    collection afterwards finds none of them unreachable."""
+    import gc
+
+    from hfstrata.groebner import Ideal, SyzygyBasis
+    from hfstrata.invariants import QuotientBasis
+    from hfstrata.ring import Polynomial
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(["verify-prop31", tc_file, "--m", "4", "--json", str(tmp_path / "r.json")]) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage
+                  if isinstance(o, (Ideal, QuotientBasis, SyzygyBasis, Polynomial))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert leaked == []

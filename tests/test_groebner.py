@@ -124,6 +124,20 @@ def test_principal_ideal_has_no_syzygies():
     assert len(syzygies(Ideal(r, [x * x + y * y]))) == 0
 
 
+def test_syzygies_are_cached_on_the_ideal(corpus, monkeypatch):
+    """`syzygies` computes once per ideal and returns `vector_syzygies`
+    of the generator sequence, zero ideal included."""
+    for name, ideal in corpus.items():
+        ideal = Ideal(ideal.ring, ideal.generators)  # nothing cached yet
+        expected = groebner.vector_syzygies(ideal.ring, [(f,) for f in ideal.generators], (0,))
+        basis = syzygies(ideal)
+        assert basis.elements == tuple(expected), name
+        assert basis.ambient.shifts == tuple(f.homogeneous_degree() for f in ideal.generators)
+        monkeypatch.setattr(groebner, "vector_syzygies", None)  # a second computation would fail
+        assert syzygies(ideal) is basis, name
+        monkeypatch.undo()
+
+
 def test_twisted_cubic_syzygies_linear():
     tc = twisted_cubic()
     basis = syzygies(tc)
