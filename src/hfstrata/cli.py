@@ -195,8 +195,8 @@ def parse_ideal_file(text, default_field=None):
     p = field_p if field_p is not None else default_field
     try:
         field = PrimeField(p)
-    except NotPrimeError:
-        raise ParseError(1, 1, f"field modulus {p} is not prime") from None
+    except NotPrimeError as exc:
+        raise ParseError(1, 1, f"field {exc}") from None
     ring = RingContext(names, field, MonomialOrder(order_kind or GREVLEX))
     gens = []
     for idx, (line_no, indent, src) in enumerate(gen_sources):
@@ -234,7 +234,13 @@ def format_ideal_file(ideal: Ideal) -> str:
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # read in one piece, so exc.object is the whole file
+            data, at = exc.object, exc.start
+            head = data[:at].decode("utf-8")
+            line, col = head.count("\n") + 1, len(head) - head.rfind("\n")
+            raise ParseError(line, col, f"byte {data[at]:#04x} is not valid UTF-8") from None
     ring, ideal = parse_ideal_file(text)
     return text, ring, ideal
 

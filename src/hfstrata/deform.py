@@ -10,15 +10,24 @@ I_Gamma = I_Y + m^m of the fattened cone point reads, each piece
 computed once: the minimal generators and the first and second syzygies
 (sigma_2, sigma_3) of I_Y, the standard-monomial coordinates of S/I_Y
 and S/I_Gamma, and one Gamma `Ideal` on the block generator list
-[minimal generators of I_Y] + [standard monomials of I_Y in degree m],
-with first syzygies split as [extensions of the I_Y syzygies] +
-[certificate syzygies of degree >= m].  That presentation makes the
-comparison map alpha -> (alpha, 0) a literal matrix identity between
-the two tangent-space coordinate systems.  Gamma's Gröbner basis, first
-syzygies, Betti table and minimal resolution are cached on its `Ideal`,
-so verify-prop31 and the comparison share them; the block generators
-are minimal whenever m > reg(I_Y), and then the first level of Gamma's
-resolution reuses the certificate syzygies instead of recomputing them.
+[minimal generators of I_Y] + [standard monomials of I_Y in degree m].
+Gamma's Gröbner basis, first syzygies, Betti table and minimal
+resolution are cached on its `Ideal`, so verify-prop31 and the
+comparison share them.
+
+Each degree-0 Hom matrix of the comparison is built once, by two
+identities:
+
+* (S/I_Gamma)_e = 0 for e >= m.  The strand slots have degree m, and a
+  syzygy of the block generators either has degree >= m or has zero
+  strand entries and lies in the span of sigma_2(I_Y); so T_Gamma, in
+  the block presentation, is solved on I_Y's generator degrees against
+  sigma_2(I_Y) alone, in the coordinates of S/I_Gamma.
+* Hom is left exact: for any presentation F_2 -> F_1 -> I -> 0, the
+  kernel of Hom(F_1, S/I)_0 -> Hom(F_2, S/I)_0 is Hom(I, S/I)_0.  That
+  map is both the tangent constraint matrix and the Ext^1 boundary map,
+  so its rank is #unknowns - dim T, and the comparison reads both
+  boundary ranks off the tangent solves.
 
 The comparison never leaves coordinates.  Below degree m, Gamma and I_Y
 agree (Gamma_e = (I_Y)_e), and so do their lead ideals, since the lead
@@ -34,7 +43,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateInputError, ParameterError
-from .groebner import Ideal, syzygies, vector_degree
+from .groebner import Ideal
 from .invariants import QuotientBasis, hilbert_function, minimal_free_resolution, regularity
 
 
@@ -142,11 +151,7 @@ class Ext1Space:
 
 def _map_columns(gmap):
     """Columns of a graded map as (vector, source shift) pairs."""
-    if gmap is None:
-        return []
-    return [
-        (gmap.column(j), gmap.source.shifts[j]) for j in range(gmap.source.rank)
-    ]
+    return [(gmap.column(j), gmap.source.shifts[j]) for j in range(gmap.source.rank)]
 
 
 def _resolution_data(ideal: Ideal, steps: int):
@@ -178,16 +183,15 @@ def tangent_space(ideal: Ideal) -> TangentSpace:
     return _solve_tangent(qb, degrees, sig2, gens)
 
 
-def _ext1(qb: QuotientBasis, degrees, sig2, sig3) -> Ext1Space:
+def _ext1(qb: QuotientBasis, sig2, sig3, boundary_rank) -> Ext1Space:
     """Degree-0 cycles at F_2 modulo boundaries from F_1, from the
-    generator degrees and the sigma_2, sigma_3 columns of a resolution."""
+    sigma_2, sigma_3 columns of a resolution and the rank of the boundary
+    map Hom(F_1, S/I)_0 -> Hom(F_2, S/I)_0."""
     if not sig2:
         return Ext1Space(0, np.zeros((0, 0), dtype=np.int64), 0, 0)
     p = qb.ring.field.p
     cycles = linalg.nullspace(_pairing_matrix(HomLayout(qb, [e for _, e in sig2]), sig3), p)
     cycle_dim = cycles.shape[1]
-    boundary = _pairing_matrix(HomLayout(qb, degrees), sig2)  # rows live in the cycle coordinates
-    boundary_rank = linalg.rank(boundary, p)
     return Ext1Space(cycle_dim - boundary_rank, cycles, boundary_rank, cycle_dim)
 
 
@@ -196,7 +200,9 @@ def ext1_space(ideal: Ideal) -> Ext1Space:
     if ideal.generators and ideal.is_unit_ideal():
         raise DegenerateInputError("obstruction space of the unit ideal is undefined")
     _, degrees, sig2, sig3 = _resolution_data(ideal, 3)
-    return _ext1(QuotientBasis(ideal), degrees, sig2, sig3)
+    qb = QuotientBasis(ideal)
+    boundary = _pairing_matrix(HomLayout(qb, degrees), sig2)  # rows live in the cycle coordinates
+    return _ext1(qb, sig2, sig3, linalg.rank(boundary, qb.ring.field.p))
 
 
 class ComparisonReport:
@@ -237,46 +243,42 @@ class ComparisonReport:
         return f"ComparisonReport({self.to_json()})"
 
 
-class Truncation:
-    """I_Gamma = I_Y + m^m in the block presentation, with the I_Y data
-    the comparison reads.
-
-    Requires m >= reg(I_Y) + 2 unless override is set (negative
-    controls).  The first r block generators are the minimal generators
-    of I_Y, the rest the degree-m standard monomials of I_Y; `columns`
-    lists first syzygies as (vector, degree): the I_Y columns padded
-    with zeros, then the degree >= m certificate syzygies of the block
-    generators.  Any syzygy of degree < m has zero strand entries and
-    already lies in the span of the padded columns, so the list
-    generates for every m >= 1.
-    """
-
-    def __init__(self, ideal_y: Ideal, m: int, override: bool = False):
-        if m < 1:
-            raise ParameterError(f"truncation degree must be >= 1, got {m}")
-        if ideal_y.generators and ideal_y.is_unit_ideal():
-            raise DegenerateInputError("cannot truncate the unit ideal")
+def check_truncation(ideal_y: Ideal, m: int, override: bool = False):
+    """Refuse m < 1 and the unit ideal, and m < reg(I_Y) + 2 unless
+    override is set (negative controls)."""
+    if m < 1:
+        raise ParameterError(f"truncation degree must be >= 1, got {m}")
+    if ideal_y.generators and ideal_y.is_unit_ideal():
+        raise DegenerateInputError("cannot truncate the unit ideal")
+    if not override:
         reg = regularity(ideal_y)
-        if m < reg + 2 and not override:
+        if m < reg + 2:
             raise ParameterError(
                 f"truncation needs m >= reg(I_Y) + 2 = {reg + 2}, got m = {m}", required=reg
             )
+
+
+class Truncation:
+    """I_Gamma = I_Y + m^m on block generators, with the I_Y data the
+    comparison reads; m is checked by `check_truncation`.
+
+    `block_gens` lists the minimal generators of I_Y, then the degree-m
+    standard monomials of I_Y; these span S_m modulo I_Y, so
+    (S/I_Gamma)_e = 0 for e >= m.  With left exactness of Hom, that is
+    all `compare_truncation` needs of Gamma's block presentation: no
+    syzygy of the block generators is computed here.
+    """
+
+    def __init__(self, ideal_y: Ideal, m: int, override: bool = False):
+        check_truncation(ideal_y, m, override)
         ring = ideal_y.ring
-        self.m, self.reg = m, reg
+        self.m, self.reg = m, regularity(ideal_y)
         self.gens_y, self.degrees_y, self.sig2_y, self.sig3_y = _resolution_data(ideal_y, 3)
         self.qb_y = QuotientBasis(ideal_y)
         strand = [ring.monomial(e) for e in self.qb_y.monomials(m)]
-        self.r = len(self.gens_y)
         self.block_gens = list(self.gens_y) + strand
-        self.block_degrees = list(self.degrees_y) + [m] * len(strand)
         self.gamma = Ideal(ring, self.block_gens)
         self.qb_gamma = QuotientBasis(self.gamma)
-        zero = ring.zero()
-        self.columns = [(tuple(vec) + (zero,) * len(strand), e) for vec, e in self.sig2_y]
-        for vec in syzygies(self.gamma):
-            e = vector_degree(vec, self.block_degrees)
-            if e >= m:
-                self.columns.append((vec, e))
 
 
 def _rows_below(qb: QuotientBasis, degrees, m):
@@ -305,26 +307,29 @@ def compare_truncation(trunc: Truncation) -> ComparisonReport:
             raise RuntimeError(f"truncation quotient differs from S/I_Y in degree {d}")
 
     tangent_y = _solve_tangent(qb_y, trunc.degrees_y, trunc.sig2_y, trunc.gens_y)
-    tangent_g = _solve_tangent(qb_g, trunc.block_degrees, trunc.columns, tuple(trunc.block_gens))
+    # the strand slots and the block syzygies beyond sigma_2(I_Y) have
+    # degree >= m, so they add no unknown and no row
+    tangent_g = _solve_tangent(qb_g, trunc.degrees_y, trunc.sig2_y, trunc.gens_y)
 
-    # Gamma's tangent coordinates: the I_Y slots of degree < m, then
-    # strand slots of degree m, which have none; the basis of T_Gamma is
-    # independent, so T_Y lands in it iff appending the images keeps the rank
+    # Gamma's tangent coordinates are the I_Y slots of degree < m; the
+    # basis of T_Gamma is independent, so T_Y lands in it iff appending
+    # the images keeps the rank
     images = tangent_y.basis_matrix[_rows_below(qb_y, trunc.degrees_y, trunc.m)]
     included = linalg.rank(np.hstack([tangent_g.basis_matrix, images]), p) == tangent_g.dimension
     tangent_rank = linalg.rank(images.T, p)
     tangent_bijective = included and tangent_y.dimension == tangent_g.dimension == tangent_rank
 
-    # obstruction side: each Ext^1 from its ideal's own minimal resolution
-    ext_y = _ext1(qb_y, trunc.degrees_y, trunc.sig2_y, trunc.sig3_y)
+    # obstruction side: each Ext^1 from its ideal's own minimal resolution,
+    # its boundary rank being #unknowns - dim T in that presentation
+    ext_y = _ext1(qb_y, trunc.sig2_y, trunc.sig3_y, tangent_y.layout.total - tangent_y.dimension)
     _, degrees_g, sig2_g, sig3_g = _resolution_data(trunc.gamma, 3)
-    ext_g = _ext1(qb_g, degrees_g, sig2_g, sig3_g)
+    ext_g = _ext1(qb_g, sig2_g, sig3_g, HomLayout(qb_g, degrees_g).total - tangent_g.dimension)
     kernel_dim = 0
     if ext_y.cycle_dim:
-        # Gamma cycle coordinates: the padded I_Y columns of degree < m
-        # (degree >= m blocks are zero); phi maps q slotwise.  Gamma's
-        # boundaries are spanned by T_Gamma's constraint matrix, whose
-        # rank is the codimension of T_Gamma.
+        # Gamma cycle coordinates in the block presentation: the
+        # sigma_2(I_Y) columns of degree < m; phi maps q slotwise.
+        # Gamma's boundaries are spanned by T_Gamma's constraint matrix,
+        # whose rank is the codimension of T_Gamma.
         phi_images = ext_y.cycles[_rows_below(qb_y, cycle_degrees, trunc.m)]
         rank_bg = tangent_g.layout.total - tangent_g.dimension
         rank_both = linalg.rank(np.hstack([tangent_g.constraints, phi_images]), p)

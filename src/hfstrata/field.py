@@ -29,7 +29,10 @@ def is_prime(n: int) -> bool:
 class NotPrimeError(HfStrataError):
     def __init__(self, n):
         self.n = n
-        super().__init__(f"modulus {n} is not prime")
+        if isinstance(n, int) and n >= 2**31:
+            super().__init__(f"modulus {n} is out of range: it must be a prime below 2^31")
+        else:
+            super().__init__(f"modulus {n} is not prime")
 
 
 class PrimeField:
@@ -38,9 +41,7 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not 2 <= p < 2**31:
-            raise NotPrimeError(p)
-        if not is_prime(p):
+        if not isinstance(p, int) or not 2 <= p < 2**31 or not is_prime(p):
             raise NotPrimeError(p)
         self.p = p
 

@@ -134,9 +134,6 @@ class HilbertSeries:
                 total += c * comb(self.n - 1 + d - k, self.n - 1)
         return total
 
-    def expand(self, bound):
-        return [self.coefficient(d) for d in range(bound + 1)]
-
     def one_minus_t_multiplicity(self):
         """Largest e with (1-t)^e dividing the numerator."""
         coeffs = list(self.numerator)
@@ -428,14 +425,13 @@ class Resolution:
     the augmentation row holds the chosen minimal generators of I.
     """
 
-    __slots__ = ("ring", "generator_row", "modules", "maps", "minimal")
+    __slots__ = ("ring", "generator_row", "modules", "maps")
 
-    def __init__(self, ring, generator_row, modules, maps, minimal):
+    def __init__(self, ring, generator_row, modules, maps):
         self.ring = ring
         self.generator_row = tuple(generator_row)
         self.modules = list(modules)
         self.maps = list(maps)
-        self.minimal = minimal
 
     def betti_table(self) -> BettiTable:
         return BettiTable.from_shifts([m.shifts for m in self.modules])
@@ -524,7 +520,7 @@ def _extend_resolution(ideal: Ideal, res, max_step: int) -> Resolution:
     one before and keeps minimal generators along the Betti table."""
     ring = ideal.ring
     betti = betti_table(ideal)
-    res = res or Resolution(ring, (), [], [], True)
+    res = res or Resolution(ring, (), [], [])
     row, modules, maps = res.generator_row, list(res.modules), list(res.maps)
     while len(modules) < min(max_step, betti.max_index() + 1):
         k = len(modules)
@@ -545,7 +541,7 @@ def _extend_resolution(ideal: Ideal, res, max_step: int) -> Resolution:
         else:
             entries = [[v[i] for v in chosen] for i in range(len(shifts))]
             maps.append(GradedMap(ring, modules[k], modules[k - 1], entries))
-    res = Resolution(ring, row, modules, maps, True)
+    res = Resolution(ring, row, modules, maps)
     if res.has_constant_entry():
         raise RuntimeError("minimal resolution has a unit entry")
     return res
@@ -566,13 +562,7 @@ def minimal_free_resolution(ideal: Ideal, max_step: int) -> Resolution:
             res = ideal._resolution = _extend_resolution(ideal, res, max_step)
     if res.length() <= max_step:
         return res
-    return Resolution(
-        res.ring,
-        res.generator_row,
-        res.modules[:max_step],
-        res.maps[: max_step - 1],
-        res.minimal,
-    )
+    return Resolution(res.ring, res.generator_row, res.modules[:max_step], res.maps[: max_step - 1])
 
 
 def regularity(ideal: Ideal) -> int:

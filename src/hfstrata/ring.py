@@ -8,7 +8,6 @@ descending in the ring's monomial order with no zero coefficients.
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
 from operator import add, le, sub
 
 from .errors import DegenerateInputError, InhomogeneousError, StructureError
@@ -161,9 +160,6 @@ class RingContext:
         )
         return Polynomial(self, terms)
 
-    def with_order(self, order: MonomialOrder):
-        return RingContext(self.names, self.field, order)
-
 
 class Polynomial:
     """Sparse polynomial; terms strictly descending, coefficients in [1, p)."""
@@ -188,12 +184,6 @@ class Polynomial:
         if not self.terms:
             raise DegenerateInputError("zero polynomial has no lead term")
         return self.terms[0][1]
-
-    def degree(self) -> int:
-        """Total degree (max over terms); zero polynomial raises."""
-        if not self.terms:
-            raise DegenerateInputError("zero polynomial has no degree")
-        return max(sum(e) for e, _ in self.terms)
 
     def is_homogeneous(self) -> bool:
         if not self.terms:
@@ -277,11 +267,6 @@ class Polynomial:
         return Polynomial(
             self.ring, tuple((monomial_mul(e, exps), (coeff * v) % p) for e, v in self.terms)
         )
-
-    def monic(self):
-        if not self.terms:
-            return self
-        return self.scale(self.ring.field.inv(self.terms[0][1]))
 
     def __eq__(self, other):
         return (
@@ -437,13 +422,6 @@ def graded_map_check(m: GradedMap):
 
 
 # -- graded pieces as dense coordinate spaces ---------------------------
-
-
-def graded_piece_dim(n: int, d: int) -> int:
-    """dim_k S_d = C(n-1+d, d); zero for negative d."""
-    if d < 0:
-        return 0
-    return comb(n - 1 + d, d)
 
 
 def module_piece_basis(ring: RingContext, shifts, degree: int):

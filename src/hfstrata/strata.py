@@ -12,8 +12,8 @@ tool's job includes exhibiting negative controls.
 
 import random
 
-from .deform import Truncation, compare_truncation
-from .errors import DegenerateInputError, GenericityError, ParameterError
+from .deform import Truncation, check_truncation, compare_truncation
+from .errors import GenericityError, ParameterError
 from .groebner import Ideal, ideal_sum, maximal_ideal_power
 from .invariants import (
     betti_table,
@@ -29,17 +29,7 @@ from .ring import RingContext, monomials_of_degree
 
 def truncate_ideal(ideal_y: Ideal, m: int, override: bool = False) -> Ideal:
     """I_Y + m^m; the quotient is Artinian, so the result cuts out a 0-scheme."""
-    if m < 1:
-        raise ParameterError(f"truncation degree must be >= 1, got {m}")
-    if ideal_y.generators and ideal_y.is_unit_ideal():
-        raise DegenerateInputError("cannot truncate the unit ideal")
-    if not override:
-        reg = regularity(ideal_y)
-        if m < reg + 2:
-            raise ParameterError(
-                f"truncation needs m >= reg(I_Y) + 2 = {reg + 2}, got m = {m}",
-                required=reg,
-            )
+    check_truncation(ideal_y, m, override)
     return ideal_sum(ideal_y, maximal_ideal_power(ideal_y.ring, m))
 
 

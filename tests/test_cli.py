@@ -63,6 +63,30 @@ def test_parse_non_prime_field():
     assert "not prime" in str(exc.value)
 
 
+def test_field_modulus_out_of_range(monkeypatch, capsys, tmp_path):
+    """A prime above the 2^31 limit is out of range, not "not prime":
+    through the `field` line and through HFSTRATA_FIELD, exit 2 either way."""
+    big = 2147483659  # prime, and above 2^31
+    path = tmp_path / "big.ideal"
+    path.write_text(f"field {big}\nvars x y\nideal:\nx\n")
+    monkeypatch.setenv("HFSTRATA_FIELD", str(big))
+    for text in (path.read_text(), "vars x y\nideal:\nx\n"):
+        with pytest.raises(ParseError) as exc:
+            parse_ideal_file(text)
+        assert str(exc.value) == (
+            f"line 1, col 1: field modulus {big} is out of range: it must be a prime below 2^31"
+        )
+    assert run(["hilb", str(path), "--up-to", "2"]) == 2
+    assert "must be a prime below 2^31" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_input_exit2(capsys, tmp_path):
+    path = tmp_path / "latin1.ideal"
+    path.write_bytes(b"field 7\nvars x y\nideal:\nx*y\nx\xe9y\n")
+    assert run(["hilb", str(path), "--up-to", "2"]) == 2
+    assert capsys.readouterr().err == "error: line 5, col 2: byte 0xe9 is not valid UTF-8\n"
+
+
 def test_parse_undeclared_variable_position():
     with pytest.raises(ParseError) as exc:
         parse_ideal_file("field 7\nvars x y\nideal:\nx*q\n")

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from hfstrata import deform, linalg
 from hfstrata.deform import (
     HomLayout,
     Truncation,
     _ext1,
+    _pairing_matrix,
+    _resolution_data,
     _rows_below,
     _solve_tangent,
     compare_truncation,
@@ -12,9 +15,10 @@ from hfstrata.deform import (
     tangent_space,
 )
 from hfstrata.errors import ParameterError
-from hfstrata.groebner import Ideal, ideal_member, maximal_ideal_power, syzygies
+from hfstrata.groebner import Ideal, ideal_member, maximal_ideal_power, syzygies, vector_degree
 from hfstrata.invariants import hilbert_function, minimal_free_resolution, regularity
 from hfstrata.oracle import tangent_bruteforce
+from hfstrata.strata import truncate_ideal
 
 from conftest import build_corpus, ring2, skew_lines, twisted_cubic
 
@@ -178,18 +182,12 @@ def test_comparison_report_json_keys():
 def test_truncation_presentation_block_structure():
     tc = twisted_cubic()
     trunc = Truncation(tc, 4)
-    assert trunc.r == 3
-    assert trunc.block_degrees == [2, 2, 2] + [4] * 13  # t_1 = h_4(S/I_Y) = 13
+    assert trunc.block_gens[:3] == list(trunc.gens_y)
+    strand = trunc.block_gens[3:]
+    assert len(strand) == 13  # t_1 = h_4(S/I_Y) = 13
+    assert all(len(f.terms) == 1 and f.homogeneous_degree() == 4 for f in strand)
     assert hilbert_function(trunc.gamma, 4) == 0
-    zero = tc.ring.zero()
-    for vec, e in trunc.columns:
-        # block shape: columns of degree < m vanish on the strand slots
-        if e < 4:
-            assert all(f == zero for f in vec[trunc.r:])
-        total = zero
-        for a, g in zip(vec, trunc.block_gens):
-            total = total + a * g
-        assert total.is_zero()
+    assert trunc.gamma.groebner_basis() == truncate_ideal(tc, 4).groebner_basis()
 
 
 def _round_trip(qb_y, qb_gamma, degrees, matrix):
@@ -215,15 +213,14 @@ def test_row_selection_matches_polynomial_round_trip(p):
             trunc = Truncation(ideal, m, override=True)
             qb_y, qb_g = trunc.qb_y, trunc.qb_gamma
             tangent = _solve_tangent(qb_y, trunc.degrees_y, trunc.sig2_y, trunc.gens_y)
-            cycles = _ext1(qb_y, trunc.degrees_y, trunc.sig2_y, trunc.sig3_y).cycles
-            cases = [
-                (trunc.degrees_y, tangent.basis_matrix, trunc.block_degrees),
-                ([e for _, e in trunc.sig2_y], cycles, [e for _, e in trunc.columns]),
-            ]
-            for degrees, matrix, gamma_degrees in cases:
+            rank = tangent.layout.total - tangent.dimension
+            cycles = _ext1(qb_y, trunc.sig2_y, trunc.sig3_y, rank).cycles
+            cycle_degrees = [e for _, e in trunc.sig2_y]
+            cases = [(trunc.degrees_y, tangent.basis_matrix), (cycle_degrees, cycles)]
+            for degrees, matrix in cases:
                 selected = matrix[_rows_below(qb_y, degrees, m)]
                 assert np.array_equal(selected, _round_trip(qb_y, qb_g, degrees, matrix)), (name, m)
-                assert selected.shape[0] == HomLayout(qb_g, gamma_degrees).total, (name, m)
+                assert selected.shape[0] == HomLayout(qb_g, degrees).total, (name, m)
 
 
 def test_comparison_makes_no_lift_calls(monkeypatch):
@@ -251,3 +248,77 @@ def test_comparison_makes_no_lift_calls(monkeypatch):
     for element in basis:
         assert isinstance(element, tuple) and len(element) == len(t.generators)
         assert all(f.ring is tc.ring for f in element)
+
+
+def _block_tangent(trunc):
+    """Reference T_Gamma on the full block presentation: unknowns on every
+    block generator, strand slots included, and one constraint block for
+    each column of sigma_2(I_Y) padded with zeros on the strand slots and
+    for each syzygy of the block generators, of any degree."""
+    strand = len(trunc.block_gens) - len(trunc.gens_y)
+    degrees = list(trunc.degrees_y) + [trunc.m] * strand
+    zero = trunc.gamma.ring.zero()
+    columns = [(tuple(vec) + (zero,) * strand, e) for vec, e in trunc.sig2_y]
+    columns += [(vec, vector_degree(vec, degrees)) for vec in syzygies(trunc.gamma)]
+    return _solve_tangent(trunc.qb_gamma, degrees, columns, tuple(trunc.block_gens))
+
+
+def _boundary_rank(qb, degrees, sig2):
+    """Reference rank of the Ext^1 boundary map, from its sigma_2 pairing."""
+    return linalg.rank(_pairing_matrix(HomLayout(qb, degrees), sig2), qb.ring.field.p)
+
+
+@pytest.mark.parametrize("p", [32003, 2**31 - 1])
+def test_comparison_matches_block_presentation(monkeypatch, p):
+    """T_Gamma solved on I_Y's slots against sigma_2(I_Y) equals T_Gamma
+    on the block presentation with every block syzygy, basis matrix
+    included; and the boundary ranks the comparison passes to `_ext1`
+    (#unknowns - dim T) equal the ranks of the sigma_2 pairings."""
+    solved, ext1s = [], []
+
+    def record(fn, out):
+        def wrapper(*args):
+            out.append(fn(*args))
+            return out[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(deform, "_solve_tangent", record(_solve_tangent, solved))
+    monkeypatch.setattr(deform, "_ext1", record(_ext1, ext1s))
+    ideals = dict(build_corpus(p=p), skew_lines=skew_lines(p=p))
+    for name, ideal in ideals.items():
+        reg = regularity(ideal) if not ideal.is_zero_ideal() else 0
+        for m in sorted({1, 2, reg + 1, reg + 2, reg + 3}):
+            trunc = Truncation(ideal, m, override=True)
+            del solved[:], ext1s[:]
+            compare_truncation(trunc)
+            _, tangent_g = solved
+            reference = _block_tangent(trunc)
+            assert tangent_g.dimension == reference.dimension, (name, m)
+            assert np.array_equal(tangent_g.basis_matrix, reference.basis_matrix), (name, m)
+            _, degrees_g, sig2_g, _ = _resolution_data(trunc.gamma, 3)
+            ranks = [
+                _boundary_rank(trunc.qb_y, trunc.degrees_y, trunc.sig2_y),
+                _boundary_rank(trunc.qb_gamma, degrees_g, sig2_g),
+            ]
+            assert [e.boundary_rank for e in ext1s] == ranks, (name, m)
+
+
+def test_comparison_builds_four_pairing_matrices(monkeypatch):
+    """One matrix each for T_Y, T_Gamma and the two cycle spaces; the
+    boundary ranks come from the tangent solves, and building the
+    Truncation computes no syzygy of Gamma's block generators."""
+    calls = []
+
+    def counting(layout, columns):
+        calls.append(len(columns))
+        return _pairing_matrix(layout, columns)
+
+    monkeypatch.setattr(deform, "_pairing_matrix", counting)
+    cases = ((twisted_cubic, 4), (twisted_cubic, 6), (skew_lines, 3), (skew_lines, 4))
+    for ideal, m in cases:
+        trunc = Truncation(ideal(), m, override=True)
+        assert trunc.gamma._syzygies is None
+        del calls[:]
+        compare_truncation(trunc)
+        assert len(calls) == 4, (m, calls)
