@@ -17,7 +17,6 @@ from functools import lru_cache
 from . import __version__
 from .errors import (
     DegenerateInputError,
-    GenericityError,
     HfStrataError,
     ParameterError,
     ParseError,
@@ -134,17 +133,15 @@ def _parse_expression(ring, text, line_no, col_offset=0):
     return ring.from_terms(terms)
 
 
-def parse_ideal_file(text, default_field=None):
+def parse_ideal_file(text):
     """Parse the ideal file grammar into (RingContext, Ideal)."""
-    if default_field is None:
-        env = os.environ.get(FIELD_ENV_VAR)
-        if env:
-            try:
-                default_field = int(env)
-            except ValueError:
-                raise ParseError(1, 1, f"{FIELD_ENV_VAR}={env!r} is not an integer") from None
-        else:
-            default_field = DEFAULT_PRIME
+    default_field = DEFAULT_PRIME
+    env = os.environ.get(FIELD_ENV_VAR)
+    if env:
+        try:
+            default_field = int(env)
+        except ValueError:
+            raise ParseError(1, 1, f"{FIELD_ENV_VAR}={env!r} is not an integer") from None
     field_p = None
     names = None
     order_kind = None
@@ -442,16 +439,8 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterError, NotPrimeError, StructureError, DegenerateInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GenericityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ParseError, ParameterError, NotPrimeError, StructureError, DegenerateInputError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HfStrataError as exc:

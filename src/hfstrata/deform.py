@@ -11,9 +11,9 @@ computed once: the minimal generators and the first and second syzygies
 (sigma_2, sigma_3) of I_Y, the standard-monomial coordinates of S/I_Y
 and S/I_Gamma, and one Gamma `Ideal` on the block generator list
 [minimal generators of I_Y] + [standard monomials of I_Y in degree m].
-Gamma's Gröbner basis, first syzygies, Betti table and minimal
-resolution are cached on its `Ideal`, so verify-prop31 and the
-comparison share them.
+Gamma's Gröbner basis, Betti table and minimal resolution are cached
+on its `Ideal`, so verify-prop31 and the comparison share them; its
+first syzygies are computed once, by level 1 of that resolution.
 
 Each degree-0 Hom matrix of the comparison is built once, by two
 identities:
@@ -53,12 +53,7 @@ class HomLayout:
     def __init__(self, qb: QuotientBasis, degrees):
         self.qb = qb
         self.degrees = list(degrees)
-        self.offsets = []
-        total = 0
-        for d in self.degrees:
-            self.offsets.append(total)
-            total += qb.dim(d)
-        self.total = total
+        self.total = sum(qb.dim(d) for d in self.degrees)
 
     def unknowns(self):
         out = []

@@ -449,9 +449,7 @@ def vector_degree(polys, ambient_shifts):
 class Ideal:
     """Homogeneous ideal with cached reduced Gröbner basis."""
 
-    __slots__ = (
-        "ring", "generators", "_lock", "_gb", "_syzygies", "_hs_numerator", "_betti", "_resolution"
-    )
+    __slots__ = ("ring", "generators", "_lock", "_gb", "_hs_numerator", "_betti", "_resolution")
 
     def __init__(self, ring: RingContext, generators):
         self.ring = ring
@@ -465,7 +463,6 @@ class Ideal:
         self.generators = gens
         self._lock = threading.RLock()
         self._gb = None
-        self._syzygies = None
         self._hs_numerator = None
         self._betti = None
         self._resolution = None
@@ -500,9 +497,6 @@ class Ideal:
     def is_unit_ideal(self):
         gb = self.groebner_basis()
         return bool(gb) and sum(gb[0].lead_exps()) == 0
-
-    def contains(self, f):
-        return ideal_member(f, self)
 
     def __add__(self, other):
         return ideal_sum(self, other)
@@ -611,12 +605,7 @@ class SyzygyBasis:
 
 
 def syzygies(ideal: Ideal) -> SyzygyBasis:
-    """Generating syzygies of the ideal's generator sequence as given
-    (cached on the ideal)."""
-    with ideal._lock:
-        if ideal._syzygies is None:
-            gens = ideal.generators
-            ambient = GradedFreeModule(f.homogeneous_degree() for f in gens)
-            vectors = vector_syzygies(ideal.ring, [(f,) for f in gens], (0,)) if gens else ()
-            ideal._syzygies = SyzygyBasis(ambient, vectors)
-        return ideal._syzygies
+    """Generating syzygies of the ideal's generator sequence as given."""
+    gens = ideal.generators
+    ambient = GradedFreeModule(f.homogeneous_degree() for f in gens)
+    return SyzygyBasis(ambient, vector_syzygies(ideal.ring, [(f,) for f in gens], (0,)))

@@ -8,9 +8,9 @@ searched are capped by the Taylor resolution of the lead term ideal.
 Resolutions iterate Schreyer syzygies and select minimal generators
 (Nakayama, by sparse echelon insertion over F_p) only in the degrees
 where the Betti table has an entry, so the maps never contain unit
-entries; a unit entry raises.  The first level reuses the syzygies
-cached on the ideal when every generator is minimal.  Levels are built
-only as far as a caller asks.
+entries; a unit entry raises.  Every level after the first takes the
+Schreyer syzygies of the columns of the level before, the generator
+row's included.  Levels are built only as far as a caller asks.
 """
 
 from itertools import combinations
@@ -28,18 +28,10 @@ from .groebner import (
     _Packing,
     _reduce_full,
     _vec_from_polys,
-    syzygies,
     vector_degree,
     vector_syzygies,
 )
-from .ring import (
-    GradedFreeModule,
-    GradedMap,
-    module_piece_basis,
-    monomial_divides,
-    monomials_of_degree,
-    poly_coords,
-)
+from .ring import GradedFreeModule, GradedMap, monomial_divides, monomials_of_degree
 
 # ---------------------------------------------------------------------------
 # Hilbert series of the lead-term ideal
@@ -200,6 +192,10 @@ class QuotientBasis:
         """
         if d < 0:
             return ()
+        if d >= EXP_LIMIT and any(all(sum(e) > e[t] for e in self._lead) for t in range(self.ring.n)):
+            # S/in(I) is not Artinian: a variable with no pure power among
+            # the lead terms has its d-th power standard, past the packing
+            raise _overflow()
         cache = self._cache  # degrees 0, 1, ..., len(cache) - 1
         if not cache:
             zero = (0,) * self.ring.n
@@ -526,13 +522,10 @@ def _extend_resolution(ideal: Ideal, res, max_step: int) -> Resolution:
         k = len(modules)
         if k == 0:
             vectors, shifts = [(f,) for f in ideal.generators], (0,)
-        elif k == 1 and row == ideal.generators:  # every generator is minimal
-            vectors, shifts = syzygies(ideal).elements, modules[0].shifts
-        elif k == 1:
-            vectors, shifts = vector_syzygies(ring, [(g,) for g in row], (0,)), modules[0].shifts
-        else:
-            last = [maps[-1].column(j) for j in range(modules[-1].rank)]
-            vectors, shifts = vector_syzygies(ring, last, modules[-2].shifts), modules[-1].shifts
+        else:  # the syzygies of the last level's columns, the augmentation's at k = 1
+            last = maps[-1] if maps else Resolution(ring, row, modules, maps).augmentation()
+            columns = [last.column(j) for j in range(last.source.rank)]
+            vectors, shifts = vector_syzygies(ring, columns, last.target.shifts), last.source.shifts
         counts = {j: b for (i, j), b in betti.items() if i == k}
         chosen, degs = minimal_generator_subset(ring, vectors, shifts, counts)
         modules.append(GradedFreeModule(degs))
@@ -588,52 +581,3 @@ def regularity_quotient(ideal: Ideal) -> int:
     for (i, j), b in betti_table(ideal).items():
         entries[(i + 1, j)] = b
     return max(j - i for (i, j) in entries)
-
-
-# ---------------------------------------------------------------------------
-# graded-piece matrices and exactness checks
-# ---------------------------------------------------------------------------
-
-
-def graded_piece_matrix(ring, gmap: GradedMap, d: int):
-    """Dense matrix of the degree-d piece of a graded map over F_p."""
-    src = module_piece_basis(ring, gmap.source.shifts, d)
-    tgt = module_piece_basis(ring, gmap.target.shifts, d)
-    index = {key: col for col, key in enumerate(tgt)}
-    mat = np.zeros((len(src), len(tgt)), dtype=np.int64)
-    p = ring.field.p
-    for r, (j, mexps) in enumerate(src):
-        row = [0] * len(tgt)
-        for i in range(gmap.target.rank):
-            f = gmap.entries[i][j]
-            if not f.is_zero():
-                poly_coords(f, index, row, p, component=i, mult_exps=mexps)
-        mat[r] = row
-    return mat.T  # rows = target coordinates, columns = source coordinates
-
-
-def exactness_violations(ideal: Ideal, res: Resolution, degree_bound: int):
-    """Degrees where rank(im) != dim(ker) for consecutive maps.
-
-    Checks every stage including the augmentation F_1 -> I and the tail
-    (where the kernel of the last map must vanish).
-    """
-    ring = ideal.ring
-    p = ring.field.p
-    out = []
-    if not res.modules:
-        return out
-    stages = [res.augmentation()] + list(res.maps)
-    for k in range(len(stages)):
-        outer = stages[k]
-        for d in range(degree_bound + 1):
-            m_out = graded_piece_matrix(ring, outer, d)
-            ker = m_out.shape[1] - linalg.rank(m_out, p)
-            if k + 1 < len(stages):
-                m_in = graded_piece_matrix(ring, stages[k + 1], d)
-                im = linalg.rank(m_in, p)
-            else:
-                im = 0
-            if ker != im:
-                out.append((k, d, ker, im))
-    return out

@@ -40,6 +40,12 @@ form is built only where its rows are read: the quotient pieces and
 normal-form tables of `tangent_bruteforce`, and the kernel bases of
 `syzygies_bruteforce`, `tangent_bruteforce` and `betti_bruteforce`.
 
+Exactness: `exactness_violations` checks an engine resolution on the
+same matrices of multiples.  A graded map's columns become flat term
+arrays, the vector being the source slot and the component the target
+slot, so the degree-d piece of the map is `_multiples` of the source
+unknowns, ranked once per map and degree.
+
 Bounds: `syz`, `tangent` and `betti` search degrees up to B (`--bound`)
 and raise ParameterError when B is below the largest generator degree,
 where a generator would drop out unseen, or below 0; `tangent` returns
@@ -89,6 +95,16 @@ def _gen_terms(polys, n):
     exps = np.array([e for f in polys for e, _ in f.terms], dtype=np.int64).reshape(-1, n)
     coeff = np.array([c for f in polys for _, c in f.terms], dtype=np.int64)
     return vec, np.zeros_like(vec), exps, coeff
+
+
+def _map_terms(gmap, n):
+    """Flat term arrays of a graded map's columns: the vector is the
+    source slot and the component the target slot."""
+    terms = [(j, i, e, c) for j in range(gmap.source.rank)
+             for i, f in enumerate(gmap.column(j)) for e, c in f.terms]
+    vec, comp, exps, coeff = zip(*terms) if terms else ((), (), (), ())
+    return (np.array(vec, dtype=np.int64), np.array(comp, dtype=np.int64),
+            np.array(exps, dtype=np.int64).reshape(-1, n), np.array(coeff, dtype=np.int64))
 
 
 def _unknowns(ring, shifts, e):
@@ -351,3 +367,28 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
         shifts = next_shifts
 
     return BettiTable(entries)
+
+
+def exactness_violations(ideal, res, degree_bound: int):
+    """(k, d, dim ker, rank im) wherever a resolution is not exact in
+    degree d <= degree_bound at stage k.
+
+    Stage 0 is the augmentation F_1 -> I and stage k the map F_{k+1} ->
+    F_k; the kernel of the last map must vanish.  Each degree-d piece is
+    the matrix of the source unknowns' multiples, ranked once.
+    """
+    ring, p = ideal.ring, ideal.ring.field.p
+    if not res.modules:
+        return []
+    pieces = []  # per stage and degree: (source dimension, rank)
+    for gmap in [res.augmentation()] + list(res.maps):
+        terms = _map_terms(gmap, ring.n)
+        unknowns = [_unknowns(ring, gmap.source.shifts, d) for d in range(degree_bound + 1)]
+        pieces.append([(len(u[0]), linalg.rank(_multiples(terms, *u), p)) for u in unknowns])
+    out = []
+    for k, stage in enumerate(pieces):
+        for d, (dim, rank) in enumerate(stage):
+            im = pieces[k + 1][d][1] if k + 1 < len(pieces) else 0
+            if dim - rank != im:
+                out.append((k, d, dim - rank, im))
+    return out

@@ -46,10 +46,6 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind!r})"
 
 
-def monomial_degree(exps) -> int:
-    return sum(exps)
-
-
 def monomial_mul(a, b):
     return tuple(map(add, a, b))
 
@@ -419,25 +415,3 @@ class GradedMap:
 def graded_map_check(m: GradedMap):
     """Report-style degree check: empty list means the map is valid."""
     return m.violations()
-
-
-# -- graded pieces as dense coordinate spaces ---------------------------
-
-
-def module_piece_basis(ring: RingContext, shifts, degree: int):
-    """Coordinate basis of (⊕_j S(-d_j))_degree as (component, exps) pairs."""
-    basis = []
-    for j, dj in enumerate(shifts):
-        for exps in monomials_of_degree(ring.n, degree - dj, ring.order.kind) if degree >= dj else ():
-            basis.append((j, exps))
-    return basis
-
-
-def poly_coords(f: Polynomial, index: dict, row, p: int, component=0, mult_exps=None):
-    """Scatter-add the coefficients of f (optionally shifted by a monomial
-    multiple) into a dense row using a (component, exps) -> column index map."""
-    for e, c in f.terms:
-        if mult_exps is not None:
-            e = monomial_mul(e, mult_exps)
-        col = index[(component, e)]
-        row[col] = (row[col] + c) % p

@@ -13,7 +13,6 @@ from hfstrata.deform import tangent_space
 from hfstrata.groebner import buchberger, buchberger_basis
 from hfstrata.invariants import (
     betti_table,
-    exactness_violations,
     hilbert_function,
     hilbert_series,
     krull_dim,
@@ -22,7 +21,13 @@ from hfstrata.invariants import (
     regularity_quotient,
     _poly_mul_t,
 )
-from hfstrata.oracle import betti_bruteforce, hf_bruteforce, syzygies_bruteforce, tangent_bruteforce
+from hfstrata.oracle import (
+    betti_bruteforce,
+    exactness_violations,
+    hf_bruteforce,
+    syzygies_bruteforce,
+    tangent_bruteforce,
+)
 from hfstrata.strata import cone_curve, predicted_hilbert_function, truncate_ideal, verify_prop31
 
 from conftest import build_corpus, quadric_cone, ring3, twisted_cubic

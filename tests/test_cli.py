@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,16 @@ def test_cli_verify_exit_codes_and_json(capsys, tmp_path, tc_file):
     code = run(["verify-prop31", tc_file, "--m", "2", "--force"])
     capsys.readouterr()
     assert code == 1  # checks failed is data, not a crash
+
+
+def test_cli_verify_huge_m_exits_3_at_once(capsys, tc_file):
+    """At m = 40000, x^m is a standard monomial of the twisted cubic,
+    past the engine's exponent limit: exit 3 before any degree of S/I_Y
+    is enumerated."""
+    start = time.perf_counter()
+    assert run(["verify-prop31", tc_file, "--m", "40000"]) == 3
+    assert "error: an exponent reached 32768" in capsys.readouterr().err
+    assert time.perf_counter() - start < 10
 
 
 def test_cli_cone_curve(capsys, tc_file, tmp_path):

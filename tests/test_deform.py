@@ -20,7 +20,7 @@ from hfstrata.invariants import hilbert_function, minimal_free_resolution, regul
 from hfstrata.oracle import tangent_bruteforce
 from hfstrata.strata import truncate_ideal
 
-from conftest import build_corpus, ring2, skew_lines, twisted_cubic
+from conftest import build_corpus, rational_normal_quartic, ring2, skew_lines, twisted_cubic
 
 # frozen oracle regression value: tangent_bruteforce on the twisted cubic
 TWISTED_CUBIC_TANGENT_DIM = 12
@@ -307,7 +307,7 @@ def test_comparison_matches_block_presentation(monkeypatch, p):
 def test_comparison_builds_four_pairing_matrices(monkeypatch):
     """One matrix each for T_Y, T_Gamma and the two cycle spaces; the
     boundary ranks come from the tangent solves, and building the
-    Truncation computes no syzygy of Gamma's block generators."""
+    Truncation resolves nothing of Gamma."""
     calls = []
 
     def counting(layout, columns):
@@ -318,7 +318,32 @@ def test_comparison_builds_four_pairing_matrices(monkeypatch):
     cases = ((twisted_cubic, 4), (twisted_cubic, 6), (skew_lines, 3), (skew_lines, 4))
     for ideal, m in cases:
         trunc = Truncation(ideal(), m, override=True)
-        assert trunc.gamma._syzygies is None
+        assert trunc.gamma._resolution is None
         del calls[:]
         compare_truncation(trunc)
         assert len(calls) == 4, (m, calls)
+
+
+@pytest.mark.parametrize("p", [32003, 2**31 - 1])
+def test_gamma_ext1_does_not_depend_on_the_presentation(p):
+    """Ext^1(I_Gamma) on Gamma's block presentation (sigma_2, sigma_3 of
+    I_Y, with T_Gamma's constraints as the boundaries) equals Ext^1 from
+    Gamma's own minimal resolution: dimension, cycles and boundaries."""
+    ideals = dict(build_corpus(p=p), skew_lines=skew_lines(p=p))
+    ideals["quartic"] = rational_normal_quartic(p=p)
+    checked = 0
+    for name, ideal in ideals.items():
+        reg = regularity(ideal) if not ideal.is_zero_ideal() else 0
+        for m in sorted({1, 2, reg, reg + 1, reg + 2, reg + 3} - {0}):
+            trunc = Truncation(ideal, m, override=True)
+            qb = trunc.qb_gamma
+            tangent = _solve_tangent(qb, trunc.degrees_y, trunc.sig2_y, trunc.gens_y)
+            block = _ext1(qb, trunc.sig2_y, trunc.sig3_y, tangent.layout.total - tangent.dimension)
+            own = ext1_space(trunc.gamma)
+            assert (block.dimension, block.cycle_dim, block.boundary_rank) == (
+                own.dimension,
+                own.cycle_dim,
+                own.boundary_rank,
+            ), (name, m)
+            checked += 1
+    assert checked >= 50

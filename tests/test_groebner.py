@@ -15,7 +15,8 @@ from hfstrata.groebner import (
     maximal_ideal_power,
     syzygies,
 )
-from hfstrata.ring import RingContext, module_piece_basis, poly_coords
+from hfstrata.oracle import _map_terms, _multiples, _unknowns
+from hfstrata.ring import GradedFreeModule, GradedMap, RingContext
 from hfstrata.strata import random_forms
 
 from conftest import build_corpus, ring2, ring3, ring4, twisted_cubic
@@ -124,18 +125,14 @@ def test_principal_ideal_has_no_syzygies():
     assert len(syzygies(Ideal(r, [x * x + y * y]))) == 0
 
 
-def test_syzygies_are_cached_on_the_ideal(corpus, monkeypatch):
-    """`syzygies` computes once per ideal and returns `vector_syzygies`
-    of the generator sequence, zero ideal included."""
+def test_syzygies_are_vector_syzygies_of_the_generators(corpus):
+    """`syzygies` returns `vector_syzygies` of the generator sequence,
+    with the generator degrees as ambient shifts, zero ideal included."""
     for name, ideal in corpus.items():
-        ideal = Ideal(ideal.ring, ideal.generators)  # nothing cached yet
         expected = groebner.vector_syzygies(ideal.ring, [(f,) for f in ideal.generators], (0,))
         basis = syzygies(ideal)
         assert basis.elements == tuple(expected), name
         assert basis.ambient.shifts == tuple(f.homogeneous_degree() for f in ideal.generators)
-        monkeypatch.setattr(groebner, "vector_syzygies", None)  # a second computation would fail
-        assert syzygies(ideal) is basis, name
-        monkeypatch.undo()
 
 
 def test_twisted_cubic_syzygies_linear():
@@ -153,27 +150,19 @@ def test_twisted_cubic_syzygies_linear():
     assert degrees[0] == 3  # linear syzygies exist
 
 
+def vector_multiples(ring, vectors, shifts, degree):
+    """The oracle's matrix of the degree-`degree` monomial multiples of
+    module vectors in ⊕ S(-shifts): one row per vector and multiplier,
+    vectors in order, multipliers descending."""
+    degs = [groebner.vector_degree(v, shifts) for v in vectors]
+    entries = [[v[c] for v in vectors] for c in range(len(shifts))]
+    gmap = GradedMap(ring, GradedFreeModule(degs), GradedFreeModule(shifts), entries)
+    return _multiples(_map_terms(gmap, ring.n), *_unknowns(ring, degs, degree))
+
+
 def syzygy_span_rank(ring, shifts, basis, degree):
     """Rank of the degree-`degree` span of a syzygy generating set in ⊕ S(-shifts)."""
-    coords = module_piece_basis(ring, shifts, degree)
-    index = {k: c for c, k in enumerate(coords)}
-    rows = []
-    from hfstrata.ring import monomials_of_degree
-    from hfstrata.groebner import vector_degree
-
-    for vec in basis:
-        d = vector_degree(vec, shifts)
-        if d > degree:
-            continue
-        for mult in monomials_of_degree(ring.n, degree - d, ring.order.kind):
-            row = [0] * len(coords)
-            for comp, f in enumerate(vec):
-                if not f.is_zero():
-                    poly_coords(f, index, row, ring.field.p, comp, mult)
-            rows.append(row)
-    if not rows:
-        return 0
-    return linalg.rank(linalg.as_matrix(rows, len(coords)), ring.field.p)
+    return linalg.rank(vector_multiples(ring, basis, shifts, degree), ring.field.p)
 
 
 def test_syzygy_spans_match_oracle(corpus):

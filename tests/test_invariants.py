@@ -1,12 +1,12 @@
 import pytest
 
-from hfstrata.errors import DegenerateInputError
+from hfstrata.errors import DegenerateInputError, ExponentOverflowError
 from hfstrata.field import PrimeField
-from hfstrata.groebner import Ideal, maximal_ideal_power
+from hfstrata.groebner import EXP_LIMIT, Ideal, maximal_ideal_power
 from hfstrata.invariants import (
     HilbertSeries,
+    QuotientBasis,
     betti_table,
-    exactness_violations,
     hilbert_function,
     hilbert_series,
     krull_dim,
@@ -14,7 +14,8 @@ from hfstrata.invariants import (
     regularity,
     regularity_quotient,
 )
-from hfstrata.ring import RingContext
+from hfstrata.oracle import exactness_violations
+from hfstrata.ring import GradedFreeModule, GradedMap, RingContext
 
 from conftest import build_corpus, ring2, ring4, twisted_cubic
 
@@ -70,6 +71,19 @@ def test_krull_dim_examples():
         krull_dim(Ideal(r2, [r2.one()]))
 
 
+def test_quotient_basis_past_the_exponent_limit():
+    """From degree 2^15 on, an Artinian S/I (the unit ideal too) has no
+    standard monomial, and any other S/I has the pure power of some
+    variable, which cannot be packed: it raises before enumerating."""
+    r = ring2()
+    x, y = r.variable(0), r.variable(1)
+    assert QuotientBasis(Ideal(r, [x * x, y * y])).monomials(EXP_LIMIT) == ()
+    assert QuotientBasis(Ideal(r, [r.one()])).monomials(EXP_LIMIT) == ()
+    for ideal in (Ideal(r, [x * y]), Ideal(r, []), twisted_cubic()):
+        with pytest.raises(ExponentOverflowError):
+            QuotientBasis(ideal).monomials(EXP_LIMIT)
+
+
 def test_resolution_koszul_max_ideal_n2():
     res = minimal_free_resolution(maximal_ideal_power(ring2(), 1), 4)
     assert [m.shifts for m in res.modules] == [(1, 1), (2,)]
@@ -114,6 +128,36 @@ def test_resolution_composition_zero_and_exactness(corpus):
         assert res.composition_violations() == [], name
         bound = max(max(m.shifts) for m in res.modules) + 2
         assert exactness_violations(ideal, res, bound) == [], name
+
+
+def test_exactness_check_sees_a_dropped_syzygy(corpus):
+    """Dropping one sigma_2 column (and its row of sigma_3) takes a
+    minimal first syzygy out of the image of F_2: the oracle's exactness
+    check finds the kernel of F_1 -> I one larger than that image in the
+    column's degree."""
+    from hfstrata.invariants import Resolution
+
+    checked = 0
+    for name, ideal in corpus.items():
+        if ideal.is_zero_ideal():
+            continue
+        res = minimal_free_resolution(ideal, ideal.ring.n + 2)
+        bound = max(max(m.shifts) for m in res.modules) + 2
+        assert exactness_violations(ideal, res, bound) == [], name
+        if not res.maps:
+            continue
+        sigma2, shift = res.maps[0], res.modules[1].shifts[0]
+        f2 = GradedFreeModule(res.modules[1].shifts[1:])
+        maps = [GradedMap(ideal.ring, f2, sigma2.target, [row[1:] for row in sigma2.entries])]
+        if len(res.maps) > 1:
+            sigma3 = res.maps[1]
+            maps.append(GradedMap(ideal.ring, sigma3.source, f2, sigma3.entries[1:]))
+        modules = [res.modules[0], f2] + res.modules[2:len(maps) + 1]
+        broken = Resolution(ideal.ring, res.generator_row, modules, maps)
+        found = [v for v in exactness_violations(ideal, broken, bound) if v[:2] == (0, shift)]
+        assert len(found) == 1 and found[0][2] == found[0][3] + 1, (name, found)
+        checked += 1
+    assert checked >= 5
 
 
 def test_resolution_minimality(corpus):

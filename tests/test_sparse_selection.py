@@ -18,10 +18,10 @@ import pytest
 from hfstrata import invariants, linalg
 from hfstrata.groebner import Ideal, vector_degree
 from hfstrata.invariants import minimal_free_resolution, minimal_generator_subset
-from hfstrata.ring import module_piece_basis, monomials_of_degree, poly_coords
 from hfstrata.strata import truncate_ideal
 
 from conftest import build_corpus, skew_lines, twisted_cubic
+from test_groebner import vector_multiples
 
 PRIMES = (2, 3, 32003, 2**31 - 1)
 
@@ -74,7 +74,7 @@ def test_echelon_insert_leaves_a_spanning_basis():
 
 
 def dense_selection(ring, vectors, ambient_shifts, counts):
-    """The selection by dense matrices: per degree, the coordinate rows of
+    """The selection by dense matrices: per degree, the oracle's rows of
     every monomial multiple of the chosen vectors, then the candidates,
     and `greedy_independent_rows`."""
     p = ring.field.p
@@ -83,25 +83,9 @@ def dense_selection(ring, vectors, ambient_shifts, counts):
     for e in sorted(set(degrees)):
         if counts is not None and not counts.get(e):
             continue
-        basis = module_piece_basis(ring, ambient_shifts, e)
-        index = {key: col for col, key in enumerate(basis)}
-
-        def row(vec, mexps=None):
-            out = [0] * len(basis)
-            for comp, f in enumerate(vec):
-                if not f.is_zero():
-                    poly_coords(f, index, out, p, component=comp, mult_exps=mexps)
-            return out
-
-        rows = [
-            row(g, mexps)
-            for g, dg in zip(chosen, chosen_degs)
-            for mexps in monomials_of_degree(ring.n, e - dg, ring.order.kind)
-        ]
-        nbase = len(rows)
         cands = [k for k, d in enumerate(degrees) if d == e]
-        rows += [row(vectors[k]) for k in cands]
-        mat = np.array(rows, dtype=np.int64).reshape(len(rows), len(basis))
+        mat = vector_multiples(ring, chosen + [vectors[k] for k in cands], ambient_shifts, e)
+        nbase = len(mat) - len(cands)  # a candidate has one multiplier, and comes last
         keep = set(linalg.greedy_independent_rows(mat, p))
         kept = [k for pos, k in enumerate(cands) if nbase + pos in keep]
         chosen.extend(vectors[k] for k in kept)

@@ -222,9 +222,9 @@ def test_verify_prop31_computes_each_fact_once(monkeypatch):
     assert report.all_ok()
     assert len(calls["gb"]) == 1 and len(calls["koszul"]) == 1
     assert [ideal is tc for ideal in calls["ext1"]] == [True, False]
-    # I_Y's 3 generators, the 16 block generators (all minimal, so level 1
-    # of Gamma's resolution computes their syzygies, once, and caches them
-    # on Gamma), then Gamma's minimal first syzygies, and no further level
+    # I_Y's 3 generators, the 16 block generators (level 1 of Gamma's
+    # resolution, the one place their syzygies are computed), then
+    # Gamma's minimal first syzygies, and no further level
     first = sum(b for (i, _), b in report.betti_gamma.items() if i == 1)
     assert calls["syz"] == [3, 16, first]
 
