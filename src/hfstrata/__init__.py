@@ -16,14 +16,9 @@ from .ring import (
     MonomialOrder,
     Polynomial,
     RingContext,
-    graded_map_check,
-    homogeneous_degree,
-    monomial_compare,
 )
 from .groebner import (
     Ideal,
-    SyzygyBasis,
-    buchberger,
     divide,
     ideal_member,
     ideal_sum,
@@ -72,12 +67,7 @@ __all__ = [
     "GradedMap",
     "GREVLEX",
     "LEX",
-    "graded_map_check",
-    "homogeneous_degree",
-    "monomial_compare",
     "Ideal",
-    "SyzygyBasis",
-    "buchberger",
     "divide",
     "ideal_member",
     "ideal_sum",

@@ -24,8 +24,8 @@ from .errors import (
     InhomogeneousError,
 )
 from .field import DEFAULT_PRIME, NotPrimeError, PrimeField
-from .groebner import Ideal, buchberger
-from .invariants import betti_table, hilbert_function, minimal_free_resolution, regularity
+from .groebner import Ideal
+from .invariants import hilbert_function, minimal_free_resolution, regularity
 from .deform import ext1_space, tangent_space
 from .oracle import betti_bruteforce, hf_bruteforce, syzygy_counts, tangent_bruteforce
 from .ring import GREVLEX, LEX, MonomialOrder, RingContext
@@ -256,7 +256,7 @@ def _input_echo(path, text, **args):
 
 def cmd_gb(args):
     _, _, ideal = _load(args.file)
-    for g in buchberger(ideal):
+    for g in ideal.groebner_basis():
         print(g)
     return 0
 

@@ -26,8 +26,8 @@ identities:
 * Hom is left exact: for any presentation F_2 -> F_1 -> I -> 0, the
   kernel of Hom(F_1, S/I)_0 -> Hom(F_2, S/I)_0 is Hom(I, S/I)_0.  That
   map is both the tangent constraint matrix and the Ext^1 boundary map,
-  so its rank is #unknowns - dim T, and the comparison reads both
-  boundary ranks off the tangent solves.
+  so its rank is #unknowns - dim T, and `ext1_space` and the comparison
+  read their boundary ranks off the tangent solves.
 
 The comparison never leaves coordinates.  Below degree m, Gamma and I_Y
 agree (Gamma_e = (I_Y)_e), and so do their lead ideals, since the lead
@@ -191,13 +191,14 @@ def _ext1(qb: QuotientBasis, sig2, sig3, boundary_rank) -> Ext1Space:
 
 
 def ext1_space(ideal: Ideal) -> Ext1Space:
-    """Ext^1_S(I, S/I)_0 = degree-0 cycles at F_2 modulo boundaries from F_1."""
+    """Ext^1_S(I, S/I)_0 = degree-0 cycles at F_2 modulo boundaries from F_1,
+    the boundary rank being #unknowns - dim T (Hom is left exact)."""
     if ideal.generators and ideal.is_unit_ideal():
         raise DegenerateInputError("obstruction space of the unit ideal is undefined")
-    _, degrees, sig2, sig3 = _resolution_data(ideal, 3)
+    gens, degrees, sig2, sig3 = _resolution_data(ideal, 3)
     qb = QuotientBasis(ideal)
-    boundary = _pairing_matrix(HomLayout(qb, degrees), sig2)  # rows live in the cycle coordinates
-    return _ext1(qb, sig2, sig3, linalg.rank(boundary, qb.ring.field.p))
+    tangent = _solve_tangent(qb, degrees, sig2, gens)
+    return _ext1(qb, sig2, sig3, tangent.layout.total - tangent.dimension)
 
 
 class ComparisonReport:

@@ -57,25 +57,7 @@ class PrimeField:
     def reduce(self, a: int) -> int:
         return a % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in F_p")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return (a * pow(b, self.p - 2, self.p)) % self.p
-

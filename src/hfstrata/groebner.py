@@ -55,7 +55,6 @@ from .errors import (
 )
 from .ring import (
     GREVLEX,
-    GradedFreeModule,
     Polynomial,
     RingContext,
     monomial_div,
@@ -498,9 +497,6 @@ class Ideal:
         gb = self.groebner_basis()
         return bool(gb) and sum(gb[0].lead_exps()) == 0
 
-    def __add__(self, other):
-        return ideal_sum(self, other)
-
 
 def _divisor_elems(ring, divisors, pk):
     """Divisor i as the monic element g_i / lc_i with cert {e_i: 1/lc_i}."""
@@ -554,11 +550,6 @@ def buchberger_basis(ring: RingContext, generators):
     return tuple(_polys_from_vec(e.vec, pk, ring, 1)[0] for e in gb)
 
 
-def buchberger(ideal: Ideal):
-    """Reduced Gröbner basis of the ideal, cached on the Ideal."""
-    return ideal.groebner_basis()
-
-
 def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
     if f.is_zero():
         return True
@@ -578,34 +569,20 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
 
 
 def maximal_ideal_power(ring: RingContext, m: int) -> Ideal:
-    """The ideal m^m = (x_1..x_n)^m, generated by all degree-m monomials."""
+    """The ideal m^m = (x_1..x_n)^m, generated by all degree-m monomials.
+
+    Raises `ExponentOverflowError` for m >= 2^15 before listing any: x_1^m
+    is among the generators, and the engine cannot pack its exponent.
+    """
     if m < 1:
         raise ParameterError(f"power m must be >= 1, got {m}")
+    if m >= EXP_LIMIT:
+        raise _overflow()
     gens = [ring.monomial(e) for e in monomials_of_degree(ring.n, m, ring.order.kind)]
     return Ideal(ring, gens)
 
 
-class SyzygyBasis:
-    """Generators of the syzygy module of a fixed generator sequence."""
-
-    __slots__ = ("ambient", "elements")
-
-    def __init__(self, ambient: GradedFreeModule, elements):
-        self.ambient = ambient
-        self.elements = tuple(tuple(v) for v in elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __repr__(self):
-        return f"SyzygyBasis(rank {self.ambient.rank}, {len(self.elements)} generators)"
-
-
-def syzygies(ideal: Ideal) -> SyzygyBasis:
-    """Generating syzygies of the ideal's generator sequence as given."""
-    gens = ideal.generators
-    ambient = GradedFreeModule(f.homogeneous_degree() for f in gens)
-    return SyzygyBasis(ambient, vector_syzygies(ideal.ring, [(f,) for f in gens], (0,)))
+def syzygies(ideal: Ideal):
+    """Generating syzygies of the ideal's generator sequence as given, as
+    `vector_syzygies` returns them: one polynomial per generator."""
+    return vector_syzygies(ideal.ring, [(f,) for f in ideal.generators], (0,))

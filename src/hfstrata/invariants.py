@@ -569,15 +569,3 @@ def regularity(ideal: Ideal) -> int:
     if ideal.is_unit_ideal():
         raise DegenerateInputError("regularity of the unit ideal is undefined")
     return betti_table(ideal).regularity()
-
-
-def regularity_quotient(ideal: Ideal) -> int:
-    """reg(S/I) from the quotient's Betti table (F_0 = S at index 0)."""
-    if ideal.is_zero_ideal():
-        return 0
-    if ideal.is_unit_ideal():
-        raise DegenerateInputError("regularity of the zero module is undefined")
-    entries = {(0, 0): 1}
-    for (i, j), b in betti_table(ideal).items():
-        entries[(i + 1, j)] = b
-    return max(j - i for (i, j) in entries)

@@ -13,8 +13,6 @@ from operator import add, le, sub
 from .errors import DegenerateInputError, InhomogeneousError, StructureError
 from .field import DEFAULT_PRIME, PrimeField
 
-LT, EQ, GT = -1, 0, 1
-
 GREVLEX = "grevlex"
 LEX = "lex"
 _ORDER_KINDS = (GREVLEX, LEX)
@@ -62,18 +60,6 @@ def monomial_div(a, b):
 
 def monomial_lcm(a, b):
     return tuple(map(max, a, b))
-
-
-def monomial_compare(a, b, order: MonomialOrder) -> int:
-    """Compare two monomials; returns LT, EQ or GT."""
-    if len(a) != len(b):
-        raise StructureError(f"variable counts differ: {len(a)} vs {len(b)}")
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return LT
-    if ka > kb:
-        return GT
-    return EQ
 
 
 @lru_cache(maxsize=None)
@@ -196,9 +182,6 @@ class Polynomial:
                 raise InhomogeneousError(d, sum(e))
         return d
 
-    def as_dict(self):
-        return dict(self.terms)
-
     # -- arithmetic -----------------------------------------------------
 
     def _check_ring(self, other):
@@ -246,13 +229,6 @@ class Polynomial:
                 else:
                     acc.pop(e, None)
         return self.ring._from_dict(acc)
-
-    def scale(self, c: int):
-        p = self.ring.field.p
-        c %= p
-        if c == 0:
-            return self.ring.zero()
-        return Polynomial(self.ring, tuple((e, (c * v) % p) for e, v in self.terms))
 
     def term_mul(self, exps, coeff=1):
         """Multiply by coeff * x^exps (single-term fast path)."""
@@ -305,10 +281,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {self}>"
-
-
-def homogeneous_degree(f: Polynomial) -> int:
-    return f.homogeneous_degree()
 
 
 class GradedFreeModule:
@@ -410,8 +382,3 @@ class GradedMap:
 
     def __repr__(self):
         return f"GradedMap({self.source} -> {self.target})"
-
-
-def graded_map_check(m: GradedMap):
-    """Report-style degree check: empty list means the map is valid."""
-    return m.violations()

@@ -176,6 +176,22 @@ def test_cli_verify_huge_m_exits_3_at_once(capsys, tc_file):
     assert time.perf_counter() - start < 10
 
 
+@pytest.mark.parametrize(
+    "names, generators",
+    [("x y z w", "x*z - y^2\nx*w - y*z\ny*w - z^2\n"), ("x y z", "x*y\n"), ("x y", "x*y\n"), ("x", "x^2\n")],
+    ids=["twisted_cubic", "xy_in_3_vars", "xy_in_2_vars", "x2_in_1_var"],
+)
+def test_cli_truncate_huge_m_exits_3_at_once(capsys, tmp_path, names, generators):
+    """m^m has the generator x_1^m, past the engine's exponent limit at
+    m = 40000: exit 3 before any degree-m monomial is listed."""
+    path = tmp_path / "in.ideal"
+    path.write_text(f"field 32003\nvars {names}\nideal:\n{generators}")
+    start = time.perf_counter()
+    assert run(["truncate", str(path), "--m", "40000"]) == 3
+    assert "error: an exponent reached 32768" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5
+
+
 def test_cli_cone_curve(capsys, tc_file, tmp_path):
     quadric = tmp_path / "quadric.ideal"
     quadric.write_text("field 32003\nvars x y z w\nideal:\nx*w - y*z\n")
@@ -249,7 +265,7 @@ def test_verify_prop31_leaves_no_cycles_among_its_objects(tc_file, tmp_path, cap
     collection afterwards finds none of them unreachable."""
     import gc
 
-    from hfstrata.groebner import Ideal, SyzygyBasis
+    from hfstrata.groebner import Ideal
     from hfstrata.invariants import QuotientBasis
     from hfstrata.ring import Polynomial
 
@@ -260,7 +276,7 @@ def test_verify_prop31_leaves_no_cycles_among_its_objects(tc_file, tmp_path, cap
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         leaked = [type(o).__name__ for o in gc.garbage
-                  if isinstance(o, (Ideal, QuotientBasis, SyzygyBasis, Polynomial))]
+                  if isinstance(o, (Ideal, QuotientBasis, Polynomial))]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()

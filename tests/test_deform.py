@@ -16,7 +16,12 @@ from hfstrata.deform import (
 )
 from hfstrata.errors import ParameterError
 from hfstrata.groebner import Ideal, ideal_member, maximal_ideal_power, syzygies, vector_degree
-from hfstrata.invariants import hilbert_function, minimal_free_resolution, regularity
+from hfstrata.invariants import (
+    QuotientBasis,
+    hilbert_function,
+    minimal_free_resolution,
+    regularity,
+)
 from hfstrata.oracle import tangent_bruteforce
 from hfstrata.strata import truncate_ideal
 
@@ -266,6 +271,17 @@ def _block_tangent(trunc):
 def _boundary_rank(qb, degrees, sig2):
     """Reference rank of the Ext^1 boundary map, from its sigma_2 pairing."""
     return linalg.rank(_pairing_matrix(HomLayout(qb, degrees), sig2), qb.ring.field.p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_ext1_boundary_rank_is_the_tangent_codimension(p):
+    """`ext1_space` reads its boundary rank off the tangent solve
+    (#unknowns - dim T); it equals the rank of the sigma_2 pairing."""
+    ideals = {**build_corpus(p=p), "skew_lines": skew_lines(p=p)}
+    for name, ideal in ideals.items():
+        _, degrees, sig2, _ = _resolution_data(ideal, 3)
+        expected = _boundary_rank(QuotientBasis(ideal), degrees, sig2)
+        assert ext1_space(ideal).boundary_rank == expected, (name, p)
 
 
 @pytest.mark.parametrize("p", [32003, 2**31 - 1])

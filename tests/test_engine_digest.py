@@ -52,10 +52,8 @@ def _cases():
     out["quadric_cone_curve4"] = _ideal_syzygies(curve)
     # syzygies of the syzygies of a truncation: a module of rank 38
     trunc = truncate_ideal(twisted_cubic(), 4)
-    first = syzygies(trunc)
-    out["twisted_cubic_trunc4 level 2"] = vector_syzygies(
-        trunc.ring, first.elements, first.ambient.shifts
-    )
+    degrees = [f.homogeneous_degree() for f in trunc.generators]
+    out["twisted_cubic_trunc4 level 2"] = vector_syzygies(trunc.ring, syzygies(trunc), degrees)
     return {name: _digest(vectors) for name, vectors in out.items()}
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from hfstrata import cli, linalg
 from hfstrata.errors import ParameterError
-from hfstrata.groebner import Ideal, maximal_ideal_power
+from hfstrata.groebner import Ideal, ideal_sum, maximal_ideal_power
 from hfstrata.invariants import HilbertSeries, hilbert_series
 from hfstrata.oracle import (
     GradedPieceBasis,
@@ -107,7 +107,7 @@ def test_betti_truncation_matches_engine():
     from hfstrata.invariants import betti_table
 
     tc = twisted_cubic()
-    gamma = tc + maximal_ideal_power(tc.ring, 4)
+    gamma = ideal_sum(tc, maximal_ideal_power(tc.ring, 4))
     oracle = betti_bruteforce(gamma, 4, 8)
     assert oracle.entries == betti_table(gamma).entries
     # strands sit in internal degree exactly m + i

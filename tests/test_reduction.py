@@ -66,7 +66,7 @@ def _reference_normal_form(h, cert, basis, p, order):
 
 def _reference_divide(f, divisors):
     ring, p = f.ring, f.ring.field.p
-    h, quotients, remainder = f.as_dict(), [{} for _ in divisors], {}
+    h, quotients, remainder = dict(f.terms), [{} for _ in divisors], {}
     while h:
         t = max(h, key=ring.order.key)
         c = h[t]
