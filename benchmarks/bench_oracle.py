@@ -1,13 +1,16 @@
-"""Time the brute-force oracle's hf, tangent and betti on two inputs.
+"""Time the brute-force oracle's hf, tangent and betti on three inputs.
 
 The inputs are the Fermat cubic x^3 + y^3 + z^3 + w^3 plus two dense
 quintics with fixed coefficients over F_32003, a complete intersection
 of degrees 3, 5, 5 and the heaviest tangent case of the perfbench
-`oracle` workload, and the twisted cubic truncated at m = 4 over
-F_(2^31 - 1), where every entry of the tangent and Betti matrices can be
-near 2^31.  `hf` computes h_0 .. h_B, `tangent` uses degree bound B, and
-`betti` searches degrees up to the top of the Betti table.  Each case
-prints the best of a few wall times and the value computed.
+`oracle` workload, and the twisted cubic truncated at m = 4 and at
+m = 6 over F_(2^31 - 1), where every entry of the tangent and Betti
+matrices can be near 2^31.  `hf` computes h_0 .. h_B (`hf_values`,
+zero after the first zero), `tangent` uses degree bound B (m + 4 for
+the m = 6 truncation, beyond the workload's sizes), and `betti`
+searches degrees up to the top of the Betti table.  Each case prints
+the best of a few wall times, the tracemalloc peak of one more run and
+the value computed.
 
 Usage:
     python benchmarks/bench_oracle.py [--repeat 3]
@@ -15,10 +18,11 @@ Usage:
 
 import argparse
 import time
+import tracemalloc
 from itertools import combinations_with_replacement
 
 from hfstrata import Ideal, PrimeField, RingContext
-from hfstrata.oracle import betti_bruteforce, hf_bruteforce, tangent_bruteforce
+from hfstrata.oracle import betti_bruteforce, hf_values, tangent_bruteforce
 from hfstrata.ring import monomials_of_degree
 
 
@@ -32,7 +36,7 @@ def dense_form(ring, d, k):
 
 
 def inputs():
-    """(name, ideal, B, top degree of the Betti table, homological steps)."""
+    """(name, ideal, B, top degree of the Betti table, homological steps, modes)."""
     ring = RingContext(("x", "y", "z", "w"), PrimeField(32003))
     x, y, z, w = (ring.variable(i) for i in range(4))
     fermat = x * x * x + y * y * y + z * z * z + w * w * w
@@ -40,21 +44,32 @@ def inputs():
 
     ring = RingContext(("x", "y", "z", "w"), PrimeField(2**31 - 1))
     x, y, z, w = (ring.variable(i) for i in range(4))
-    quartics = [ring.from_terms([(m, 1)]) for m in monomials_of_degree(4, 4, ring.order.kind)]
-    trunc = Ideal(ring, [x * z - y * y, x * w - y * z, y * w - z * z] + quartics)
+    cubic = [x * z - y * y, x * w - y * z, y * w - z * z]
+
+    def truncation(m):
+        return Ideal(ring, cubic + [ring.from_terms([(e, 1)]) for e in monomials_of_degree(4, m, ring.order.kind)])
+
+    every = ("hf", "tangent", "betti")
     return [
-        ("Fermat cubic curve, m = 5", curve, 10, 13, 3),
-        ("twisted cubic + m^4, p = 2^31-1", trunc, 8, 8, 6),
+        ("Fermat cubic curve, m = 5", curve, 10, 13, 3, every),
+        ("twisted cubic + m^4, p = 2^31-1", truncation(4), 8, 8, 6, every),
+        ("twisted cubic + m^6, p = 2^31-1", truncation(6), 10, None, None, ("hf", "tangent")),
     ]
 
 
 def best_of(repeat, fn):
+    """Best wall time of `repeat` runs, the tracemalloc peak of one more
+    run in MB, and the value."""
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
         value = fn()
         best = min(best, time.perf_counter() - t0)
-    return best, value
+    tracemalloc.start()
+    fn()
+    peak = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    return best, peak, value
 
 
 def main():
@@ -63,16 +78,16 @@ def main():
     args = parser.parse_args()
 
     print(f"repeat = {args.repeat} (best of)")
-    print(f"{'input':>32} {'mode':>8} {'seconds':>8}  value")
-    for name, ideal, bound, top, steps in inputs():
+    print(f"{'input':>32} {'mode':>8} {'seconds':>8} {'peak MB':>8}  value")
+    for name, ideal, bound, top, steps, modes in inputs():
         cases = {
-            "hf": lambda: [hf_bruteforce(ideal, d) for d in range(bound + 1)],
+            "hf": lambda: hf_values(ideal, range(bound + 1)),
             "tangent": lambda: tangent_bruteforce(ideal, bound),
             "betti": lambda: dict(betti_bruteforce(ideal, steps, top).entries),
         }
-        for mode, fn in cases.items():
-            best, value = best_of(args.repeat, fn)
-            print(f"{name:>32} {mode:>8} {best:>7.3f}s  {value}")
+        for mode in modes:
+            best, peak, value = best_of(args.repeat, cases[mode])
+            print(f"{name:>32} {mode:>8} {best:>7.3f}s {peak:>8.1f}  {value}")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .field import DEFAULT_PRIME, NotPrimeError, PrimeField
 from .groebner import Ideal
 from .invariants import hilbert_function, minimal_free_resolution, regularity
 from .deform import ext1_space, tangent_space
-from .oracle import betti_bruteforce, hf_bruteforce, syzygy_counts, tangent_bruteforce
+from .oracle import betti_bruteforce, hf_values, syzygy_counts, tangent_bruteforce
 from .ring import GREVLEX, LEX, MonomialOrder, RingContext
 from .strata import cone_curve, truncate_ideal, verify_prop31
 
@@ -346,7 +346,7 @@ def cmd_cone_curve(args):
 def cmd_oracle(args):
     _, _, ideal = _load(args.file)
     if args.mode == "hilb":
-        print(" ".join(str(hf_bruteforce(ideal, d)) for d in _degrees_up_to(args.up_to)))
+        print(" ".join(map(str, hf_values(ideal, _degrees_up_to(args.up_to)))))
     elif args.mode == "syz":
         for e, count in syzygy_counts(ideal, args.bound).items():
             print(f"{e} {count}")

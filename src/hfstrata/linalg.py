@@ -87,7 +87,8 @@ def as_matrix(rows, ncols):
 
 def rref(a, p):
     """Reduced row echelon form of a copy; returns (rref, rank, pivots)."""
-    a = np.ascontiguousarray(np.array(a, dtype=np.int64) % p)
+    a = np.array(a, dtype=np.int64, order="C")
+    a %= p
     if a.size == 0:
         return a, 0, []
     rank, pivots = rref_inplace(a, p)

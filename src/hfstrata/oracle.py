@@ -25,12 +25,22 @@ p^2 and each sum adds fewer than 2^32 terms below p, so int64 is exact
 for every p < 2^31, and the work follows the syzygies' nonzeros, not
 dim S_e.
 
+Vanishing: S/I is generated in degree 0, so (S/I)_{e+1} = S_1 (S/I)_e
+and every piece after a zero one is zero.  `hf_values` answers 0 from
+there on without ranking, and `tangent_bruteforce` builds no syzygy
+kernel or normal-form table from the first zero piece on, where every
+condition is zero, and no quotient piece past it.
+
 Selection: at each Betti level and degree e the Nakayama selection runs
-on kernel coordinates.  The standard-form kernel basis of ker_e holds an
-identity block in its rows `free`, and z -> z[free] maps ker_e onto F^k
-keeping every linear dependence.  The x_v-multiples of the degree-(e-1)
-kernel lie in ker_e, so they are read at `free` only, and the new basis
-becomes the identity.
+on kernel coordinates, degree by degree with only ker_{e-1} kept.  The
+standard-form kernel basis of ker_e holds an identity block in its rows
+`free`, and z -> z[free] maps ker_e onto F^k keeping every linear
+dependence.  The x_v-multiples of ker_{e-1} lie in ker_e, so they are
+gathered at `free` only, into rows B, and the selection is the greedy
+one on [B; I].  That keeps the unit row e_k unless some vector of the
+row span of B ends at k (its last nonzero), so the new generators are
+the coordinates that are not pivots of B read right to left, and no
+identity block is built.
 
 Rank only: a Hilbert value is dim S_d minus the rank of the
 generator-multiple matrix, and a syzygy count is the number of unknowns
@@ -164,6 +174,15 @@ def hf_bruteforce(ideal, d: int) -> int:
     return len(basis) - linalg.rank(mat, ideal.ring.field.p)
 
 
+def hf_values(ideal, degrees):
+    """dim (S/I)_d for each of the ascending degrees.  (S/I)_{d+1} =
+    S_1 (S/I)_d, so every value after a zero is 0 and is not ranked."""
+    values = []
+    for d in degrees:
+        values.append(hf_bruteforce(ideal, d) if not values or values[-1] else 0)
+    return values
+
+
 def _check_bound(degs, degree_bound):
     """Refuse a degree bound below a generator degree, or below 0."""
     if degs and degree_bound < max(degs):
@@ -188,14 +207,6 @@ def _syzygy_matrices(ideal, degree_bound):
         yield e, unk_vec, unk_exps, _multiples(terms, unk_vec, unk_exps)
 
 
-def _syz_coords(ideal, degree_bound):
-    """{e: (slots, multiplier exponents, kernel)}: the unknowns of
-    (⊕_j S(-d_j))_e and a basis of the degree-e syzygies as kernel columns."""
-    p = ideal.ring.field.p
-    return {e: (unk_vec, unk_exps, linalg.nullspace(mat.T, p))
-            for e, unk_vec, unk_exps, mat in _syzygy_matrices(ideal, degree_bound)}
-
-
 def syzygy_counts(ideal, degree_bound: int):
     """{e: dim of the degree-e syzygies} = #unknowns - rank, with no
     kernel basis built."""
@@ -213,7 +224,8 @@ def syzygies_bruteforce(ideal, degree_bound: int):
     ring = ideal.ring
     gens = ideal.generators
     out = {}
-    for e, (unk_vec, unk_exps, ns) in _syz_coords(ideal, degree_bound).items():
+    for e, unk_vec, unk_exps, mat in _syzygy_matrices(ideal, degree_bound):
+        ns = linalg.nullspace(mat.T, ring.field.p)
         # columns of ns in order, unknowns in basis order: terms arrive descending
         kk, uu = np.nonzero(ns.T)
         monos = list(map(tuple, unk_exps.tolist()))
@@ -237,7 +249,8 @@ def tangent_bruteforce(ideal, degree_bound: int) -> int:
 
     Unknowns are quotient classes per generator; each brute-force syzygy
     of degree <= degree_bound contributes the linear condition that the
-    generator images annihilate it modulo I.
+    generator images annihilate it modulo I.  Degrees from the first e
+    with (S/I)_e = 0 on contribute nothing and are not built.
     """
     ring = ideal.ring
     gens = ideal.generators
@@ -246,18 +259,22 @@ def tangent_bruteforce(ideal, degree_bound: int) -> int:
         return 0
     p = ring.field.p
     degs = [f.homogeneous_degree() for f in gens]
-    pieces = {d: _quotient_piece(ideal, d) for d in set(degs)}
-    unknowns = [(j, pieces[d][0].exps[c]) for j, d in enumerate(degs) for c in pieces[d][3]]
+    pieces = {}
+    for e in range(min(degs), max(degs + [degree_bound]) + 1):
+        piece = _quotient_piece(ideal, e)
+        if not len(piece[3]):
+            break  # (S/I)_{e+1} = S_1 (S/I)_e, so every later piece is zero
+        pieces[e] = piece
+    unknowns = [(j, pieces[d][0].exps[c]) for j, d in enumerate(degs) if d in pieces for c in pieces[d][3]]
     if not unknowns:
         return 0
+    _check_bound(degs, degree_bound)
+    gen_terms = _gen_terms(gens, ring.n)
     blocks = []
-    for e, (unk_vec, unk_exps, ns) in _syz_coords(ideal, degree_bound).items():
+    for e, (basis, rref, pivots, free) in pieces.items():
+        unk_vec, unk_exps = _unknowns(ring, degs, e)
+        ns = linalg.nullspace(_multiples(gen_terms, unk_vec, unk_exps).T, p)
         if not ns.shape[1]:
-            continue
-        if e not in pieces:
-            pieces[e] = _quotient_piece(ideal, e)
-        basis, rref, pivots, free = pieces[e]
-        if not len(free):
             continue
         # row c: the normal form of the c-th monomial of S_e modulo I_e
         nf = np.zeros((len(basis), len(free)), dtype=np.int64)
@@ -284,20 +301,41 @@ def _free_rows(ns):
     return len(ns) - 1 - np.argmax(ns[::-1] != 0, axis=0)
 
 
-def _times_variables(prev, unk_vec, unk_exps, e):
-    """Rows x_v * c, for every degree-(e-1) kernel column c and variable v
-    in turn, in the coordinates of the degree-e unknowns."""
-    n = unk_exps.shape[1]
-    if prev is None or not prev[2].shape[1]:
-        return np.zeros((0, len(unk_vec)), dtype=np.int64)
+def _units_kept(rows, p):
+    """The k whose unit rows e_k `greedy_independent_rows` keeps on
+    [rows; I], without the identity block: e_k is dropped exactly when
+    some vector of the row span has its last nonzero at k, i.e. k is a
+    pivot column of the rows read right to left."""
+    width = rows.shape[1]
+    last = {width - 1 - c for c in linalg.pivot_columns(rows[:, ::-1], p)}
+    return [k for k in range(width) if k not in last]
+
+
+def _new_generators(prev, unk_vec, unk_exps, ns, p):
+    """Columns of the degree-e kernel basis ns that the Nakayama selection
+    keeps: those outside the span of the x_v-multiples of the degree-(e-1)
+    kernel `prev` = (slots, multiplier exponents, kernel), None if e is
+    the first degree.
+
+    The multiples are gathered at the free rows of ns only: at the
+    unknown (j, x^a), x_v * c holds the entry of c at (j, x^(a - e_v))
+    if a_v > 0, and 0 otherwise.  Column k is kept unless k is a pivot
+    column of the multiples read right to left (`_units_kept`).
+    """
+    free = _free_rows(ns)
+    if prev is None or not len(free):
+        return list(range(len(free)))
     prev_vec, prev_exps, prev_ns = prev
-    keys = _codes(unk_vec, unk_exps, e + 1)
+    k, v = np.nonzero(unk_exps[free])
+    down = unk_exps[free[k]]
+    down[np.arange(len(k)), v] -= 1
+    radix = int(unk_exps.max()) + 1
+    keys = _codes(prev_vec, prev_exps, radix)
     perm = np.argsort(keys)
-    shifted = prev_exps[:, None, :] + np.eye(n, dtype=np.int64)
-    target = perm[np.searchsorted(keys[perm], _codes(prev_vec[:, None], shifted, e + 1))]
-    rows = np.zeros((prev_ns.shape[1], n, len(unk_vec)), dtype=np.int64)
-    rows[:, np.arange(n)[:, None], target.T] = prev_ns.T[:, None, :]
-    return rows.reshape(-1, len(unk_vec))
+    target = perm[np.searchsorted(keys[perm], _codes(unk_vec[free[k]], down, radix))]
+    rows = np.zeros((unk_exps.shape[1], prev_ns.shape[1], len(free)), dtype=np.int64)
+    rows[v, :, k] = prev_ns[target]
+    return _units_kept(rows.reshape(-1, len(free)), p)
 
 
 def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
@@ -339,23 +377,12 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
     for step in range(1, max_step + 1):
         if not shifts:
             break
-        kernels = {}
+        next_terms, next_shifts, prev = [], [], None
         for e in range(min(shifts), degree_bound + 1):
             unk_vec, unk_exps = _unknowns(ring, shifts, e)
             ns = linalg.nullspace(_multiples(level, unk_vec, unk_exps).T, p)
-            kernels[e] = unk_vec, unk_exps, ns
-
-        next_terms, next_shifts = [], []
-        for e, (unk_vec, unk_exps, ns) in kernels.items():
-            if not ns.shape[1]:
-                continue
-            # kernel coordinates: z -> z[free] maps ker_e onto F^k and keeps
-            # every linear dependence, so the selection is unchanged
-            free = _free_rows(ns)
-            base = _times_variables(kernels.get(e - 1), unk_vec, unk_exps, e)[:, free]
-            coords = np.vstack([base, np.eye(len(free), dtype=np.int64)])
-            keep = linalg.greedy_independent_rows(coords, p)
-            new = [k - len(base) for k in keep if k >= len(base)]
+            new = _new_generators(prev, unk_vec, unk_exps, ns, p)
+            prev = unk_vec, unk_exps, ns
             if new:
                 entries[(step, e)] = len(new)
                 cols = ns[:, new].T

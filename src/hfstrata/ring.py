@@ -7,7 +7,6 @@ descending in the ring's monomial order with no zero coefficients.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from operator import add, le, sub
 
 from .errors import DegenerateInputError, InhomogeneousError, StructureError
@@ -64,13 +63,22 @@ def monomial_lcm(a, b):
 
 @lru_cache(maxsize=None)
 def monomials_of_degree(n: int, d: int, order_kind: str):
-    """All degree-d monomials in n variables, descending in the order."""
+    """All degree-d monomials in n variables, descending in the order.
+
+    The exponent vectors are listed lex-descending, each from the one
+    before in O(n): the last nonzero entry left of the final one moves
+    one unit right and takes the final entry along.
+    """
     order = MonomialOrder(order_kind)
-    monos = []
-    for combo in combinations_with_replacement(range(n), d):
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
+    exps = [d] + [0] * (n - 1)
+    monos = [tuple(exps)]
+    while exps[-1] < d:
+        i = n - 2
+        while not exps[i]:
+            i -= 1
+        tail, exps[-1] = exps[-1], 0
+        exps[i] -= 1
+        exps[i + 1] = tail + 1
         monos.append(tuple(exps))
     monos.sort(key=order.key, reverse=True)
     return tuple(monos)

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from hfstrata import cli, linalg
+from hfstrata import cli, linalg, oracle
+from hfstrata.deform import tangent_space
 from hfstrata.errors import ParameterError
 from hfstrata.groebner import Ideal, ideal_sum, maximal_ideal_power
-from hfstrata.invariants import HilbertSeries, hilbert_series
+from hfstrata.invariants import HilbertSeries, hilbert_function, hilbert_series, regularity
 from hfstrata.oracle import (
     GradedPieceBasis,
     _quotient_piece,
-    _syz_coords,
     betti_bruteforce,
     hf_bruteforce,
     syzygies_bruteforce,
@@ -16,7 +16,7 @@ from hfstrata.oracle import (
     tangent_bruteforce,
 )
 
-from conftest import ring2, twisted_cubic
+from conftest import build_corpus, ring2, twisted_cubic
 from test_output_digest import FILES
 
 
@@ -140,7 +140,7 @@ def check_rank_only_paths(ideal):
     for d in range(6):
         assert hf_bruteforce(ideal, d) == len(_quotient_piece(ideal, d)[3]), d
     top = max((f.homogeneous_degree() for f in ideal.generators), default=0) + 2
-    kernels = {e: ns.shape[1] for e, (_, _, ns) in _syz_coords(ideal, top).items()}
+    kernels = {e: len(vectors) for e, vectors in syzygies_bruteforce(ideal, top).items()}
     assert syzygy_counts(ideal, top) == kernels
 
 
@@ -169,3 +169,34 @@ def test_rank_paths_make_no_rref_calls(tmp_path, monkeypatch):
     assert calls == []
     assert cli.run(["oracle", "tangent", str(tmp_path / "max_cube_sq.ideal")]) == 0
     assert calls
+
+
+@pytest.mark.parametrize("p", [2, 2**31 - 1])
+def test_tangent_and_hilb_stop_at_the_first_zero_piece(tmp_path, monkeypatch, capsys, p):
+    """On corpus truncations at m = 1, 2 and reg + 2, `oracle tangent` and
+    `oracle hilb` build no matrix in a degree above the first d with
+    (S/I)_d = 0, and the tangent dimension equals the engine's."""
+    degrees = []
+    original = oracle._unknowns
+
+    def recording(ring, shifts, e):
+        # the rows of every matrix the oracle builds in degree e
+        degrees.append(e)
+        return original(ring, shifts, e)
+
+    monkeypatch.setattr(oracle, "_unknowns", recording)
+    path = tmp_path / "gamma.ideal"
+    for name, ideal_y in build_corpus(p=p).items():
+        for m in sorted({1, 2, regularity(ideal_y) + 2}):
+            gamma = ideal_sum(ideal_y, maximal_ideal_power(ideal_y.ring, m))
+            first_zero = next(d for d in range(m + 1) if hilbert_function(gamma, d) == 0)
+            path.write_text(cli.format_ideal_file(gamma))
+            for argv, expected in [
+                (["hilb", "--up-to", "9"], " ".join(str(hilbert_function(gamma, d)) for d in range(10))),
+                (["tangent", "--bound", "9"], str(tangent_space(gamma).dimension)),
+            ]:
+                degrees.clear()
+                capsys.readouterr()
+                assert cli.run(["oracle", argv[0], str(path)] + argv[1:]) == 0
+                assert capsys.readouterr().out.strip() == expected, (name, m, argv)
+                assert degrees and max(degrees) <= first_zero, (name, m, argv, degrees)

@@ -6,7 +6,7 @@ tangent dimensions and Betti tables must be identical to those of
 `oracle_reference`.  The largest prime is the case where an int64
 matrix product in the tangent projection would overflow, which the
 normal-form table avoids by reducing each product mod p before summing.
-Also `linalg.nullspace` against its former scalar loop, and the two
+Also `linalg.nullspace` against its former scalar loop, and the three
 facts the Betti selection in kernel coordinates rests on.
 """
 
@@ -23,6 +23,7 @@ from hfstrata.field import PrimeField  # noqa: E402
 from hfstrata.groebner import Ideal  # noqa: E402
 from hfstrata.oracle import (  # noqa: E402
     _free_rows,
+    _units_kept,
     betti_bruteforce,
     hf_bruteforce,
     syzygies_bruteforce,
@@ -132,3 +133,25 @@ def test_selection_in_kernel_coordinates(p, rows, cols, nbase, data):
     assert linalg.greedy_independent_rows(np.vstack([base, ns.T]), p) == (
         linalg.greedy_independent_rows(np.vstack([base[:, free], identity]), p)
     )
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(st.sampled_from(PRIMES), st.sampled_from(("random", "zero", "full rank")),
+       st.integers(0, 7), st.integers(0, 7), st.data())
+def test_units_kept_are_the_greedy_identity_rows(p, kind, rows, cols, data):
+    """The unit rows that greedy selection keeps on [B; I] are the
+    coordinates that are not pivots of B read right to left: random, zero
+    (or empty) and full-rank row sets B."""
+    if kind == "random":
+        b = draw_matrix(data, p, rows, cols)
+    elif kind == "zero":
+        b = np.zeros((rows, cols), dtype=np.int64)
+    else:
+        # unit lower triangular with its rows shuffled: rank cols
+        b = np.tril(draw_matrix(data, p, cols, cols), -1) + np.eye(cols, dtype=np.int64)
+        b = b[data.draw(st.permutations(range(cols)))].reshape(cols, cols)
+    identity = np.eye(cols, dtype=np.int64)
+    kept = linalg.greedy_independent_rows(np.vstack([b, identity]), p)
+    assert _units_kept(b, p) == [k - len(b) for k in kept if k >= len(b)]
+    if kind != "random":
+        assert _units_kept(b, p) == ([] if kind == "full rank" else list(range(cols)))

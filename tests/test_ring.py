@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -36,6 +36,19 @@ def test_reflexivity_and_lex():
     assert grevlex((1, 2, 3)) == grevlex((1, 2, 3))
     assert lex((1, 0)) > lex((0, 3))
 
+
+
+def listing_by_multisets(n, d, kind):
+    """The degree-d monomials built from multisets of d variables, sorted."""
+    monos = [tuple(c.count(v) for v in range(n)) for c in combinations_with_replacement(range(n), d)]
+    return tuple(sorted(monos, key=MonomialOrder(kind).key, reverse=True))
+
+
+@pytest.mark.parametrize("kind", [GREVLEX, LEX])
+def test_monomials_of_degree_match_the_multiset_listing(kind):
+    for n in range(1, 5):
+        for d in range(11):
+            assert monomials_of_degree(n, d, kind) == listing_by_multisets(n, d, kind), (n, d)
 
 def test_grevlex_degree2_n3_sorted():
     # a textbook list: x^2 > xy > y^2 > xz > yz > z^2 for x > y > z
