@@ -39,6 +39,14 @@ FIELD_ENV_VAR = "HFSTRATA_FIELD"
 # ---------------------------------------------------------------------------
 
 
+def _name_start(c):
+    return c.isalpha() or c == "_"
+
+
+def _name_char(c):
+    return c.isalnum() or c == "_"
+
+
 def _tokenize_expr(text, line_no, col_offset):
     tokens = []
     i = 0
@@ -57,9 +65,9 @@ def _tokenize_expr(text, line_no, col_offset):
                 j += 1
             tokens.append(("NUMBER", int(text[i:j]), col))
             i = j
-        elif c.isalpha() or c == "_":
+        elif _name_start(c):
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and _name_char(text[j]):
                 j += 1
             tokens.append(("NAME", text[i:j], col))
             i = j
@@ -171,6 +179,9 @@ def parse_ideal_file(text):
             if len(parts) < 2:
                 raise ParseError(line_no, indent + 1, "usage: vars <name> [<name> ...]")
             names = parts[1:]
+            for name in names:  # a name the tokenizer splits could never be used
+                if not (_name_start(name[0]) and all(map(_name_char, name[1:]))):
+                    raise ParseError(line_no, indent + 1, f"variable name {name!r} is not one name token")
             if len(set(names)) != len(names):
                 raise ParseError(line_no, indent + 1, "variable names must be distinct")
         elif head == "order":

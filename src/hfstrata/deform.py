@@ -3,7 +3,10 @@
 Everything here is finite-dimensional linear algebra over F_p once the
 resolution data is fixed: graded pieces (S/I)_d are coordinatized by the
 standard monomials of the active order (sorted descending), maps become
-matrices, and dimensions become ranks.
+matrices, and dimensions become ranks.  Pairing a Hom element with a
+syzygy column multiplies each slot by the column's entry there, so each
+block of a pairing matrix is a multiplication matrix of S/I
+(`QuotientBasis.multiplication_matrix`).
 
 A `Truncation` holds what the comparison of I_Y with the ideal
 I_Gamma = I_Y + m^m of the fattened cone point reads, each piece
@@ -55,13 +58,6 @@ class HomLayout:
         self.degrees = list(degrees)
         self.total = sum(qb.dim(d) for d in self.degrees)
 
-    def unknowns(self):
-        out = []
-        for j, d in enumerate(self.degrees):
-            for m in self.qb.monomials(d):
-                out.append((j, m))
-        return out
-
     def lift(self, column):
         """Column vector -> tuple of polynomial representatives per slot."""
         ring = self.qb.ring
@@ -84,28 +80,21 @@ def _pairing_matrix(layout: HomLayout, columns):
 
     `columns` is a list of (vector, degree) where vector has one
     polynomial per layout slot; the block of rows for a column is the
-    quotient piece in its degree (skipped when zero-dimensional).
-    Composing an unknown slot value x^b at slot j against a column
-    contributes NF(vector[j] * x^b).
+    quotient piece in its degree (skipped when zero-dimensional), and
+    its block at slot j is the multiplication by vector[j] from
+    (S/I)_{d_j}, zero where vector[j] is zero.
     """
     qb = layout.qb
-    p = qb.ring.field.p
-    unknowns = layout.unknowns()
-    blocks = []
+    offsets = np.cumsum([0] + [qb.dim(d) for d in layout.degrees])
+    columns = [(vec, e) for vec, e in columns if qb.dim(e)]
+    mat = np.zeros((sum(qb.dim(e) for _, e in columns), layout.total), dtype=np.int64)
+    row = 0
     for vec, e in columns:
-        dim_e = qb.dim(e)
-        if dim_e == 0:
-            continue
-        block = np.zeros((dim_e, layout.total), dtype=np.int64)
-        for col, (j, b) in enumerate(unknowns):
-            f = vec[j]
-            if f.is_zero():
-                continue
-            block[:, col] = qb.coords(f.term_mul(b), e)
-        blocks.append(block)
-    if not blocks:
-        return np.zeros((0, layout.total), dtype=np.int64)
-    return np.vstack(blocks)
+        for j, (f, d) in enumerate(zip(vec, layout.degrees)):
+            if not f.is_zero():
+                mat[row : row + qb.dim(e), offsets[j] : offsets[j + 1]] = qb.multiplication_matrix(f, d)
+        row += qb.dim(e)
+    return mat
 
 
 class TangentSpace:
@@ -222,18 +211,7 @@ class ComparisonReport:
             setattr(self, k, kw[k])
 
     def to_json(self):
-        return {
-            "tangent_dim_Y": self.tangent_dim_Y,
-            "tangent_dim_Gamma": self.tangent_dim_Gamma,
-            "tangent_rank": self.tangent_rank,
-            "tangent_bijective": self.tangent_bijective,
-            "ext1_dim_Y": self.ext1_dim_Y,
-            "ext1_dim_Gamma": self.ext1_dim_Gamma,
-            "obstruction_kernel_dim": self.obstruction_kernel_dim,
-            "obstruction_injective": self.obstruction_injective,
-            "m": self.m,
-            "reg": self.reg,
-        }
+        return {k: getattr(self, k) for k in self.__slots__}
 
     def __repr__(self):
         return f"ComparisonReport({self.to_json()})"

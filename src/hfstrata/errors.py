@@ -12,9 +12,9 @@ class StructureError(HfStrataError):
 class InhomogeneousError(HfStrataError):
     """A polynomial expected to be homogeneous mixes two degrees."""
 
-    def __init__(self, deg_a, deg_b, message=None):
+    def __init__(self, deg_a, deg_b):
         self.degrees = (deg_a, deg_b)
-        super().__init__(message or f"inhomogeneous polynomial: degrees {deg_a} vs {deg_b}")
+        super().__init__(f"inhomogeneous polynomial: degrees {deg_a} vs {deg_b}")
 
 
 class DegenerateInputError(HfStrataError):
@@ -32,9 +32,9 @@ class ParameterError(HfStrataError):
 class GenericityError(HfStrataError):
     """Randomized search exhausted its trial budget."""
 
-    def __init__(self, trials, message=None):
+    def __init__(self, trials):
         self.trials = trials
-        super().__init__(message or f"no regular sequence found in {trials} trials")
+        super().__init__(f"no regular sequence found in {trials} trials")
 
 
 class ParseError(HfStrataError):

@@ -5,6 +5,10 @@ term ideal.  Graded Betti numbers come from Koszul homology,
 beta_{i,j}(I) = dim H_{i+1}(K(x) ⊗ S/I)_j, with S/I coordinatized by
 the standard monomials of the reduced Gröbner basis; the degrees
 searched are capped by the Taylor resolution of the lead term ideal.
+In those coordinates, multiplication by a form is
+`QuotientBasis.multiplication_matrix`: the Koszul differentials are
+built from the variables' matrices, and `deform`'s pairing matrices
+from those of syzygy entries.
 Resolutions iterate Schreyer syzygies and select minimal generators
 (Nakayama, by sparse echelon insertion over F_p) only in the degrees
 where the Betti table has an entry, so the maps never contain unit
@@ -211,38 +215,27 @@ class QuotientBasis:
     def dim(self, d):
         return len(self.monomials(d))
 
-    def coords(self, f, d):
-        """Coordinates of the class of f in (S/I)_d."""
-        return self._vec_coords(_vec_from_polys((f,), self._pk), d)
+    def multiplication_matrix(self, f, d):
+        """Matrix of multiplication by f from (S/I)_d to (S/I)_{d + deg f}.
 
-    def _vec_coords(self, vec, d):
-        """Coordinates of the normal form of an engine vector of degree d.
-
-        The normal form carries no certificate; the GB's monic divisors
-        are built on first use and kept.
+        Column k is the normal form of f times the k-th standard monomial
+        of degree d, written sparsely.  A product whose terms are all
+        standard is its own normal form; any other is reduced by the GB's
+        monic divisors, built on first use and kept, with no certificate.
         """
-        monos = self.monomials(d)
-        index = self._cache[d][1]
-        row = [0] * len(monos)
-        if vec and self._gb:
-            if self._divisors is None:
-                self._divisors = _divisor_elems(self.ring, self._gb, self._pk)
-            vec, _ = _reduce_full(vec, None, self._divisors, self.ring.field.p, self._pk)
-        for t, c in vec.items():
-            row[index[t]] = c
-        return row
-
-    def variable_matrix(self, t, d):
-        """Matrix of multiplication by x_t from (S/I)_d to (S/I)_{d+1}."""
-        mat = np.zeros((self.dim(d + 1), self.dim(d)), dtype=np.int64)
-        index = self._cache[d + 1][1]
-        x_t = self._pk.pack(tuple(int(s == t) for s in range(self.ring.n)))
+        e = d + f.homogeneous_degree()
+        self.monomials(e)  # caches every degree up to e
+        pk, index = self._pk, self._cache[e][1]
+        terms = [(pk.pack(t), c) for t, c in f.terms]
+        mat = np.zeros((len(index), self.dim(d)), dtype=np.int64)
         for col, key in enumerate(self._cache[d][1]):  # packed keys in basis order
-            e = self._pk.mul(key, x_t)
-            if e in index:
-                mat[index[e], col] = 1
-            else:
-                mat[:, col] = self._vec_coords({e: 1}, d + 1)
+            prod = {pk.mul(key, t): c for t, c in terms}
+            if not prod.keys() <= index.keys():
+                if self._divisors is None:
+                    self._divisors = _divisor_elems(self.ring, self._gb, pk)
+                prod, _ = _reduce_full(prod, None, self._divisors, self.ring.field.p, pk)
+            for t, c in prod.items():
+                mat[index[t], col] = c
         return mat
 
 
@@ -354,9 +347,9 @@ def _koszul_betti(ideal: Ideal):
     times = {}
     ranks = {}
 
-    def variable_matrix(t, d):
+    def times_variable(t, d):
         if (t, d) not in times:
-            times[t, d] = qb.variable_matrix(t, d)
+            times[t, d] = qb.multiplication_matrix(ring.variable(t), d)
         return times[t, d]
 
     def rank(k, j):
@@ -371,7 +364,7 @@ def _koszul_betti(ideal: Ideal):
             for c, sigma in enumerate(combinations(range(n), k)):
                 for a, t in enumerate(sigma):
                     r = faces[sigma[:a] + sigma[a + 1 :]]
-                    block = variable_matrix(t, d)
+                    block = times_variable(t, d)
                     mat[r * tgt : (r + 1) * tgt, c * src : (c + 1) * src] = (
                         block if a % 2 == 0 else (p - block) % p
                     )

@@ -1,14 +1,14 @@
 """Exact linear algebra over F_p.
 
-Two dense kernels, both vectorized over rows with numpy and both
-pivoting on the first nonzero row at or below the rank, columns left to
-right:
+One dense elimination, `_forward_pivots`: forward elimination in place,
+vectorized over rows with numpy, pivoting on the first nonzero row at
+or below the rank, columns left to right, with no scaling of pivot rows.
+Two kernels use it:
 
-- `rref_inplace`, the reduced row echelon form, for the callers that
-  read R[:rank, free]: `rref`, `nullspace`, the oracle's
-  quotient pieces and normal-form tables.
-- `pivot_columns`, forward elimination only (no back-substitution, no
-  scaling of pivot rows), for the callers that read only a rank or pivot
+- `rref_inplace`, the reduced row echelon form, follows it with
+  back-substitution, for the callers that read R[:rank, free]: `rref`,
+  `nullspace`, the oracle's quotient pieces and normal-form tables.
+- `pivot_columns`, for the callers that read only a rank or pivot
   columns: `rank` (the oracle's Hilbert values and syzygy counts, the
   tangent rank, the Koszul ranks in `invariants`, the ranks in `deform`)
   and `greedy_independent_rows` (the oracle's Nakayama selections).
@@ -25,10 +25,6 @@ elimination time by a third to two thirds.  The dense Betti selections
 of the oracle have no singleton rows and pay only for the nonzero
 pattern.
 
-Forward elimination is a loop of its own, not `rref_inplace` with the
-rows read off, because it does about half the work: on the same peeled
-matrices of an `oracle` round it takes 0.106 s against 0.188 s.
-
 Dense matrices are C-contiguous int64 arrays with entries reduced into
 [0, p); with p < 2**31 the row updates stay within int64.
 
@@ -42,39 +38,6 @@ nonzeros, and never builds a matrix.
 from heapq import heapify, heappop, heappush
 
 import numpy as np
-
-
-def rref_inplace(a, p):
-    """In-place reduced row echelon form; returns (rank, pivot_columns).
-
-    The pivot of each column is its first nonzero row at or below the
-    current rank, columns are visited left to right, and pivot rows are
-    scaled to 1.
-    """
-    m, n = a.shape
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r >= m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i], :] = a[[i, r], :]
-        v = int(a[r, c])
-        if v != 1:
-            inv = pow(v, p - 2, p)
-            a[r, c:] = (a[r, c:] * inv) % p
-        rows = np.nonzero(a[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            f = a[rows, c][:, None]
-            a[rows, c:] = (a[rows, c:] - f * a[r, c:]) % p
-        pivots.append(c)
-        r += 1
-    return r, pivots
 
 
 def as_matrix(rows, ncols):
@@ -145,6 +108,27 @@ def _forward_pivots(a, p):
         pivots.append(c)
         r += 1
     return pivots
+
+
+def rref_inplace(a, p):
+    """In-place reduced row echelon form; returns (rank, pivot_columns).
+
+    Forward elimination (`_forward_pivots`), pivot rows scaled to 1, then
+    back-substitution from the bottom pivot up: each pivot column is
+    cleared in the rows above, whose entries in the pivot columns below
+    are already zero.
+    """
+    pivots = _forward_pivots(a, p)
+    rank = len(pivots)
+    top = a[:rank]
+    top *= np.array([pow(int(v), p - 2, p) for v in top[np.arange(rank), pivots]], dtype=np.int64)[:, None]
+    top %= p
+    for r in range(rank - 1, 0, -1):
+        c = pivots[r]
+        rows = np.flatnonzero(a[:r, c])
+        if rows.size:
+            a[rows, c:] = (a[rows, c:] - a[rows, c][:, None] * a[r, c:]) % p
+    return rank, pivots
 
 
 def pivot_columns(a, p):

@@ -10,10 +10,15 @@ Coordinates: a monomial is a row of an int64 exponent array, located in
 the basis of S_d by its mixed-radix code (radix d + 1) and a
 `searchsorted`.  Module vectors are flat term arrays (vector, component,
 exponents, coefficient), so "v times every monomial of degree e - deg v"
-is one broadcast sum and one fancy assignment for all v at once.  Where
-only rank, kernel or row selection is read, the columns are just the
-(component, monomial) pairs the rows touch.  Syzygies stay as kernel
-matrices and become Polynomial tuples only in `syzygies_bruteforce`.
+is one broadcast sum and one fancy assignment for all v at once.  The
+generators' multiples in degree d (`_ideal_piece`) are built once per
+degree, in the basis of S_d, and give that degree's Hilbert value,
+quotient piece and syzygies alike: zero columns and column order leave
+rank and left kernel unchanged.  The multiples of module vectors (the
+Betti levels, the exactness check) are read only for rank, kernel or
+row selection, so their columns are just the (component, monomial)
+pairs the rows touch.  Syzygies stay as kernel matrices and become
+Polynomial tuples only in `syzygies_bruteforce`.
 
 Projection: a tangent condition reduces a_j * x^m modulo I_e, for each
 degree-e syzygy (a_1..a_s) and unknown (j, m).  With R the reduced
@@ -29,7 +34,8 @@ Vanishing: S/I is generated in degree 0, so (S/I)_{e+1} = S_1 (S/I)_e
 and every piece after a zero one is zero.  `hf_values` answers 0 from
 there on without ranking, and `tangent_bruteforce` builds no syzygy
 kernel or normal-form table from the first zero piece on, where every
-condition is zero, and no quotient piece past it.
+condition is zero, and no quotient piece past it; below it, one matrix
+of multiples per degree gives both the quotient piece and the kernel.
 
 Selection: at each Betti level and degree e the Nakayama selection runs
 on kernel coordinates, degree by degree with only ker_{e-1} kept.  The
@@ -98,20 +104,11 @@ class GradedPieceBasis:
         return self._perm[np.searchsorted(self._sorted, _codes(0, exps, self.degree + 1))]
 
 
-def _gen_terms(polys, n):
-    """Flat term arrays (vector, component, exponents, coefficient) of the
-    one-component vectors (f,) for f in polys."""
-    vec = np.repeat(np.arange(len(polys)), [len(f.terms) for f in polys])
-    exps = np.array([e for f in polys for e, _ in f.terms], dtype=np.int64).reshape(-1, n)
-    coeff = np.array([c for f in polys for _, c in f.terms], dtype=np.int64)
-    return vec, np.zeros_like(vec), exps, coeff
-
-
-def _map_terms(gmap, n):
-    """Flat term arrays of a graded map's columns: the vector is the
-    source slot and the component the target slot."""
-    terms = [(j, i, e, c) for j in range(gmap.source.rank)
-             for i, f in enumerate(gmap.column(j)) for e, c in f.terms]
+def _vector_terms(vectors, n):
+    """Flat term arrays (vector, component, exponents, coefficient) of
+    module vectors, each a tuple of polynomials, one per component."""
+    terms = [(k, i, e, c) for k, vec in enumerate(vectors)
+             for i, f in enumerate(vec) for e, c in f.terms]
     vec, comp, exps, coeff = zip(*terms) if terms else ((), (), (), ())
     return (np.array(vec, dtype=np.int64), np.array(comp, dtype=np.int64),
             np.array(exps, dtype=np.int64).reshape(-1, n), np.array(coeff, dtype=np.int64))
@@ -152,25 +149,30 @@ def _multiples(terms, unk_vec, unk_exps, basis=None):
 
 
 def _ideal_piece(ideal, d):
-    """The basis of S_d and the matrix of the generators' multiples in it."""
+    """(basis, slots, multiplier exponents, M) in degree d: the basis of
+    S_d, the unknowns of (⊕_j S(-deg f_j))_d, and the matrix M in that
+    basis whose row u is generator slots[u] times its multiplier.  The
+    row span of M is I_d, and its left kernel the degree-d syzygies."""
     ring, basis = ideal.ring, GradedPieceBasis(ideal.ring, d)
     degs = [f.homogeneous_degree() for f in ideal.generators]
-    return basis, _multiples(_gen_terms(ideal.generators, ring.n), *_unknowns(ring, degs, d), basis)
+    unk_vec, unk_exps = _unknowns(ring, degs, d)
+    terms = _vector_terms([(f,) for f in ideal.generators], ring.n)
+    return basis, unk_vec, unk_exps, _multiples(terms, unk_vec, unk_exps, basis)
 
 
-def _quotient_piece(ideal, d):
-    """(S/I)_d in coordinates: the basis of S_d, the nonzero RREF rows of
-    I_d in it, their pivot columns and the free (non-pivot) columns."""
-    basis, mat = _ideal_piece(ideal, d)
-    rref, rank, pivots = linalg.rref(mat, ideal.ring.field.p)
-    return basis, rref[:rank], pivots, np.delete(np.arange(len(basis)), pivots)
+def _quotient_piece(basis, mat, p):
+    """(S/I)_d in the coordinates of `basis`, from the multiples matrix
+    of `_ideal_piece`: the nonzero RREF rows of I_d, their pivot columns
+    and the free (non-pivot) columns."""
+    rref, rank, pivots = linalg.rref(mat, p)
+    return rref[:rank], pivots, np.delete(np.arange(len(basis)), pivots)
 
 
 def hf_bruteforce(ideal, d: int) -> int:
     """dim (S/I)_d = dim S_d - rank of the generator-multiple matrix."""
     if d < 0:
         raise ParameterError(f"degree must be >= 0, got {d}")
-    basis, mat = _ideal_piece(ideal, d)
+    basis, _, _, mat = _ideal_piece(ideal, d)
     return len(basis) - linalg.rank(mat, ideal.ring.field.p)
 
 
@@ -192,19 +194,12 @@ def _check_bound(degs, degree_bound):
 
 
 def _syzygy_matrices(ideal, degree_bound):
-    """(e, slots, multiplier exponents, M) per degree e up to the bound:
-    the unknowns of (⊕_j S(-d_j))_e and the matrix M whose row u is
-    generator slots[u] times its multiplier, so that the degree-e
-    syzygies are the left kernel of M."""
-    gens = ideal.generators
-    degs = [f.homogeneous_degree() for f in gens]
+    """(e, slots, multiplier exponents, M) per degree e up to the bound,
+    from `_ideal_piece`: the degree-e syzygies are the left kernel of M."""
+    degs = [f.homogeneous_degree() for f in ideal.generators]
     _check_bound(degs, degree_bound)
-    if not gens:
-        return
-    terms = _gen_terms(gens, ideal.ring.n)
-    for e in range(min(degs), degree_bound + 1):
-        unk_vec, unk_exps = _unknowns(ideal.ring, degs, e)
-        yield e, unk_vec, unk_exps, _multiples(terms, unk_vec, unk_exps)
+    for e in range(min(degs, default=degree_bound + 1), degree_bound + 1):
+        yield (e,) + _ideal_piece(ideal, e)[1:]
 
 
 def syzygy_counts(ideal, degree_bound: int):
@@ -261,19 +256,18 @@ def tangent_bruteforce(ideal, degree_bound: int) -> int:
     degs = [f.homogeneous_degree() for f in gens]
     pieces = {}
     for e in range(min(degs), max(degs + [degree_bound]) + 1):
-        piece = _quotient_piece(ideal, e)
-        if not len(piece[3]):
+        basis, unk_vec, unk_exps, mat = _ideal_piece(ideal, e)
+        rref, pivots, free = _quotient_piece(basis, mat, p)
+        if not len(free):
             break  # (S/I)_{e+1} = S_1 (S/I)_e, so every later piece is zero
-        pieces[e] = piece
+        pieces[e] = basis, rref, pivots, free, unk_vec, unk_exps, mat
     unknowns = [(j, pieces[d][0].exps[c]) for j, d in enumerate(degs) if d in pieces for c in pieces[d][3]]
     if not unknowns:
         return 0
     _check_bound(degs, degree_bound)
-    gen_terms = _gen_terms(gens, ring.n)
     blocks = []
-    for e, (basis, rref, pivots, free) in pieces.items():
-        unk_vec, unk_exps = _unknowns(ring, degs, e)
-        ns = linalg.nullspace(_multiples(gen_terms, unk_vec, unk_exps).T, p)
+    for e, (basis, rref, pivots, free, unk_vec, unk_exps, mat) in pieces.items():
+        ns = linalg.nullspace(mat.T, p)
         if not ns.shape[1]:
             continue
         # row c: the normal form of the c-th monomial of S_e modulo I_e
@@ -364,7 +358,7 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
             continue
         order = chosen + cands
         unk_vec, unk_exps = _unknowns(ring, [degs[j] for j in order], e)
-        mat = _multiples(_gen_terms([gens[j] for j in order], ring.n), unk_vec, unk_exps)
+        mat = _multiples(_vector_terms([(gens[j],) for j in order], ring.n), unk_vec, unk_exps)
         nbase = len(unk_vec) - len(cands)
         keep = set(linalg.greedy_independent_rows(mat, p))
         new = [j for k, j in enumerate(cands) if nbase + k in keep]
@@ -372,7 +366,7 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
             entries[(0, e)] = len(new)
             chosen.extend(new)
 
-    level = _gen_terms([gens[j] for j in chosen], ring.n)
+    level = _vector_terms([(gens[j],) for j in chosen], ring.n)
     shifts = [degs[j] for j in chosen]
     for step in range(1, max_step + 1):
         if not shifts:
@@ -409,7 +403,7 @@ def exactness_violations(ideal, res, degree_bound: int):
         return []
     pieces = []  # per stage and degree: (source dimension, rank)
     for gmap in [res.augmentation()] + list(res.maps):
-        terms = _map_terms(gmap, ring.n)
+        terms = _vector_terms([gmap.column(j) for j in range(gmap.source.rank)], ring.n)
         unknowns = [_unknowns(ring, gmap.source.shifts, d) for d in range(degree_bound + 1)]
         pieces.append([(len(u[0]), linalg.rank(_multiples(terms, *u), p)) for u in unknowns])
     out = []

@@ -94,6 +94,29 @@ def test_parse_undeclared_variable_position():
     assert exc.value.line == 4 and exc.value.col == 3
 
 
+@pytest.mark.parametrize("name", ["y-z", "2", "1x", "x.y", "x^2"])
+def test_vars_name_that_is_not_one_token_exit2(capsys, tmp_path, name):
+    """A declared name that the expression tokenizer would split or read
+    as a number fits in no generator, and `truncate` would write strand
+    monomials that do not reparse: the vars line is refused."""
+    path = tmp_path / "bad.ideal"
+    path.write_text(f"field 7\nvars x {name}\nideal:\nx^2\n")
+    assert run(["truncate", str(path), "--m", "3", "--force", "-o", str(tmp_path / "back.ideal")]) == 2
+    assert capsys.readouterr().err == f"error: line 2, col 1: variable name {name!r} is not one name token\n"
+    assert not (tmp_path / "back.ideal").exists()
+
+
+def test_accepted_names_reparse(tmp_path):
+    """Every name the vars line accepts survives format_ideal_file."""
+    path, out = tmp_path / "names.ideal", tmp_path / "back.ideal"
+    path.write_text("field 7\nvars x_1 _y Z9 \u00e9\nideal:\nx_1^2 - 3*_y*Z9\n\u00e9^3 + x_1*_y*\u00e9\n")
+    assert run(["truncate", str(path), "--m", "4", "--force", "-o", str(out)]) == 0
+    _, first = parse_ideal_file(out.read_text())
+    assert len(first.generators) > 2
+    _, second = parse_ideal_file(format_ideal_file(first))
+    assert first.generators == second.generators
+
+
 def test_parse_order_and_default_field():
     ring, _ = parse_ideal_file("vars x y\norder lex\nideal:\nx*y\n")
     assert ring.order.kind == "lex"

@@ -197,11 +197,15 @@ def test_truncation_presentation_block_structure():
 
 def _round_trip(qb_y, qb_gamma, degrees, matrix):
     """Reference images in Gamma's coordinates: each column lifted to one
-    polynomial per I_Y slot, each reduced in (S/I_Gamma) of its degree."""
+    polynomial per I_Y slot, each reduced in (S/I_Gamma) of its degree as
+    f times the class of 1."""
     lift = HomLayout(qb_y, degrees).lift
     images = np.zeros((HomLayout(qb_gamma, degrees).total, matrix.shape[1]), dtype=np.int64)
     for k in range(matrix.shape[1]):
-        images[:, k] = [c for f, d in zip(lift(matrix[:, k]), degrees) for c in qb_gamma.coords(f, d)]
+        images[:, k] = np.concatenate([
+            qb_gamma.multiplication_matrix(f, 0)[:, 0] if not f.is_zero() else np.zeros(qb_gamma.dim(d))
+            for f, d in zip(lift(matrix[:, k]), degrees)
+        ])
     return images
 
 

@@ -20,8 +20,8 @@ from hfstrata.groebner import (
     maximal_ideal_power,
     syzygies,
 )
-from hfstrata.oracle import _map_terms, _multiples, _unknowns
-from hfstrata.ring import GradedFreeModule, GradedMap, RingContext
+from hfstrata.oracle import _multiples, _unknowns, _vector_terms
+from hfstrata.ring import RingContext
 from hfstrata.strata import random_forms
 
 from conftest import build_corpus, ring2, ring3, ring4, twisted_cubic
@@ -168,9 +168,7 @@ def vector_multiples(ring, vectors, shifts, degree):
     module vectors in ⊕ S(-shifts): one row per vector and multiplier,
     vectors in order, multipliers descending."""
     degs = [groebner.vector_degree(v, shifts) for v in vectors]
-    entries = [[v[c] for v in vectors] for c in range(len(shifts))]
-    gmap = GradedMap(ring, GradedFreeModule(degs), GradedFreeModule(shifts), entries)
-    return _multiples(_map_terms(gmap, ring.n), *_unknowns(ring, degs, degree))
+    return _multiples(_vector_terms(vectors, ring.n), *_unknowns(ring, degs, degree))
 
 
 def syzygy_span_rank(ring, shifts, basis, degree):

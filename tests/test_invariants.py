@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from hfstrata.errors import DegenerateInputError, ExponentOverflowError
@@ -13,10 +16,10 @@ from hfstrata.invariants import (
     minimal_free_resolution,
     regularity,
 )
-from hfstrata.oracle import exactness_violations
-from hfstrata.ring import GradedFreeModule, GradedMap, RingContext
+from hfstrata.oracle import _ideal_piece, _quotient_piece, exactness_violations
+from hfstrata.ring import GradedFreeModule, GradedMap, RingContext, monomials_of_degree
 
-from conftest import build_corpus, ring2, ring4, twisted_cubic
+from conftest import build_corpus, ring2, ring4, skew_lines, twisted_cubic
 
 
 def test_hilbert_zero_ideal():
@@ -239,3 +242,46 @@ def test_euler_characteristic_of_resolution(corpus):
         for j, c in acc.items():
             numerator[j] = c
         assert HilbertSeries(numerator, ideal.ring.n) == hs, name
+
+
+def _normal_form_table(ideal, e):
+    """The oracle's normal forms of the monomials of S_e, one row each, in
+    the free columns of the RREF of I_e: the standard monomials, descending."""
+    p = ideal.ring.field.p
+    basis, _, _, mat = _ideal_piece(ideal, e)
+    rref, pivots, free = _quotient_piece(basis, mat, p)
+    nf = np.zeros((len(basis), len(free)), dtype=np.int64)
+    nf[free] = np.eye(len(free), dtype=np.int64)
+    nf[pivots] = -rref[:, free] % p
+    return basis, [basis.monomials[c] for c in free], nf
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+def test_multiplication_matrix_matches_oracle_normal_forms(p):
+    """Column k of multiplication_matrix(f, d) is sum_t c_t NF[x^(t + s_k)]
+    over the terms c_t x^t of f, s_k the k-th standard monomial of degree
+    d, for f each variable and a seeded random quadric."""
+    rng = random.Random(p)
+    ideals = dict(build_corpus(p=p), skew_lines=skew_lines(p=p))
+    for name, ideal_y in ideals.items():
+        ring, reg = ideal_y.ring, regularity(ideal_y)
+        quadrics = monomials_of_degree(ring.n, 2, ring.order.kind)
+        quadric = ring.from_terms([(e, rng.randrange(1, p)) for e in quadrics])
+        factors = [ring.variable(t) for t in range(ring.n)] + [quadric]
+        cases = [ideal_y] + [ideal_sum(ideal_y, maximal_ideal_power(ring, m)) for m in sorted({2, reg + 2})]
+        for ideal in cases:
+            qb, tables = QuotientBasis(ideal), {}
+            for d in range(reg + 2):
+                for f in factors:
+                    e = d + f.homogeneous_degree()
+                    if e not in tables:
+                        tables[e] = _normal_form_table(ideal, e)
+                    basis, standard, nf = tables[e]
+                    assert list(qb.monomials(e)) == standard, (name, e)
+                    mat = qb.multiplication_matrix(f, d)
+                    assert mat.shape == (len(standard), qb.dim(d)), (name, d)
+                    exps = np.array([t for t, _ in f.terms], dtype=np.int64)
+                    coeffs = np.array([c for _, c in f.terms], dtype=np.int64)[:, None]
+                    for k, s in enumerate(qb.monomials(d)):
+                        terms = coeffs * nf[basis.columns(exps + np.array(s))] % p
+                        assert np.array_equal(mat[:, k], terms.sum(axis=0) % p), (name, d, str(f), k)

@@ -8,6 +8,7 @@ from hfstrata.groebner import Ideal, ideal_sum, maximal_ideal_power
 from hfstrata.invariants import HilbertSeries, hilbert_function, hilbert_series, regularity
 from hfstrata.oracle import (
     GradedPieceBasis,
+    _ideal_piece,
     _quotient_piece,
     betti_bruteforce,
     hf_bruteforce,
@@ -138,7 +139,8 @@ def test_oracle_euler_characteristic(corpus):
 def check_rank_only_paths(ideal):
     """The rank-only paths equal the kernel paths they replace."""
     for d in range(6):
-        assert hf_bruteforce(ideal, d) == len(_quotient_piece(ideal, d)[3]), d
+        basis, _, _, mat = _ideal_piece(ideal, d)
+        assert hf_bruteforce(ideal, d) == len(_quotient_piece(basis, mat, ideal.ring.field.p)[2]), d
     top = max((f.homogeneous_degree() for f in ideal.generators), default=0) + 2
     kernels = {e: len(vectors) for e, vectors in syzygies_bruteforce(ideal, top).items()}
     assert syzygy_counts(ideal, top) == kernels
@@ -175,7 +177,8 @@ def test_rank_paths_make_no_rref_calls(tmp_path, monkeypatch):
 def test_tangent_and_hilb_stop_at_the_first_zero_piece(tmp_path, monkeypatch, capsys, p):
     """On corpus truncations at m = 1, 2 and reg + 2, `oracle tangent` and
     `oracle hilb` build no matrix in a degree above the first d with
-    (S/I)_d = 0, and the tangent dimension equals the engine's."""
+    (S/I)_d = 0, `oracle tangent` builds one matrix of multiples per
+    degree, and the tangent dimension equals the engine's."""
     degrees = []
     original = oracle._unknowns
 
@@ -200,3 +203,5 @@ def test_tangent_and_hilb_stop_at_the_first_zero_piece(tmp_path, monkeypatch, ca
                 assert cli.run(["oracle", argv[0], str(path)] + argv[1:]) == 0
                 assert capsys.readouterr().out.strip() == expected, (name, m, argv)
                 assert degrees and max(degrees) <= first_zero, (name, m, argv, degrees)
+                if argv[0] == "tangent":
+                    assert len(set(degrees)) == len(degrees), (name, m, degrees)
