@@ -17,10 +17,13 @@ random forms, the dense side of the Nakayama selection.
 
 Usage:
     python benchmarks/bench_verify.py [--cases 3:8,3:12,4:5,4:6,5:4,6:4]
-        [--cones fermat:6,quadric:6,tc5:4] [--repeat 1]
+        [--cones fermat:6,quadric:6,tc5:4] [--repeat 3]
 
 Each case is `n:m`, the curve degree and the truncation degree; each cone
 is `surface:m`.  An empty list skips its table.
+The default best of 3 is there because single runs of one commit on a
+shared 2-vCPU host spread by up to 40% (4.54-7.51 s for tc5's Ext^1),
+where best-of-3 runs spread 4.98-5.50 s.
 """
 
 import argparse
@@ -66,7 +69,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cases", default="3:8,3:12,4:5,4:6,5:4,6:4")
     parser.add_argument("--cones", default="fermat:6,quadric:6,tc5:4")
-    parser.add_argument("--repeat", type=int, default=1)
+    parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
     print(f"p = {P}, repeat = {args.repeat} (best of)")

@@ -78,20 +78,22 @@ def _tokenize_expr(text, line_no, col_offset):
 
 def _parse_expression(ring, text, line_no, col_offset=0):
     """Parse `terms joined by +/-, factors by *, powers by ^`."""
+    # `text` is a non-empty line; `take()` without a kind follows a `peek`
     tokens = _tokenize_expr(text, line_no, col_offset)
-    if not tokens:
-        raise ParseError(line_no, col_offset + 1, "empty polynomial expression")
+    tokens.append((None, "end of line", col_offset + len(text) + 1))
     pos = 0
 
     def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, col_offset + len(text) + 1)
+        return tokens[pos]
+
+    def found(tok):
+        return tok[1] if tok[0] is None else repr(tok[1])
 
     def take(kind=None):
         nonlocal pos
         tok = peek()
-        if tok[0] is None or (kind is not None and tok[0] != kind):
-            want = kind or "a token"
-            raise ParseError(line_no, tok[2], f"expected {want}, found {tok[1]!r}")
+        if kind is not None and tok[0] != kind:
+            raise ParseError(line_no, tok[2], f"expected {kind}, found {found(tok)}")
         pos += 1
         return tok
 
@@ -109,13 +111,11 @@ def _parse_expression(ring, text, line_no, col_offset=0):
             exp = 1
             if peek()[0] == "^":
                 take("^")
-                _, exp, ecol = take("NUMBER")
-                if exp < 0:
-                    raise ParseError(line_no, ecol, "exponents must be non-negative")
+                exp = take("NUMBER")[1]
             exps = [0] * ring.n
             exps[var_index[value]] = exp
             return 1, tuple(exps)
-        raise ParseError(line_no, col, f"expected a coefficient or variable, found {value!r}")
+        raise ParseError(line_no, col, f"expected a coefficient or variable, found {found(peek())}")
 
     def parse_term():
         coeff, exps = parse_factor()
@@ -253,16 +253,22 @@ def _load(path):
     return text, ring, ideal
 
 
-def _emit_json(payload, json_path):
+def _emit_report(args, text, report, echo, **extra):
+    """Print a verify command's JSON payload (input echo with the `echo`
+    arguments, report, then `extra`), also to --json; exit 0 iff all_ok."""
+    payload = {
+        "version": __version__,
+        "command": args.command,
+        "input": {"file": args.file, "text": text, "args": dict(sorted(echo.items()))},
+        "report": report.to_json(),
+        **extra,
+    }
     blob = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(blob)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(blob)
-
-
-def _input_echo(path, text, **args):
-    return {"file": path, "text": text, "args": dict(sorted(args.items()))}
+    return 0 if report.all_ok() else 1
 
 
 def cmd_gb(args):
@@ -326,32 +332,15 @@ def cmd_ext1(args):
 def cmd_verify_prop31(args):
     text, _, ideal = _load(args.file)
     report = verify_prop31(ideal, args.m, degree_bound=args.bound, override=args.force)
-    payload = {
-        "version": __version__,
-        "command": "verify-prop31",
-        "input": _input_echo(
-            args.file, text, m=args.m, bound=args.bound, force=bool(args.force)
-        ),
-        "report": report.to_json(),
-    }
-    _emit_json(payload, args.json)
-    return 0 if report.all_ok() else 1
+    return _emit_report(args, text, report, {"m": args.m, "bound": args.bound, "force": args.force})
 
 
 def cmd_cone_curve(args):
     text, _, ideal = _load(args.file)
     curve, report = cone_curve(ideal, args.m, args.seed, max_trials=args.trials)
-    payload = {
-        "version": __version__,
-        "command": "cone-curve",
-        "input": _input_echo(
-            args.file, text, m=args.m, seed=args.seed, trials=args.trials
-        ),
-        "report": report.to_json(),
-        "added_forms": [str(f) for f in curve.generators[len(ideal.generators) :]],
-    }
-    _emit_json(payload, args.json)
-    return 0 if report.all_ok() else 1
+    echo = {"m": args.m, "seed": args.seed, "trials": args.trials}
+    added = [str(f) for f in curve.generators[len(ideal.generators) :]]
+    return _emit_report(args, text, report, echo, added_forms=added)
 
 
 def cmd_oracle(args):

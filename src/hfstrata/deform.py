@@ -40,6 +40,10 @@ m on, (S/Gamma)_e = 0.  A slot of degree e therefore keeps its I_Y
 coordinates under the quotient map S/I_Y -> S/I_Gamma when e < m and
 has none when e >= m: the images of tangent vectors and cycles of I_Y
 are their rows in the slots of degree below m.
+
+Both verify commands report through `Report` records, whose JSON key
+order is their field order; `check_margin` is the one refusal of
+m < reg + 2, the hypothesis of the truncation and of the cone curve.
 """
 
 import numpy as np
@@ -190,8 +194,41 @@ def ext1_space(ideal: Ideal) -> Ext1Space:
     return _ext1(qb, sig2, sig3, tangent.layout.total - tangent.dimension)
 
 
-class ComparisonReport:
-    """Outcome of the tangent/obstruction comparison for one truncation."""
+class Report:
+    """A pass/fail record whose fields are its `__slots__`, set by keyword.
+
+    `to_json` lists the fields in slot order under their `json_names`
+    (the field name by default): a value with its own `to_json` gives
+    that, a tuple or list gives a list.  A report with an `all_ok`
+    method ends its JSON with that outcome.
+    """
+
+    __slots__ = ()
+    json_names = {}
+
+    def __init__(self, **kw):
+        for k in self.__slots__:
+            setattr(self, k, kw[k])
+
+    def to_json(self):
+        out = {}
+        for k in self.__slots__:
+            v = getattr(self, k)
+            if hasattr(v, "to_json"):
+                v = v.to_json()
+            elif isinstance(v, (tuple, list)):
+                v = list(v)
+            out[self.json_names.get(k, k)] = v
+        if hasattr(self, "all_ok"):
+            out["all_ok"] = self.all_ok()
+        return out
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_json()})"
+
+
+class ComparisonReport(Report):
+    """Tangent/obstruction comparison of one truncation: a TruncationReport's `comparison`."""
 
     __slots__ = (
         "tangent_dim_Y",
@@ -206,15 +243,14 @@ class ComparisonReport:
         "reg",
     )
 
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
 
-    def to_json(self):
-        return {k: getattr(self, k) for k in self.__slots__}
-
-    def __repr__(self):
-        return f"ComparisonReport({self.to_json()})"
+def check_margin(reg, m, what, name):
+    """Refuse m < reg + 2, the hypothesis of both constructions; `what`
+    names the construction and `name` the ideal whose regularity is reg."""
+    if m < reg + 2:
+        raise ParameterError(
+            f"{what} needs m >= reg({name}) + 2 = {reg + 2}, got m = {m}", required=reg
+        )
 
 
 def check_truncation(ideal_y: Ideal, m: int, override: bool = False):
@@ -225,11 +261,7 @@ def check_truncation(ideal_y: Ideal, m: int, override: bool = False):
     if ideal_y.generators and ideal_y.is_unit_ideal():
         raise DegenerateInputError("cannot truncate the unit ideal")
     if not override:
-        reg = regularity(ideal_y)
-        if m < reg + 2:
-            raise ParameterError(
-                f"truncation needs m >= reg(I_Y) + 2 = {reg + 2}, got m = {m}", required=reg
-            )
+        check_margin(regularity(ideal_y), m, "truncation", "I_Y")
 
 
 class Truncation:

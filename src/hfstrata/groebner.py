@@ -57,8 +57,8 @@ from .ring import (
     GREVLEX,
     Polynomial,
     RingContext,
+    minimal_monomials,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
     monomials_of_degree,
 )
@@ -201,6 +201,20 @@ def _reduce_full(h, cert, basis, p, pk):
     return tail, cert
 
 
+def _s_pair(gi, gj, lcm, p, guard, certs):
+    """(S-pair, certificate) of basis elements gi, gj at the packed lcm
+    of their lead terms; the certificate is None unless `certs` is set."""
+    s = {}
+    _addmul_into(s, 1, lcm - gi.lead, gi.vec, p, guard)
+    _addmul_into(s, p - 1, lcm - gj.lead, gj.vec, p, guard)
+    if not certs:
+        return s, None
+    cs = {}
+    _addmul_into(cs, 1, lcm - gi.lead, gi.cert, p, guard)
+    _addmul_into(cs, p - 1, lcm - gj.lead, gj.cert, p, guard)
+    return s, cs
+
+
 def _scale_vec(vec, c, p):
     return {t: (c * v) % p for t, v in vec.items()}
 
@@ -254,9 +268,8 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
         if (i, j) in done:
             continue
         done.add((i, j))
-        li, lj = leads[i], leads[j]
         lcm = comp - neg_lcm
-        if ambient_rank == 1 and li + lj == lcm:
+        if ambient_rank == 1 and leads[i] + leads[j] == lcm:
             continue  # product criterion (valid for ideals only; comp is 0)
         skip = False
         for k, lk in enumerate(leads):
@@ -269,12 +282,7 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
                 break
         if skip:
             continue
-        s, cs = {}, ({} if track_certs else None)
-        _addmul_into(s, 1, lcm - li, basis[i].vec, p, guard)
-        _addmul_into(s, p - 1, lcm - lj, basis[j].vec, p, guard)
-        if track_certs:
-            _addmul_into(cs, 1, lcm - li, basis[i].cert, p, guard)
-            _addmul_into(cs, p - 1, lcm - lj, basis[j].cert, p, guard)
+        s, cs = _s_pair(basis[i], basis[j], lcm, p, guard, track_certs)
         tail, cert = _reduce_full(s, cs, basis, p, pk)
         if tail:
             add_elem(tail, cert)
@@ -316,11 +324,7 @@ def _frame_pairs(gb, pk):
             tj, cj = leads[j]
             if cj == comp:
                 first.setdefault(monomial_div(monomial_lcm(lt, tj), lt), j)
-        minimal = []
-        for mult in sorted(first, key=sum):
-            if not any(monomial_divides(m, mult) for m in minimal):
-                minimal.append(mult)
-                pairs.append((i, first[mult]))
+        pairs.extend((i, first[mult]) for mult in minimal_monomials(first))
     return pairs
 
 
@@ -334,19 +338,12 @@ def _syzygy_certs(gens, p, pk, ambient_rank, ambient_shifts):
     term tuples, generates ker(e_i -> gens[i]) in the free module with
     one slot per generator.
     """
-    guard = pk.guard
     gb = _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True)
     syz = []
     for i, j in _frame_pairs(gb, pk):
-        li, lj = gb[i].lead, gb[j].lead
-        (ti, comp), (tj, _) = pk.unpack(li), pk.unpack(lj)
+        (ti, comp), (tj, _) = pk.unpack(gb[i].lead), pk.unpack(gb[j].lead)
         lcm = pk.pack(monomial_lcm(ti, tj), comp)
-        s, cs = {}, {}
-        _addmul_into(s, 1, lcm - li, gb[i].vec, p, guard)
-        _addmul_into(s, p - 1, lcm - lj, gb[j].vec, p, guard)
-        _addmul_into(cs, 1, lcm - li, gb[i].cert, p, guard)
-        _addmul_into(cs, p - 1, lcm - lj, gb[j].cert, p, guard)
-        tail, cert = _reduce_full(s, cs, gb, p, pk)
+        tail, cert = _reduce_full(*_s_pair(gb[i], gb[j], lcm, p, pk.guard, True), gb, p, pk)
         if tail:
             raise RuntimeError("S-pair of a Gröbner basis did not reduce to zero")
         if cert:

@@ -35,7 +35,7 @@ from .groebner import (
     vector_degree,
     vector_syzygies,
 )
-from .ring import GradedFreeModule, GradedMap, monomial_divides, monomials_of_degree
+from .ring import GradedFreeModule, GradedMap, minimal_monomials, monomials_of_degree
 
 # ---------------------------------------------------------------------------
 # Hilbert series of the lead-term ideal
@@ -57,19 +57,9 @@ def _trim(coeffs):
     return coeffs
 
 
-def _minimalize_monomials(gens):
-    """Drop generators divisible by another generator."""
-    gens = sorted(set(gens), key=sum)
-    out = []
-    for m in gens:
-        if not any(monomial_divides(g, m) for g in out):
-            out.append(m)
-    return out
-
-
 def _hs_numerator(gens, n):
     """Numerator of HS(S/I) over (1-t)^n for a monomial ideal I."""
-    gens = _minimalize_monomials(gens)
+    gens = minimal_monomials(gens)
     if not gens:
         return [1]
     if any(sum(m) == 0 for m in gens):

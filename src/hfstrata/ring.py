@@ -52,6 +52,16 @@ def monomial_divides(a, b) -> bool:
     return all(map(le, a, b))
 
 
+def minimal_monomials(monos):
+    """The monomials of `monos` that no other divides, by ascending degree
+    (stable, one copy of each)."""
+    out = []
+    for m in sorted(monos, key=sum):
+        if not any(monomial_divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
 def monomial_div(a, b):
     """Exponent vector of x^a / x^b; caller guarantees divisibility."""
     return tuple(map(sub, a, b))
@@ -209,16 +219,7 @@ class Polynomial:
         return self.ring._from_dict(acc)
 
     def __sub__(self, other):
-        self._check_ring(other)
-        acc = dict(self.terms)
-        p = self.ring.field.p
-        for e, c in other.terms:
-            v = (acc.get(e, 0) - c) % p
-            if v:
-                acc[e] = v
-            else:
-                acc.pop(e, None)
-        return self.ring._from_dict(acc)
+        return self + -other
 
     def __neg__(self):
         p = self.ring.field.p

@@ -12,9 +12,9 @@ tool's job includes exhibiting negative controls.
 
 import random
 
-from .deform import Truncation, check_truncation, compare_truncation
+from .deform import Report, Truncation, check_margin, check_truncation, compare_truncation
 from .errors import GenericityError, ParameterError
-from .groebner import Ideal, ideal_sum, maximal_ideal_power
+from .groebner import EXP_LIMIT, Ideal, _overflow, ideal_sum, maximal_ideal_power
 from .invariants import (
     betti_table,
     hilbert_function,
@@ -42,8 +42,8 @@ def predicted_hilbert_function(h_y, m: int, d: int) -> int:
     return h_y(d) if d < m else 0
 
 
-class TruncationReport:
-    """Structured pass/fail record for the truncation verification."""
+class TruncationReport(Report):
+    """Pass/fail record of one truncation verification: the verify-prop31 report."""
 
     __slots__ = (
         "m",
@@ -59,10 +59,7 @@ class TruncationReport:
         "comparison",
         "warnings",
     )
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
+    json_names = {"betti_y": "betti_Y", "betti_gamma": "betti_Gamma"}
 
     def all_ok(self) -> bool:
         return bool(
@@ -71,23 +68,6 @@ class TruncationReport:
             and self.comparison.tangent_bijective
             and self.comparison.obstruction_injective
         )
-
-    def to_json(self):
-        return {
-            "m": self.m,
-            "reg": self.reg,
-            "degree_bound": self.degree_bound,
-            "hilbert_ok": self.hilbert_ok,
-            "first_hilbert_failure": self.first_hilbert_failure,
-            "resolution_shape_ok": self.resolution_shape_ok,
-            "strand_multiplicities": list(self.strand_multiplicities),
-            "t1_expected": self.t1_expected,
-            "betti_Y": self.betti_y.to_json(),
-            "betti_Gamma": self.betti_gamma.to_json(),
-            "comparison": self.comparison.to_json(),
-            "warnings": list(self.warnings),
-            "all_ok": self.all_ok(),
-        }
 
 
 def verify_prop31(
@@ -100,11 +80,8 @@ def verify_prop31(
     if degree_bound is not None and degree_bound < m:
         raise ParameterError(f"degree bound must be >= m = {m}, got {degree_bound}")
     reg = regularity(ideal_y)
-    if m < reg + 2 and not override:
-        raise ParameterError(
-            f"verification needs m >= reg(I_Y) + 2 = {reg + 2}, got m = {m}",
-            required=reg,
-        )
+    if not override:
+        check_margin(reg, m, "verification", "I_Y")
     if degree_bound is None:
         degree_bound = reg + m + 4
     trunc = Truncation(ideal_y, m, override=True)  # the bound is checked above
@@ -169,18 +146,12 @@ def random_forms(ring: RingContext, degree: int, count: int, seed: int):
         raise ParameterError(f"form degree must be >= 1, got {degree}")
     if count < 1:
         raise ParameterError(f"form count must be >= 1, got {count}")
+    if degree >= EXP_LIMIT:  # x_1^degree is past the engine's limit: refuse before listing S_degree
+        raise _overflow()
     rng = random.Random(seed)
     p = ring.field.p
     monos = monomials_of_degree(ring.n, degree, ring.order.kind)
-    forms = []
-    for _ in range(count):
-        acc = {}
-        for mono in monos:
-            c = rng.randrange(p)
-            if c:
-                acc[mono] = c
-        forms.append(ring._from_dict(acc))
-    return forms
+    return [ring._from_dict({mono: rng.randrange(p) for mono in monos}) for _ in range(count)]
 
 
 def _regular_sequence_extension(ideal: Ideal, forms):
@@ -210,8 +181,8 @@ def is_regular_sequence(ideal: Ideal, forms) -> bool:
     return _regular_sequence_extension(ideal, forms)[1]
 
 
-class ConeCurveReport:
-    """Record of one cone-curve construction run."""
+class ConeCurveReport(Report):
+    """Record of one cone-curve construction run: the cone-curve report."""
 
     __slots__ = (
         "m",
@@ -224,27 +195,10 @@ class ConeCurveReport:
         "dim_c",
         "warnings",
     )
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
+    json_names = {"dim_x": "dim_X", "dim_c": "dim_C"}
 
     def all_ok(self) -> bool:
         return bool(self.hs_ok and self.dim_ok)
-
-    def to_json(self):
-        return {
-            "m": self.m,
-            "seed": self.seed,
-            "trials_used": self.trials_used,
-            "degrees": list(self.degrees),
-            "hs_ok": self.hs_ok,
-            "dim_ok": self.dim_ok,
-            "dim_X": self.dim_x,
-            "dim_C": self.dim_c,
-            "warnings": list(self.warnings),
-            "all_ok": self.all_ok(),
-        }
 
 
 def cone_curve(ideal_x: Ideal, m: int, seed: int, max_trials: int = 5):
@@ -257,11 +211,7 @@ def cone_curve(ideal_x: Ideal, m: int, seed: int, max_trials: int = 5):
     if max_trials < 0:
         raise ParameterError(f"max_trials must be >= 0, got {max_trials}")
     ring = ideal_x.ring
-    reg = regularity(ideal_x)
-    if m < reg + 2:
-        raise ParameterError(
-            f"cone curve needs m >= reg(I_X) + 2 = {reg + 2}, got m = {m}", required=reg
-        )
+    check_margin(regularity(ideal_x), m, "cone curve", "I_X")
     dim_x = krull_dim(ideal_x)
     warnings = []
     if dim_x < 2:

@@ -215,6 +215,18 @@ def test_cli_truncate_huge_m_exits_3_at_once(capsys, tmp_path, names, generators
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("m", [32768, 40000])
+def test_cli_cone_curve_huge_m_exits_3_at_once(capsys, tmp_path, m):
+    """A degree-m form has the term x^m, past the engine's exponent limit:
+    exit 3 before any degree-m monomial is listed."""
+    path = tmp_path / "quadric.ideal"
+    path.write_text("field 32003\nvars x y z w\nideal:\nx*w - y*z\n")
+    start = time.perf_counter()
+    assert run(["cone-curve", str(path), "--m", str(m), "--seed", "1"]) == 3
+    assert "error: an exponent reached 32768" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5
+
+
 def test_cli_cone_curve(capsys, tc_file, tmp_path):
     quadric = tmp_path / "quadric.ideal"
     quadric.write_text("field 32003\nvars x y z w\nideal:\nx*w - y*z\n")
@@ -269,6 +281,68 @@ def test_cli_parse_error_exit2(capsys, tmp_path):
     bad.write_text("field 10\nvars x\nideal:\nx\n")
     assert run(["gb", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+GEN = "vars x y\nideal:\n"  # generators start on line 3
+PARSE_ERRORS = [  # (id, file text, HFSTRATA_FIELD, error after "error: ")
+    ("character", GEN + "x $ y\n", None, "line 3, col 3: unexpected character '$'"),
+    ("exponent", GEN + "x^y\n", None, "line 3, col 3: expected NUMBER, found 'y'"),
+    ("exponent-eol", GEN + "  x^\n", None, "line 3, col 5: expected NUMBER, found end of line"),
+    ("factor", GEN + "x*+y\n", None, "line 3, col 3: expected a coefficient or variable, found '+'"),
+    ("factor-eol", GEN + "x +\n", None,
+     "line 3, col 4: expected a coefficient or variable, found end of line"),
+    ("operator", GEN + "x y\n", None, "line 3, col 3: expected '+' or '-', found 'y'"),
+    ("zero", GEN + "x - x\n", None, "line 3, col 1: generator 0 is zero"),
+    ("env", GEN + "x\n", "seven", "line 1, col 1: HFSTRATA_FIELD='seven' is not an integer"),
+    ("field-twice", "field 7\nfield 7\n" + GEN, None, "line 2, col 1: duplicate field declaration"),
+    ("vars-twice", "vars x\n" + GEN, None, "line 2, col 1: duplicate vars declaration"),
+    ("order-twice", "order lex\n order lex\n" + GEN, None, "line 2, col 2: duplicate order declaration"),
+    ("field-usage", "field seven\n" + GEN, None, "line 1, col 1: usage: field <prime>"),
+    ("vars-usage", "vars\nideal:\n", None, "line 1, col 1: usage: vars <name> [<name> ...]"),
+    ("order-usage", "order revlex\n" + GEN, None, "line 1, col 1: usage: order grevlex|lex"),
+    ("distinct", "vars x x\nideal:\n", None, "line 1, col 1: variable names must be distinct"),
+    ("vars-late", "ideal:\nx\n", None, "line 1, col 1: vars must be declared before ideal:"),
+    ("directive", "vars x\nfoo\n", None, "line 2, col 1: unknown directive 'foo'"),
+    ("no-vars", "field 7\n", None, "line 1, col 1: missing vars declaration"),
+    ("no-ideal", "vars x\n", None, "line 1, col 1: missing 'ideal:' section"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, env, message", [case[1:] for case in PARSE_ERRORS], ids=[case[0] for case in PARSE_ERRORS]
+)
+def test_cli_parse_errors_exit2(monkeypatch, capsys, tmp_path, text, env, message):
+    """Each rejection of the ideal file grammar exits 2 with its position."""
+    if env is None:
+        monkeypatch.delenv("HFSTRATA_FIELD", raising=False)
+    else:
+        monkeypatch.setenv("HFSTRATA_FIELD", env)
+    path = tmp_path / "bad.ideal"
+    path.write_text(text)
+    assert run(["gb", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_internal_error_exit3(monkeypatch, capsys, tc_file):
+    """A Betti table that drops an entry disagrees with the Hilbert series:
+    `betti_table` raises, and the CLI reports an internal error, exit 3."""
+    from conftest import twisted_cubic
+    from hfstrata import invariants
+
+    real = invariants._koszul_betti
+
+    def dropped(ideal):
+        entries = real(ideal)
+        entries.pop(max(entries))
+        return entries
+
+    monkeypatch.setattr(invariants, "_koszul_betti", dropped)
+    with pytest.raises(RuntimeError, match="Betti table disagrees with the Hilbert series"):
+        invariants.betti_table(twisted_cubic())
+    assert run(["verify-prop31", tc_file, "--m", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError('Betti table disagrees with the Hilbert series')\n"
 
 
 def test_cli_missing_file_exit2(capsys):

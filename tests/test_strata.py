@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from hfstrata.errors import DegenerateInputError, GenericityError, ParameterError
@@ -80,6 +82,50 @@ def test_verify_prop31_negative_control():
     assert not rep.resolution_shape_ok
     rep_json = rep.to_json()
     assert rep_json["hilbert_ok"] and not rep_json["resolution_shape_ok"]
+
+
+def test_verify_prop31_fails_on_a_wrong_gamma_hilbert_value(monkeypatch, tmp_path, capsys):
+    """A Gamma Hilbert value off by one at degree 2 fails the Hilbert
+    check there; the report is data, and the CLI exits 1."""
+    import hfstrata.strata as strata
+    from hfstrata.cli import format_ideal_file, run
+
+    real = strata.hilbert_function
+
+    def off_by_one(ideal, d):  # Gamma = I_Y + m^m is Artinian, the twisted cubic is not
+        return real(ideal, d) + (d == 2 and krull_dim(ideal) == 0)
+
+    monkeypatch.setattr(strata, "hilbert_function", off_by_one)
+    report = verify_prop31(twisted_cubic(), 4)
+    assert not report.hilbert_ok and report.first_hilbert_failure == 2
+    assert report.resolution_shape_ok and not report.all_ok()
+    path = tmp_path / "tc.ideal"
+    path.write_text(format_ideal_file(twisted_cubic()))
+    assert run(["verify-prop31", str(path), "--m", "4"]) == 1
+    payload = json.loads(capsys.readouterr().out)["report"]
+    assert (payload["hilbert_ok"], payload["first_hilbert_failure"], payload["all_ok"]) == (False, 2, False)
+
+
+def test_verify_prop31_fails_on_a_missing_strand_generator(monkeypatch):
+    """Gamma's (0, m) Betti entry lowered by one breaks t_1 = h_Y(m): the
+    resolution shape check fails."""
+    import hfstrata.strata as strata
+    from hfstrata.invariants import BettiTable
+
+    real = strata.betti_table
+
+    def lowered(ideal):
+        table = real(ideal)
+        if krull_dim(ideal) != 0:
+            return table
+        entries = dict(table.entries)
+        entries[(0, 4)] -= 1
+        return BettiTable(entries)
+
+    monkeypatch.setattr(strata, "betti_table", lowered)
+    report = verify_prop31(twisted_cubic(), 4)
+    assert report.hilbert_ok and not report.resolution_shape_ok and not report.all_ok()
+    assert report.strand_multiplicities[0] == report.t1_expected - 1 == 12
 
 
 def test_verify_requires_override_below_bound():
