@@ -13,17 +13,17 @@ Two kernels use it:
   tangent rank, the Koszul ranks in `invariants`, the ranks in `deform`)
   and `greedy_independent_rows` (the oracle's Nakayama selections).
 
-Before eliminating, `pivot_columns` peels singleton rows until none are
-left.  A row whose one nonzero sits in column c makes c a pivot column,
-since every column left of c is zero in that row.  Dropping that row and
-column c leaves the other pivot columns unchanged, since clearing column
-c with that row changes no other entry.  Multiples of monomials are
-singleton rows: on the matrices of one round of each benchmark
-workload, the peel removes 68% of the cells of the Koszul ranks in
-`verify-prop31`, and 75% of those of `hf_bruteforce`, where it cuts
-elimination time by a third to two thirds.  The dense Betti selections
-of the oracle have no singleton rows and pay only for the nonzero
-pattern.
+Before eliminating, `pivot_columns` and `nullspace` peel singleton rows
+until none are left (`_peeled_block`).  A row whose one nonzero sits in
+column c makes c a pivot column, since every column left of c is zero
+in that row.  Dropping that row and column c leaves the other pivot
+columns unchanged, since clearing column c with that row changes no
+other entry, and column c is zero in every kernel vector.  Multiples of
+monomials are singleton rows: on the matrices of one round of each
+benchmark workload, the peel removes 68% of the cells of the Koszul
+ranks in `verify-prop31`, and 75% of those of `hf_bruteforce`, where it
+cuts elimination time by a third to two thirds.  Matrices without
+singleton rows pay only for the nonzero pattern.
 
 Dense matrices are C-contiguous int64 arrays with entries reduced into
 [0, p); with p < 2**31 the row updates stay within int64.
@@ -100,11 +100,15 @@ def _forward_pivots(a, p):
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
+            row = a[i, c:].copy()
+            a[i, c:] = a[r, c:]
+            a[r, c:] = row
         if nz.size > 1:
             rows = r + nz[1:]
-            f = a[rows, c] * pow(int(a[r, c]), p - 2, p) % p
-            a[rows, c:] = (a[rows, c:] - f[:, None] * a[r, c:]) % p
+            blk = a[rows, c:]
+            blk -= (blk[:, :1] * pow(int(a[r, c]), p - 2, p) % p) * a[r, c:]
+            blk %= p
+            a[rows, c:] = blk
         pivots.append(c)
         r += 1
     return pivots
@@ -127,26 +131,32 @@ def rref_inplace(a, p):
         c = pivots[r]
         rows = np.flatnonzero(a[:r, c])
         if rows.size:
-            a[rows, c:] = (a[rows, c:] - a[rows, c][:, None] * a[r, c:]) % p
+            blk = a[rows, c:]
+            blk -= blk[:, :1] * a[r, c:]
+            blk %= p
+            a[rows, c:] = blk
     return rank, pivots
 
 
-def pivot_columns(a, p):
-    """Pivot columns of the RREF of a, without building it.
-
-    Singleton rows are peeled from the nonzero pattern of one working
-    copy reduced mod p; the rows and columns they leave nonzero are
-    gathered, if the peel removed any, and forward-eliminated.
-    """
-    work = np.array(a, dtype=np.int64, order="C")
-    if work.size == 0:
-        return []
+def _peeled_block(a, p):
+    """(block, peeled, cols): singleton rows peeled from the nonzero
+    pattern of one working copy of a reduced mod p, the mask of the
+    columns they peeled, and the block of the rows and the columns
+    `cols` they leave nonzero, gathered only if the peel removed any."""
+    work = np.array(a, dtype=np.int64, order="C", ndmin=2)
     work %= p
     nz = work != 0
-    pivots, counts = _peel_singletons(nz)
+    peeled, counts = _peel_singletons(nz)
     rows, cols = np.flatnonzero(counts), np.flatnonzero(nz.sum(axis=0))
     if rows.size < work.shape[0] or cols.size < work.shape[1]:
         work = work[rows[:, None], cols]
+    return work, peeled, cols
+
+
+def pivot_columns(a, p):
+    """Pivot columns of the RREF of a, without building it: the peeled
+    columns and the pivot columns of the forward-eliminated block."""
+    work, pivots, cols = _peeled_block(a, p)
     pivots[cols[_forward_pivots(work, p)]] = True
     return np.flatnonzero(pivots).tolist()
 
@@ -194,15 +204,22 @@ def nullspace(a, p):
     """Basis of the right kernel as columns of an (ncols, k) matrix.
 
     Deterministic standard form: one basis vector per free column in
-    ascending order, with 1 in the free position.
+    ascending order, with 1 in the free position.  Singleton rows are
+    peeled first (`_peeled_block`) and only the block they leave is
+    reduced.  A peeled column is zero in every kernel vector, by
+    induction on the peel order: its row's other nonzeros sit in
+    columns peeled before it.  So the peeled columns are pivots with
+    zero rows in the basis, and the other entries come from the block's
+    RREF; a zero column of a is free and lies outside the block.
     """
-    a = np.asarray(a, dtype=np.int64)
-    n = a.shape[1] if a.ndim == 2 else 0
-    r, rk, pivots = rref(a, p)
-    free = np.delete(np.arange(n), pivots)
-    basis = np.zeros((n, len(free)), dtype=np.int64)
+    work, pivots, cols = _peeled_block(a, p)
+    rk, block_pivots = rref_inplace(work, p)
+    pivots[cols[block_pivots]] = True
+    free = np.flatnonzero(~pivots)
+    block_free = np.flatnonzero(~pivots[cols])
+    basis = np.zeros((len(pivots), len(free)), dtype=np.int64)
     basis[free, np.arange(len(free))] = 1
-    basis[pivots] = -r[:rk, free] % p
+    basis[np.ix_(cols[block_pivots], np.searchsorted(free, cols[block_free]))] = -work[:rk, block_free] % p
     return basis
 
 

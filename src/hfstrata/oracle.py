@@ -37,6 +37,18 @@ kernel or normal-form table from the first zero piece on, where every
 condition is zero, and no quotient piece past it; below it, one matrix
 of multiples per degree gives both the quotient piece and the kernel.
 
+Stopping: step s of `betti_bruteforce` (step 0 the generators) counts
+beta_{s+1,j}(S/I), which is zero for j >= s + 1 + z, z the first degree
+with (S/I)_z = 0: the Koszul chain group of Tor_{s+1}(S/I, k)_j is
+∧^{s+1} k^n ⊗ (S/I)_{j-s-1}, zero from there on.  So step s searches
+degrees up to min(B, s + z).  z comes from the oracle's own ranks,
+`hf_values` over the degrees below B, upward, stopping at the first
+zero; with no zero below B, z = B and nothing is cut.  The check stays
+independent: the engine's `_koszul_betti` has zero chain groups in
+exactly the skipped degrees, so neither side computes anything there,
+while an entry the engine misses below the stop still differs from the
+oracle's, and a spurious engine entry above it meets the oracle's 0.
+
 Selection: at each Betti level and degree e the Nakayama selection runs
 on kernel coordinates, degree by degree with only ker_{e-1} kept.  The
 standard-form kernel basis of ker_e holds an identity block in its rows
@@ -337,7 +349,9 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
 
     beta_{i,j} counts degree-j kernel elements independent of the
     monomial multiples of lower-degree ones (Nakayama by rank); the
-    chosen representatives feed the next homological level.
+    chosen representatives feed the next homological level.  Step s
+    searches degrees up to min(degree_bound, s + z), z the first degree
+    below the bound with (S/I)_z = 0, else the bound (Stopping).
     """
     if max_step < 0:
         raise ParameterError(f"max_step must be >= 0, got {max_step}")
@@ -348,11 +362,13 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
     _check_bound(degs, degree_bound)
     if not gens:
         return BettiTable({})
+    values = hf_values(ideal, range(degree_bound))
+    z = values.index(0) if 0 in values else degree_bound
     entries = {}
 
     # level 0: minimal generators of the ideal among monomial multiples
     chosen = []
-    for e in range(min(degs), degree_bound + 1):
+    for e in range(min(degs), z + 1):
         cands = [j for j, d in enumerate(degs) if d == e]
         if not cands:
             continue
@@ -372,7 +388,7 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
         if not shifts:
             break
         next_terms, next_shifts, prev = [], [], None
-        for e in range(min(shifts), degree_bound + 1):
+        for e in range(min(shifts), min(degree_bound, step + z) + 1):
             unk_vec, unk_exps = _unknowns(ring, shifts, e)
             ns = linalg.nullspace(_multiples(level, unk_vec, unk_exps).T, p)
             new = _new_generators(prev, unk_vec, unk_exps, ns, p)

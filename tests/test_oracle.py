@@ -116,6 +116,51 @@ def test_betti_truncation_matches_engine():
         assert j in (i + 2, i + 4), (i, j, beta)
 
 
+def betti_kernel_degrees(monkeypatch, ideal, max_step, bound):
+    """The Betti table, and the degree of each kernel `betti_bruteforce`
+    builds, one list per homological step: a step's degrees ascend by
+    one from its lowest shift, so a drop starts the next step."""
+    last, degrees = [], []
+    unknowns, nullspace = oracle._unknowns, linalg.nullspace
+
+    def recording(ring, shifts, e):
+        last[:] = [e]
+        return unknowns(ring, shifts, e)
+
+    def counting(a, p):
+        degrees.append(last[0])
+        return nullspace(a, p)
+
+    monkeypatch.setattr(oracle, "_unknowns", recording)
+    monkeypatch.setattr(linalg, "nullspace", counting)
+    table = betti_bruteforce(ideal, max_step, bound)
+    monkeypatch.undo()
+    steps = [[]]
+    for k, e in enumerate(degrees):
+        if k and e != degrees[k - 1] + 1:
+            steps.append([])
+        steps[-1].append(e)
+    return table, steps
+
+
+def test_betti_search_stops_where_tor_vanishes(monkeypatch):
+    """(S/Γ)_4 = 0 for Γ = twisted cubic + m^4, so step s builds no kernel
+    above degree s + 4, and bounds 8 and 12 build the same kernels and
+    give the same table.  The twisted cubic itself never vanishes: every
+    step with generators still searches up to the bound."""
+    tc = twisted_cubic()
+    gamma = ideal_sum(tc, maximal_ideal_power(tc.ring, 4))
+    table, steps = betti_kernel_degrees(monkeypatch, gamma, 6, 8)
+    assert (table, steps) == betti_kernel_degrees(monkeypatch, gamma, 6, 12)
+    assert len(steps) == 4  # steps 1..3 carry entries, step 4 finds none
+    for s, degrees in enumerate(steps, start=1):
+        assert max(degrees) == s + 4, (s, degrees)
+
+    table, steps = betti_kernel_degrees(monkeypatch, tc, 6, 7)
+    assert table.entries == {(0, 2): 3, (1, 3): 2}
+    assert [max(degrees) for degrees in steps] == [7, 7]
+
+
 def test_oracle_euler_characteristic(corpus):
     """Oracle-internal: Betti-weighted numerator reproduces the oracle HF."""
     from math import comb

@@ -6,7 +6,9 @@ tangent dimensions and Betti tables must be identical to those of
 `oracle_reference`.  The largest prime is the case where an int64
 matrix product in the tangent projection would overflow, which the
 normal-form table avoids by reducing each product mod p before summing.
-Also `linalg.nullspace` against its former scalar loop, and the three
+The reference's Betti search runs up to the bound; on Artinian ideals,
+the random ones plus a power of the maximal ideal, the oracle's stop
+where Tor vanishes cuts every step.  Also `linalg.nullspace` against its former scalar loop, and the three
 facts the Betti selection in kernel coordinates rests on.
 """
 
@@ -78,6 +80,20 @@ def test_oracle_matches_reference(ideal):
     assert tangent_bruteforce(ideal, top + 2) == ref.tangent(ideal, top + 2)
     new = betti_bruteforce(ideal, ideal.ring.n + 1, top + 2)
     assert new == ref.betti(ideal, ideal.ring.n + 1, top + 2)
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(ideals(), st.integers(1, 3))
+def test_betti_stop_matches_uncut_reference(ideal, k):
+    """Artinian ideals, the random ones plus all monomials of degree k:
+    with bound k + n + 1 >= z + n + 1 the stop cuts every step, and the
+    table equals the reference's, which searches up to the bound."""
+    ring = ideal.ring
+    k = 1 if ring.n == 4 else k  # keeps the reference's kernels small
+    power = [ring.from_terms([(m, 1)]) for m in monomials_of_degree(ring.n, k, ring.order.kind)]
+    gamma = Ideal(ring, list(ideal.generators) + power)
+    bound = k + ring.n + 1
+    assert betti_bruteforce(gamma, ring.n + 1, bound) == ref.betti(gamma, ring.n + 1, bound)
 
 
 def nullspace_loop(a, p):

@@ -1,4 +1,4 @@
-"""Rank and pivot columns by forward elimination with singleton peeling.
+"""Rank, pivot columns and kernels after singleton peeling.
 
 `linalg.rank` and `linalg.greedy_independent_rows` read only the pivot
 columns of an RREF, so `linalg.pivot_columns` finds them without one.
@@ -6,6 +6,8 @@ They must agree with `reference_rref` on every shape the peel meets:
 singleton chains (a row that becomes a singleton only once an earlier
 singleton's column is dropped), several singleton rows on one column,
 zero rows and columns, entries not yet reduced mod p, and empty shapes.
+`linalg.nullspace` peels the same way before it eliminates, and on the
+same shapes, up to 12 columns, must give the basis of the unpeeled loop.
 The oracle's rank-only paths must equal the kernel paths they replace
 on random ideals; `tests/test_oracle.py` checks them on the corpus and
 counts their calls of the RREF kernel, without Hypothesis.
@@ -19,10 +21,11 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hfstrata import linalg  # noqa: E402
+from hfstrata.oracle import _free_rows  # noqa: E402
 
 from test_linalg import reference_rref  # noqa: E402
 from test_oracle import check_rank_only_paths  # noqa: E402
-from test_oracle_reference import PRIMES, SETTINGS, ideals  # noqa: E402
+from test_oracle_reference import PRIMES, SETTINGS, ideals, nullspace_loop  # noqa: E402
 
 
 def _matrix(rows, ncols):
@@ -30,12 +33,12 @@ def _matrix(rows, ncols):
 
 
 @st.composite
-def matrices(draw):
+def matrices(draw, max_cols=7):
     """(p, a): sparse random rows, a singleton chain, repeated singletons
     on one column, then zeroed rows and columns, in shuffled row order.
     Entries are residues, residues plus p, or p itself (zero mod p)."""
     p = draw(st.sampled_from(PRIMES))
-    n = draw(st.integers(0, 7))
+    n = draw(st.integers(0, max_cols))
     nonzero = st.integers(1, p - 1)
     entry = st.one_of(st.just(0), st.just(0), nonzero, nonzero.map(lambda v: v + p), st.just(p))
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5))
@@ -80,6 +83,24 @@ def test_rank_and_greedy_rows_match_reference(case):
     assert linalg.rank(a, p) == rank
     assert linalg.greedy_independent_rows(a, p) == row_pivots
     assert (a == before).all()  # the caller's matrix is left alone
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(matrices(max_cols=12))
+@example((3, _matrix([[0, 2, 7], [5, 3, 0], [0, 1, 0]], 3)))
+@example((3, _matrix([[0, 2, 7, 1], [5, 3, 0, 0], [0, 1, 0, 0]], 4)))
+@example((2, _matrix([[0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0]], 4)))
+@example((3, _matrix([], 4)))
+def test_nullspace_after_the_peel_matches_the_loop(case):
+    """The peel runs before `linalg.nullspace` eliminates: its basis equals
+    the unpeeled loop's, and its identity block sits at the free rows."""
+    p, a = case
+    ns = linalg.nullspace(a, p)
+    assert np.array_equal(ns, nullspace_loop(a, p))
+    if a.shape[1]:
+        free = _free_rows(ns)
+        assert free.tolist() == [c for c in range(a.shape[1]) if c not in reference_rref(a.tolist(), p)[2]]
+        assert np.array_equal(ns[free], np.eye(len(free), dtype=np.int64))
 
 
 @settings(max_examples=60, **SETTINGS)
