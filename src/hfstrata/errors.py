@@ -48,3 +48,8 @@ class ParseError(HfStrataError):
 
 class ExponentOverflowError(HfStrataError):
     """An exponent reached 2^15, the limit of the engine's packed terms."""
+
+
+class ResourceLimitError(HfStrataError):
+    """An input needs more than the package will build, such as a list of
+    monomials past `ring.MONOMIAL_LIMIT`: refused before any is built."""

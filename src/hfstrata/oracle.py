@@ -28,22 +28,32 @@ over the terms c x^t of a_j: a gather of table rows, each product
 reduced mod p, then one segmented sum per syzygy.  Products stay below
 p^2 and each sum adds fewer than 2^32 terms below p, so int64 is exact
 for every p < 2^31, and the work follows the syzygies' nonzeros, not
-dim S_e.
+dim S_e.  Only the syzygies the Nakayama selection keeps are lifted
+(Selection): for a = x_v * b, b a syzygy of degree e - 1, sum a_j phi_j
+= x_v * sum b_j phi_j, so a's condition is x_v times b's and lies in the
+span of b's; the kept syzygies give the span, and the rank, of all.
 
 Vanishing: S/I is generated in degree 0, so (S/I)_{e+1} = S_1 (S/I)_e
 and every piece after a zero one is zero.  `hf_values` answers 0 from
-there on without ranking, and `tangent_bruteforce` builds no syzygy
-kernel or normal-form table from the first zero piece on, where every
-condition is zero, and no quotient piece past it; below it, one matrix
-of multiples per degree gives both the quotient piece and the kernel.
+there on without ranking.  `tangent_bruteforce` reads the first zero
+piece off the size of the degree's syzygy kernel, #unknowns - dim ker
+= dim S_e, and builds nothing from there on, where every condition is
+zero; below it, one matrix of multiples per degree gives the kernel
+and, where Rank only says so, the quotient piece.
 
 Stopping: step s of `betti_bruteforce` (step 0 the generators) counts
 beta_{s+1,j}(S/I), which is zero for j >= s + 1 + z, z the first degree
 with (S/I)_z = 0: the Koszul chain group of Tor_{s+1}(S/I, k)_j is
 ∧^{s+1} k^n ⊗ (S/I)_{j-s-1}, zero from there on.  So step s searches
-degrees up to min(B, s + z).  z comes from the oracle's own ranks,
-`hf_values` over the degrees below B, upward, stopping at the first
-zero; with no zero below B, z = B and nothing is cut.  The check stays
+degrees up to min(B, s + z).  z comes from ranks the search makes
+anyway: level 0's selection in degree e keeps dim I_e rows, and step
+1's kernel in degree e has #unknowns - dim ker = dim I_e, the chosen
+generators spanning I_e.  z starts at B and drops to the first e < B
+where either equals dim S_e.  Level 0 stops above z, step 1 reads the
+current z as its limit and later steps the final one.  Step 1 ranks
+every degree from the lowest generator degree up, and I_e = 0 below
+it, so no zero piece below B is missed; with none, z = B and nothing
+is cut.  No Hilbert value is ranked on its own.  The check stays
 independent: the engine's `_koszul_betti` has zero chain groups in
 exactly the skipped degrees, so neither side computes anything there,
 while an entry the engine misses below the stop still differs from the
@@ -58,15 +68,20 @@ gathered at `free` only, into rows B, and the selection is the greedy
 one on [B; I].  That keeps the unit row e_k unless some vector of the
 row span of B ends at k (its last nonzero), so the new generators are
 the coordinates that are not pivots of B read right to left, and no
-identity block is built.
+identity block is built.  `tangent_bruteforce` runs the same selection
+on the first syzygies of the generators as given.
 
 Rank only: a Hilbert value is dim S_d minus the rank of the
 generator-multiple matrix, and a syzygy count is the number of unknowns
 minus it, so `hf_bruteforce` and `syzygy_counts` (`oracle syz`) call
 `linalg.rank` and build no echelon rows or kernel basis.  The echelon
-form is built only where its rows are read: the quotient pieces and
-normal-form tables of `tangent_bruteforce`, and the kernel bases of
-`syzygies_bruteforce`, `tangent_bruteforce` and `betti_bruteforce`.
+form is built only where its rows are read: the kernel bases of
+`syzygies_bruteforce`, `tangent_bruteforce` and `betti_bruteforce`,
+and the quotient pieces of `tangent_bruteforce` at generator degrees,
+whose free monomials are the unknowns, and at degrees with a kept
+syzygy, whose normal-form tables its conditions read.  Every other
+rank those two need is a kernel's #unknowns - dim ker, so they make
+one elimination per degree elsewhere.
 
 Exactness: `exactness_violations` checks an engine resolution on the
 same matrices of multiples.  A graded map's columns become flat term
@@ -80,6 +95,8 @@ where a generator would drop out unseen, or below 0; `tangent` returns
 0 first when S/I vanishes in every generator degree, as no syzygy can
 matter then.
 """
+
+from math import comb
 
 import numpy as np
 
@@ -251,55 +268,6 @@ def _column_runs(block):
     return rows, block[rows, cols], starts, cols[starts]
 
 
-def tangent_bruteforce(ideal, degree_bound: int) -> int:
-    """dim Hom(I, S/I)_0 by the syzygy-lift criterion, one kernel rank.
-
-    Unknowns are quotient classes per generator; each brute-force syzygy
-    of degree <= degree_bound contributes the linear condition that the
-    generator images annihilate it modulo I.  Degrees from the first e
-    with (S/I)_e = 0 on contribute nothing and are not built.
-    """
-    ring = ideal.ring
-    gens = ideal.generators
-    if not gens:
-        _check_bound([], degree_bound)
-        return 0
-    p = ring.field.p
-    degs = [f.homogeneous_degree() for f in gens]
-    pieces = {}
-    for e in range(min(degs), max(degs + [degree_bound]) + 1):
-        basis, unk_vec, unk_exps, mat = _ideal_piece(ideal, e)
-        rref, pivots, free = _quotient_piece(basis, mat, p)
-        if not len(free):
-            break  # (S/I)_{e+1} = S_1 (S/I)_e, so every later piece is zero
-        pieces[e] = basis, rref, pivots, free, unk_vec, unk_exps, mat
-    unknowns = [(j, pieces[d][0].exps[c]) for j, d in enumerate(degs) if d in pieces for c in pieces[d][3]]
-    if not unknowns:
-        return 0
-    _check_bound(degs, degree_bound)
-    blocks = []
-    for e, (basis, rref, pivots, free, unk_vec, unk_exps, mat) in pieces.items():
-        ns = linalg.nullspace(mat.T, p)
-        if not ns.shape[1]:
-            continue
-        # row c: the normal form of the c-th monomial of S_e modulo I_e
-        nf = np.zeros((len(basis), len(free)), dtype=np.int64)
-        nf[free] = np.eye(len(free), dtype=np.int64)
-        nf[pivots] = -rref[:, free] % p
-        slots = [(unk_exps[unk_vec == j], _column_runs(ns[unk_vec == j])) for j in range(len(gens))]
-        block = np.zeros((ns.shape[1], len(free), len(unknowns)), dtype=np.int64)
-        for k, (j, m) in enumerate(unknowns):
-            # a_j * m of every degree-e syzygy, reduced modulo I_e
-            exps, (rows, coeff, starts, syz) = slots[j]
-            if len(rows):
-                terms = nf[basis.columns(exps[rows] + m)] * coeff[:, None] % p
-                block[syz, :, k] = np.add.reduceat(terms, starts, axis=0) % p
-        # one row per syzygy and free monomial, one column per unknown
-        block = block.reshape(-1, len(unknowns))
-        blocks.append(block[block.any(axis=1)])
-    return len(unknowns) - (linalg.rank(np.vstack(blocks), p) if blocks else 0)
-
-
 def _free_rows(ns):
     """Rows holding the identity block of a standard-form kernel basis
     (`linalg.nullspace`): the last nonzero of each column, since the RREF
@@ -344,6 +312,69 @@ def _new_generators(prev, unk_vec, unk_exps, ns, p):
     return _units_kept(rows.reshape(-1, len(free)), p)
 
 
+def _lift_conditions(basis, rref, pivots, free, unk_vec, unk_exps, syz, unknowns, p):
+    """Tangent conditions of the degree-e syzygies `syz` (kernel columns
+    over the unknowns unk_vec, unk_exps): one row per syzygy and free
+    monomial of S_e, one column per unknown (j, m), the normal form of
+    a_j * m modulo I_e (Projection), from the quotient piece (rref,
+    pivots, free) of I_e in `basis`; zero rows are dropped."""
+    # row c: the normal form of the c-th monomial of S_e modulo I_e
+    nf = np.zeros((len(basis), len(free)), dtype=np.int64)
+    nf[free] = np.eye(len(free), dtype=np.int64)
+    nf[pivots] = -rref[:, free] % p
+    slots = {j: (unk_exps[unk_vec == j], _column_runs(syz[unk_vec == j])) for j in {j for j, _ in unknowns}}
+    block = np.zeros((syz.shape[1], len(free), len(unknowns)), dtype=np.int64)
+    for k, (j, m) in enumerate(unknowns):
+        exps, (rows, coeff, starts, cols) = slots[j]
+        if len(rows):
+            terms = nf[basis.columns(exps[rows] + m)] * coeff[:, None] % p
+            block[cols, :, k] = np.add.reduceat(terms, starts, axis=0) % p
+    block = block.reshape(-1, len(unknowns))
+    return block[block.any(axis=1)]
+
+
+def tangent_bruteforce(ideal, degree_bound: int) -> int:
+    """dim Hom(I, S/I)_0 by the syzygy-lift criterion, one kernel rank.
+
+    Unknowns are quotient classes per generator; each minimal first
+    syzygy of degree <= degree_bound, as the Nakayama selection keeps
+    it from the degree's kernel (`_new_generators`), contributes the
+    linear condition that the generator images annihilate it modulo I.
+    A syzygy x_v * b, b of degree e - 1, gives x_v times b's condition,
+    so the kept ones give the same conditions' span as every syzygy.
+    One elimination per degree gives the kernel and, by its size, the
+    rank of I_e; the echelon form of I_e is built only at generator
+    degrees and degrees with a kept syzygy.  Degrees from the first e
+    with (S/I)_e = 0 on contribute nothing and are not built.
+    """
+    ring = ideal.ring
+    gens = ideal.generators
+    if not gens:
+        _check_bound([], degree_bound)
+        return 0
+    p = ring.field.p
+    degs = [f.homogeneous_degree() for f in gens]
+    quotients, lifts, prev = {}, [], None
+    for e in range(min(degs), max(degs + [degree_bound]) + 1):
+        basis, unk_vec, unk_exps, mat = _ideal_piece(ideal, e)
+        ns = linalg.nullspace(mat.T, p)
+        if len(unk_vec) - ns.shape[1] == len(basis):
+            break  # (S/I)_{e+1} = S_1 (S/I)_e, so every later piece is zero
+        new = _new_generators(prev, unk_vec, unk_exps, ns, p)
+        prev = unk_vec, unk_exps, ns
+        if e in degs or new:
+            quotients[e] = (basis,) + _quotient_piece(basis, mat, p)
+        if new:
+            lifts.append((e, unk_vec, unk_exps, ns[:, new]))
+    unknowns = [(j, quotients[d][0].exps[c]) for j, d in enumerate(degs) if d in quotients for c in quotients[d][3]]
+    if not unknowns:
+        return 0
+    _check_bound(degs, degree_bound)
+    blocks = [_lift_conditions(*quotients[e], unk_vec, unk_exps, syz, unknowns, p)
+              for e, unk_vec, unk_exps, syz in lifts]
+    return len(unknowns) - (linalg.rank(np.vstack(blocks), p) if blocks else 0)
+
+
 def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
     """Graded Betti numbers from iterated brute-force syzygy modules.
 
@@ -351,7 +382,8 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
     monomial multiples of lower-degree ones (Nakayama by rank); the
     chosen representatives feed the next homological level.  Step s
     searches degrees up to min(degree_bound, s + z), z the first degree
-    below the bound with (S/I)_z = 0, else the bound (Stopping).
+    below the bound with (S/I)_z = 0, else the bound, read off level 0's
+    and step 1's ranks as they go (Stopping).
     """
     if max_step < 0:
         raise ParameterError(f"max_step must be >= 0, got {max_step}")
@@ -362,13 +394,14 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
     _check_bound(degs, degree_bound)
     if not gens:
         return BettiTable({})
-    values = hf_values(ideal, range(degree_bound))
-    z = values.index(0) if 0 in values else degree_bound
+    z = degree_bound  # lowered to the first e < B with (S/I)_e = 0 (Stopping)
     entries = {}
 
     # level 0: minimal generators of the ideal among monomial multiples
     chosen = []
-    for e in range(min(degs), z + 1):
+    for e in range(min(degs), degree_bound + 1):
+        if e > z:
+            break
         cands = [j for j, d in enumerate(degs) if d == e]
         if not cands:
             continue
@@ -377,6 +410,8 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
         mat = _multiples(_vector_terms([(gens[j],) for j in order], ring.n), unk_vec, unk_exps)
         nbase = len(unk_vec) - len(cands)
         keep = set(linalg.greedy_independent_rows(mat, p))
+        if len(keep) == comb(ring.n - 1 + e, e):
+            z = e  # the rows span I_e
         new = [j for k, j in enumerate(cands) if nbase + k in keep]
         if new:
             entries[(0, e)] = len(new)
@@ -388,9 +423,12 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
         if not shifts:
             break
         next_terms, next_shifts, prev = [], [], None
-        for e in range(min(shifts), min(degree_bound, step + z) + 1):
+        e = min(shifts)
+        while e <= min(degree_bound, step + z):
             unk_vec, unk_exps = _unknowns(ring, shifts, e)
             ns = linalg.nullspace(_multiples(level, unk_vec, unk_exps).T, p)
+            if step == 1 and len(unk_vec) - ns.shape[1] == comb(ring.n - 1 + e, e):
+                z = min(z, e)  # the chosen generators span I_e
             new = _new_generators(prev, unk_vec, unk_exps, ns, p)
             prev = unk_vec, unk_exps, ns
             if new:
@@ -399,6 +437,7 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
                 kk, uu = np.nonzero(cols)
                 next_terms.append((kk + len(next_shifts), unk_vec[uu], unk_exps[uu], cols[kk, uu]))
                 next_shifts.extend([e] * len(new))
+            e += 1
         if next_terms:
             level = tuple(np.concatenate(parts) for parts in zip(*next_terms))
         shifts = next_shifts

@@ -7,9 +7,10 @@ descending in the ring's monomial order with no zero coefficients.
 """
 
 from functools import lru_cache
+from math import comb
 from operator import add, le, sub
 
-from .errors import DegenerateInputError, InhomogeneousError, StructureError
+from .errors import DegenerateInputError, InhomogeneousError, ResourceLimitError, StructureError
 from .field import DEFAULT_PRIME, PrimeField
 
 GREVLEX = "grevlex"
@@ -71,14 +72,22 @@ def monomial_lcm(a, b):
     return tuple(map(max, a, b))
 
 
+MONOMIAL_LIMIT = 10**7  # monomials of one degree that may be listed: 10^7 4-tuples take about 1 GB
+
+
 @lru_cache(maxsize=None)
 def monomials_of_degree(n: int, d: int, order_kind: str):
     """All degree-d monomials in n variables, descending in the order.
 
     The exponent vectors are listed lex-descending, each from the one
     before in O(n): the last nonzero entry left of the final one moves
-    one unit right and takes the final entry along.
+    one unit right and takes the final entry along.  Raises
+    `ResourceLimitError` before listing any when there are more than
+    MONOMIAL_LIMIT of them, C(n - 1 + d, d).
     """
+    count = comb(n - 1 + d, d) if d > 0 else 1
+    if count > MONOMIAL_LIMIT:
+        raise ResourceLimitError(f"S_{d} in {n} variables has {count} monomials, more than {MONOMIAL_LIMIT} to list")
     order = MonomialOrder(order_kind)
     exps = [d] + [0] * (n - 1)
     monos = [tuple(exps)]

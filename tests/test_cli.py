@@ -227,6 +227,19 @@ def test_cli_cone_curve_huge_m_exits_3_at_once(capsys, tmp_path, m):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("m", [1000, 32767])
+def test_cli_cone_curve_too_many_monomials_exits_3_at_once(capsys, tmp_path, m):
+    """Below the exponent limit a degree-m form still has C(m + 3, 3)
+    terms in 4 variables, 1.7e8 at m = 1000: exit 3 before any degree-m
+    monomial is listed."""
+    path = tmp_path / "quadric.ideal"
+    path.write_text("field 32003\nvars x y z w\nideal:\nx*w - y*z\n")
+    start = time.perf_counter()
+    assert run(["cone-curve", str(path), "--m", str(m), "--seed", "1"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: S_{m} in 4 variables has ")
+    assert time.perf_counter() - start < 5
+
+
 def test_cli_cone_curve(capsys, tc_file, tmp_path):
     quadric = tmp_path / "quadric.ideal"
     quadric.write_text("field 32003\nvars x y z w\nideal:\nx*w - y*z\n")

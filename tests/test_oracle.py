@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from hfstrata import cli, linalg, oracle
+from hfstrata.field import PrimeField
 from hfstrata.deform import tangent_space
 from hfstrata.errors import ParameterError
 from hfstrata.groebner import Ideal, ideal_sum, maximal_ideal_power
 from hfstrata.invariants import HilbertSeries, hilbert_function, hilbert_series, regularity
+from hfstrata.ring import RingContext
+from hfstrata.strata import random_forms
 from hfstrata.oracle import (
     GradedPieceBasis,
     _ideal_piece,
@@ -114,6 +117,72 @@ def test_betti_truncation_matches_engine():
     # strands sit in internal degree exactly m + i
     for (i, j), beta in oracle.items():
         assert j in (i + 2, i + 4), (i, j, beta)
+
+
+def test_tangent_lifts_only_minimal_syzygies(monkeypatch):
+    """`tangent_bruteforce` builds conditions only for the syzygies the
+    Nakayama selection keeps, and echelon forms of I_e only at generator
+    degrees and those syzygies' degrees.  The values match the engine:
+    the twisted cubic's 12, the Fermat cubic curve's 19 + 2 * 44 = 107
+    (a complete intersection, every condition zero), and 8 for
+    (x^2, xy, yz^2) in 3 variables, whose syzygies in degrees 3 and 4 each cut the
+    value, so dropping either degree's conditions changes it."""
+    lifted, echelons = [], []
+    lift, quotient = oracle._lift_conditions, oracle._quotient_piece
+
+    def recording_lift(basis, *args):
+        lifted.append((basis.degree, args[-3].shape[1]))  # (e, kept syzygies)
+        return lift(basis, *args)
+
+    def recording_quotient(basis, mat, p):
+        echelons.append(basis.degree)
+        return quotient(basis, mat, p)
+
+    monkeypatch.setattr(oracle, "_lift_conditions", recording_lift)
+    monkeypatch.setattr(oracle, "_quotient_piece", recording_quotient)
+    ring = RingContext("xyzw", PrimeField(32003))
+    x, y, z, w = (ring.variable(i) for i in range(4))
+    fermat = Ideal(ring, [x * x * x + y * y * y + z * z * z + w * w * w] + random_forms(ring, 5, 2, seed=1))
+    ring3 = RingContext("xyz", PrimeField(32003))
+    x, y, z = (ring3.variable(i) for i in range(3))
+    monomial = Ideal(ring3, [x * x, x * y, y * z * z])
+    for ideal, bound, value, lifts, degrees in [
+        (twisted_cubic(), 8, 12, [(3, 2)], [2, 3]),
+        (fermat, 10, 107, [(8, 2), (10, 1)], [3, 5, 8, 10]),
+        (monomial, 7, 8, [(3, 1), (4, 1)], [2, 3, 4]),
+    ]:
+        lifted.clear()
+        echelons.clear()
+        assert tangent_bruteforce(ideal, bound) == value
+        assert value == tangent_space(ideal).dimension
+        assert (lifted, echelons) == (lifts, degrees)
+
+
+def test_betti_reads_z_from_its_own_ranks(monkeypatch):
+    """`betti_bruteforce` ranks no Hilbert value of its own: z comes from
+    level 0's and step 1's ranks.  For (x^2, y^2), z = 3 has no
+    generator, so step 1 finds it and stops at degree 4, step 2 at 5.
+    With max_step = 0 only the generators are selected, no kernel built."""
+    calls = []
+    monkeypatch.setattr(oracle, "hf_bruteforce", lambda *args: calls.append(args))
+    for ideal in build_corpus().values():
+        betti_bruteforce(ideal, ideal.ring.n + 1, 8)
+    tc = twisted_cubic()
+    betti_bruteforce(ideal_sum(tc, maximal_ideal_power(tc.ring, 4)), 6, 8)
+    assert calls == []
+
+    r = ring2()
+    x, y = r.variable(0), r.variable(1)
+    ci = Ideal(r, [x * x, y * y])
+    for bound in (5, 8):
+        table, steps = betti_kernel_degrees(monkeypatch, ci, 3, bound)
+        assert table.entries == {(0, 2): 2, (1, 4): 1}
+        assert steps == [[2, 3, 4], [4, 5]]
+    table, steps = betti_kernel_degrees(monkeypatch, ci, 0, 8)
+    assert (table.entries, steps) == ({(0, 2): 2}, [[]])
+    gamma = ideal_sum(tc, maximal_ideal_power(tc.ring, 4))
+    table, steps = betti_kernel_degrees(monkeypatch, gamma, 0, 8)
+    assert (table.entries, steps) == ({(0, 2): 3, (0, 4): 13}, [[]])
 
 
 def betti_kernel_degrees(monkeypatch, ideal, max_step, bound):

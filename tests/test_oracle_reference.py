@@ -8,7 +8,8 @@ matrix product in the tangent projection would overflow, which the
 normal-form table avoids by reducing each product mod p before summing.
 The reference's Betti search runs up to the bound; on Artinian ideals,
 the random ones plus a power of the maximal ideal, the oracle's stop
-where Tor vanishes cuts every step.  Also `linalg.nullspace` against its former scalar loop, and the three
+where Tor vanishes cuts every step.  The reference's tangent lifts every
+syzygy, the oracle's only the minimal ones.  Also `linalg.nullspace` against its former scalar loop, and the three
 facts the Betti selection in kernel coordinates rests on.
 """
 
@@ -94,6 +95,27 @@ def test_betti_stop_matches_uncut_reference(ideal, k):
     gamma = Ideal(ring, list(ideal.generators) + power)
     bound = k + ring.n + 1
     assert betti_bruteforce(gamma, ring.n + 1, bound) == ref.betti(gamma, ring.n + 1, bound)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(ideals(), st.integers(1, 3), st.booleans())
+def test_tangent_matches_uncut_reference(ideal, k, artinian):
+    """The reference lifts every syzygy, the oracle only those the
+    Nakayama selection keeps.  Random ideals at bound top + 3, where
+    non-minimal syzygies appear, and the Artinian ideals of
+    `test_betti_stop_matches_uncut_reference`, where the oracle's stop
+    at the first zero piece comes from the kernel's size."""
+    ring = ideal.ring
+    if artinian:
+        k = 1 if ring.n == 4 else k
+        power = [ring.from_terms([(m, 1)]) for m in monomials_of_degree(ring.n, k, ring.order.kind)]
+        ideal = Ideal(ring, list(ideal.generators) + power)
+        bound = k + ring.n + 1
+    elif not ideal.generators:
+        return
+    else:
+        bound = max(f.homogeneous_degree() for f in ideal.generators) + 3
+    assert tangent_bruteforce(ideal, bound) == ref.tangent(ideal, bound)
 
 
 def nullspace_loop(a, p):
