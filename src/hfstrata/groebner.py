@@ -35,14 +35,23 @@ All reduction runs through one normal-form loop, `_reduce_full`: S-pair
 reduction in Buchberger, interreduction, the syzygy pass, the public
 `divide` and `QuotientBasis` normal forms (whose divisors enter as monic
 elements with their inverse lead coefficients as certificates, built by
-`_divisor_elems`).  It visits terms largest first from a min-heap of
+`_divisor_index`).  It visits terms largest first from a min-heap of
 packed keys (Monagan-Pearce heap division), pushing each term when it
 enters the working dict and skipping popped terms that have cancelled,
 so it never rescans the dict for its lead term.
+
+A lead in another component never divides a term, so wherever the
+engine holds a basis it also holds its component index
+(`_by_component`: index[c] lists the elements whose lead lies in
+component c, in list order).  Reducers, Buchberger's pair partners
+and chain-criterion witnesses, interreduction's pruning and the frame
+partners of the syzygy pass are looked up in the term's own component
+only.  The rule is unchanged: the first reducer in list order is the
+first in its component's group, so no pair, criterion outcome or
+certificate moves.  In rank 1 the index has one group, the whole basis.
 """
 
 import struct
-import threading
 from heapq import heapify, heappop, heappush
 from operator import mul
 from typing import NamedTuple
@@ -147,8 +156,18 @@ class _Elem(NamedTuple):
     lead: int
 
 
-def _reduce_full(h, cert, basis, p, pk):
+def _by_component(elems, pk):
+    """index[c]: the elements whose lead lies in component c, in list order."""
+    index = [[] for _ in range(pk.comp_mask + 1)]
+    for g in elems:
+        index[g.lead & pk.comp_mask].append(g)
+    return index
+
+
+def _reduce_full(h, cert, index, p, pk):
     """Total normal form of h against monic basis elements.
+
+    `index` is the basis as `_by_component` groups it.
 
     Returns (tail, cert) where tail has no term divisible by any basis
     lead term.  Every multiple of a basis element added to h is added to
@@ -159,9 +178,13 @@ def _reduce_full(h, cert, basis, p, pk):
     is pushed when it enters the working dict, and popped entries no
     longer in the dict are skipped.  Reducing t only adds terms below t,
     so each term is processed once.  Among basis elements whose lead
-    divides t, the first in list order is used.
+    divides t, the first in list order is used.  Only the group of t's
+    own component is scanned for it: a lead in another component never
+    divides t, so the first divisor there is the first in the list.
+    Pair partners, chain witnesses and frame partners are looked up by
+    component the same way.
     """
-    mask, guard = pk.div_mask, pk.guard
+    mask, guard, comp_mask = pk.div_mask, pk.guard, pk.comp_mask
     h = dict(h)
     get = h.get
     cert = None if cert is None else dict(cert)
@@ -173,7 +196,7 @@ def _reduce_full(h, cert, basis, p, pk):
         c = get(t)
         if c is None:
             continue
-        for vec, gcert, lead in basis:
+        for vec, gcert, lead in index[t & comp_mask]:
             mult = t - lead
             if mult & mask:
                 continue
@@ -226,24 +249,24 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
     cert writes the element over the input generators.  Pair selection
     is the normal strategy (lowest shifted lcm degree, then the order on
     the lcm, then the component); the product criterion applies only in
-    rank 1, the chain criterion everywhere.
+    rank 1, the chain criterion everywhere.  Pair partners and chain
+    witnesses come from the pair's own component.
     """
     mask, guard = pk.div_mask, pk.guard
     basis = []
     leads = []  # basis[i].lead
     lead_exps = []  # (exps, comp) of basis[i].lead
+    index = _by_component((), pk)  # the basis by component
+    members = _by_component((), pk)  # members[c]: the indices i of index[c]
     heap = []
     done = set()
 
     def push_pairs(j):
         tj, cj = lead_exps[j]
-        for i in range(j):
-            ti, ci = lead_exps[i]
-            if ci != cj:
-                continue
-            lcm = monomial_lcm(ti, tj)
+        for i in members[cj]:
+            lcm = monomial_lcm(lead_exps[i][0], tj)
             # (deg, -pack(lcm)) sorts as (deg, order.key(lcm))
-            heappush(heap, (sum(lcm) + ambient_shifts[ci], -pk.pack(lcm), ci, i, j))
+            heappush(heap, (sum(lcm) + ambient_shifts[cj], -pk.pack(lcm), cj, i, j))
 
     def add_elem(vec, cert):
         lead = min(vec)
@@ -253,10 +276,15 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
             vec = _scale_vec(vec, inv, p)
             if cert is not None:
                 cert = _scale_vec(cert, inv, p)
-        basis.append(_Elem(vec, cert, lead))
+        j = len(basis)
+        elem = _Elem(vec, cert, lead)
+        basis.append(elem)
         leads.append(lead)
         lead_exps.append(pk.unpack(lead))
-        push_pairs(len(basis) - 1)
+        push_pairs(j)
+        comp = lead & pk.comp_mask
+        index[comp].append(elem)
+        members[comp].append(j)
 
     for idx, vec in enumerate(gens):
         if not vec:
@@ -272,8 +300,8 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
         if ambient_rank == 1 and leads[i] + leads[j] == lcm:
             continue  # product criterion (valid for ideals only; comp is 0)
         skip = False
-        for k, lk in enumerate(leads):
-            if k == i or k == j or (lcm - lk) & mask:
+        for k in members[comp]:
+            if k == i or k == j or (lcm - leads[k]) & mask:
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -283,7 +311,7 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
         if skip:
             continue
         s, cs = _s_pair(basis[i], basis[j], lcm, p, guard, track_certs)
-        tail, cert = _reduce_full(s, cs, basis, p, pk)
+        tail, cert = _reduce_full(s, cs, index, p, pk)
         if tail:
             add_elem(tail, cert)
 
@@ -291,18 +319,26 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
 
 
 def _interreduce(basis, p, pk):
-    """Prune to the minimal basis and tail-reduce: the reduced GB."""
+    """Prune to the minimal basis and tail-reduce: the reduced GB.
+
+    Pruning compares leads within a component.  Each kept g is
+    tail-reduced by all the others, in every component: a tail term of g
+    can lie in another component than its lead.
+    """
     mask = pk.div_mask
-    kept = []
-    for g in sorted(basis, key=lambda g: -g.lead):  # smallest lead term first
-        if any(not (g.lead - k.lead) & mask for k in kept):
+    kept = _by_component((), pk)  # smallest lead term first
+    for g in sorted(basis, key=lambda g: -g.lead):
+        group = kept[g.lead & pk.comp_mask]
+        if any(not (g.lead - k.lead) & mask for k in group):
             continue
-        kept.append(g)
+        group.append(g)
     final = []
-    for g in kept:
-        others = [h for h in kept if h is not g]
-        tail, cert = _reduce_full(g.vec, g.cert, others, p, pk)
-        final.append(_Elem(tail, cert, g.lead))
+    for comp, group in enumerate(kept):
+        for g in group:
+            others = kept.copy()
+            others[comp] = [h for h in group if h is not g]
+            tail, cert = _reduce_full(g.vec, g.cert, others, p, pk)
+            final.append(_Elem(tail, cert, g.lead))
     final.sort(key=lambda e: e.lead)
     return final
 
@@ -314,17 +350,21 @@ def _frame_pairs(gb, pk):
     j > i with lt_j in lt_i's component; one pair per multiplier minimal
     under divisibility, with the smallest j among equal multipliers.
     Under the Schreyer order (ties broken towards the smaller index) the
-    syzygy of pair (i, j) has lead term m_ji e_i.
+    syzygy of pair (i, j) has lead term m_ji e_i.  The partners j are
+    read from lt_i's component only.
     """
     leads = [pk.unpack(g.lead) for g in gb]
+    members = _by_component((), pk)  # members[c]: ascending indices of the leads in c
+    for j, (_, comp) in enumerate(leads):
+        members[comp].append(j)
     pairs = []
-    for i, (lt, comp) in enumerate(leads):
-        first = {}
-        for j in range(i + 1, len(gb)):
-            tj, cj = leads[j]
-            if cj == comp:
-                first.setdefault(monomial_div(monomial_lcm(lt, tj), lt), j)
-        pairs.extend((i, first[mult]) for mult in minimal_monomials(first))
+    for group in members:
+        for pos, i in enumerate(group):
+            lt = leads[i][0]
+            first = {}
+            for j in group[pos + 1 :]:
+                first.setdefault(monomial_div(monomial_lcm(lt, leads[j][0]), lt), j)
+            pairs.extend((i, first[mult]) for mult in minimal_monomials(first))
     return pairs
 
 
@@ -339,11 +379,12 @@ def _syzygy_certs(gens, p, pk, ambient_rank, ambient_shifts):
     one slot per generator.
     """
     gb = _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True)
+    index = _by_component(gb, pk)
     syz = []
     for i, j in _frame_pairs(gb, pk):
         (ti, comp), (tj, _) = pk.unpack(gb[i].lead), pk.unpack(gb[j].lead)
         lcm = pk.pack(monomial_lcm(ti, tj), comp)
-        tail, cert = _reduce_full(*_s_pair(gb[i], gb[j], lcm, p, pk.guard, True), gb, p, pk)
+        tail, cert = _reduce_full(*_s_pair(gb[i], gb[j], lcm, p, pk.guard, True), index, p, pk)
         if tail:
             raise RuntimeError("S-pair of a Gröbner basis did not reduce to zero")
         if cert:
@@ -351,7 +392,7 @@ def _syzygy_certs(gens, p, pk, ambient_rank, ambient_shifts):
     for idx, vec in enumerate(gens):
         if not vec:
             continue
-        tail, cert = _reduce_full(vec, {idx: 1}, gb, p, pk)
+        tail, cert = _reduce_full(vec, {idx: 1}, index, p, pk)
         if tail:
             raise RuntimeError("generator did not reduce to zero against its own GB")
         if cert:
@@ -445,7 +486,7 @@ def vector_degree(polys, ambient_shifts):
 class Ideal:
     """Homogeneous ideal with cached reduced Gröbner basis."""
 
-    __slots__ = ("ring", "generators", "_lock", "_gb", "_hs_numerator", "_betti", "_resolution")
+    __slots__ = ("ring", "generators", "_gb", "_hs_numerator", "_betti", "_resolution")
 
     def __init__(self, ring: RingContext, generators):
         self.ring = ring
@@ -457,7 +498,6 @@ class Ideal:
                 raise DegenerateInputError("zero polynomial among ideal generators")
             f.homogeneous_degree()  # raises InhomogeneousError when mixed
         self.generators = gens
-        self._lock = threading.RLock()
         self._gb = None
         self._hs_numerator = None
         self._betti = None
@@ -481,10 +521,9 @@ class Ideal:
 
     def groebner_basis(self):
         """The unique reduced Gröbner basis for the ring's order (cached)."""
-        with self._lock:
-            if self._gb is None:
-                self._gb = buchberger_basis(self.ring, self.generators)
-            return self._gb
+        if self._gb is None:
+            self._gb = buchberger_basis(self.ring, self.generators)
+        return self._gb
 
     def lead_exponents(self):
         """Exponent vectors of the lead terms of the reduced GB."""
@@ -495,8 +534,9 @@ class Ideal:
         return bool(gb) and sum(gb[0].lead_exps()) == 0
 
 
-def _divisor_elems(ring, divisors, pk):
-    """Divisor i as the monic element g_i / lc_i with cert {e_i: 1/lc_i}."""
+def _divisor_index(ring, divisors, pk):
+    """The component index (`_by_component`) of the divisors, divisor i
+    as the monic element g_i / lc_i with cert {e_i: 1/lc_i}."""
     p = ring.field.p
     basis = []
     for gi, g in enumerate(divisors):
@@ -505,7 +545,7 @@ def _divisor_elems(ring, divisors, pk):
         if inv != 1:
             vec = _scale_vec(vec, inv, p)
         basis.append(_Elem(vec, {gi: inv}, min(vec)))  # key gi is 1 * e_gi
-    return basis
+    return _by_component(basis, pk)
 
 
 def divide(f: Polynomial, divisors):
@@ -528,8 +568,8 @@ def divide(f: Polynomial, divisors):
             raise DegenerateInputError("zero divisor in division algorithm")
     p = ring.field.p
     pk = _Packing(ring.n, ring.order.kind, len(divisors))
-    basis = _divisor_elems(ring, divisors, pk)
-    tail, cert = _reduce_full(_vec_from_polys((f,), pk), {}, basis, p, pk)
+    index = _divisor_index(ring, divisors, pk)
+    tail, cert = _reduce_full(_vec_from_polys((f,), pk), {}, index, p, pk)
     quotients = {t: p - c for t, c in cert.items()}
     return (
         _polys_from_vec(quotients, pk, ring, len(divisors)),

@@ -27,7 +27,7 @@ from .errors import DegenerateInputError, ParameterError
 from .groebner import (
     EXP_LIMIT,
     Ideal,
-    _divisor_elems,
+    _divisor_index,
     _overflow,
     _Packing,
     _reduce_full,
@@ -138,11 +138,10 @@ class HilbertSeries:
 
 def hilbert_series(ideal: Ideal) -> HilbertSeries:
     """Exact Hilbert series of S/I (cached on the ideal)."""
-    with ideal._lock:
-        if ideal._hs_numerator is None:
-            lead = [tuple(e) for e in ideal.lead_exponents()] if ideal.generators else []
-            ideal._hs_numerator = tuple(_hs_numerator(lead, ideal.ring.n))
-        return HilbertSeries(ideal._hs_numerator, ideal.ring.n)
+    if ideal._hs_numerator is None:
+        lead = [tuple(e) for e in ideal.lead_exponents()] if ideal.generators else []
+        ideal._hs_numerator = tuple(_hs_numerator(lead, ideal.ring.n))
+    return HilbertSeries(ideal._hs_numerator, ideal.ring.n)
 
 
 def hilbert_function(ideal: Ideal, d: int) -> int:
@@ -222,7 +221,7 @@ class QuotientBasis:
             prod = {pk.mul(key, t): c for t, c in terms}
             if not prod.keys() <= index.keys():
                 if self._divisors is None:
-                    self._divisors = _divisor_elems(self.ring, self._gb, pk)
+                    self._divisors = _divisor_index(self.ring, self._gb, pk)
                 prod, _ = _reduce_full(prod, None, self._divisors, self.ring.field.p, pk)
             for t, c in prod.items():
                 mat[index[t], col] = c
@@ -377,24 +376,23 @@ def betti_table(ideal: Ideal) -> BettiTable:
     The alternating sum of the table must reproduce the Hilbert series
     numerator of the pivot recursion, an independent check.
     """
-    with ideal._lock:
-        if ideal._betti is None:
-            if ideal.is_zero_ideal():
-                entries = {}
-            elif ideal.is_unit_ideal():
-                entries = {(0, 0): 1}
-            else:
-                entries = _koszul_betti(ideal)
-            numerator = {0: 1}
-            for (i, j), b in entries.items():
-                numerator[j] = numerator.get(j, 0) + (-1) ** (i + 1) * b
-            hs = hilbert_series(ideal)
-            if HilbertSeries(
-                [numerator.get(d, 0) for d in range(max(numerator) + 1)], ideal.ring.n
-            ) != hs:
-                raise RuntimeError("Betti table disagrees with the Hilbert series")
-            ideal._betti = entries
-        return BettiTable(ideal._betti)
+    if ideal._betti is None:
+        if ideal.is_zero_ideal():
+            entries = {}
+        elif ideal.is_unit_ideal():
+            entries = {(0, 0): 1}
+        else:
+            entries = _koszul_betti(ideal)
+        numerator = {0: 1}
+        for (i, j), b in entries.items():
+            numerator[j] = numerator.get(j, 0) + (-1) ** (i + 1) * b
+        hs = hilbert_series(ideal)
+        if HilbertSeries(
+            [numerator.get(d, 0) for d in range(max(numerator) + 1)], ideal.ring.n
+        ) != hs:
+            raise RuntimeError("Betti table disagrees with the Hilbert series")
+        ideal._betti = entries
+    return BettiTable(ideal._betti)
 
 
 class Resolution:
@@ -532,10 +530,9 @@ def minimal_free_resolution(ideal: Ideal, max_step: int) -> Resolution:
     """
     if max_step < 1:
         raise ParameterError(f"max_step must be >= 1, got {max_step}")
-    with ideal._lock:
-        res = ideal._resolution
-        if res is None or res.length() < min(max_step, betti_table(ideal).max_index() + 1):
-            res = ideal._resolution = _extend_resolution(ideal, res, max_step)
+    res = ideal._resolution
+    if res is None or res.length() < min(max_step, betti_table(ideal).max_index() + 1):
+        res = ideal._resolution = _extend_resolution(ideal, res, max_step)
     if res.length() <= max_step:
         return res
     return Resolution(res.ring, res.generator_row, res.modules[:max_step], res.maps[: max_step - 1])

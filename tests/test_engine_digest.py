@@ -7,7 +7,11 @@ representatives or changed a certificate could keep every CLI digest in
 every returned syzygy vector, in order.  They were recorded with the
 tuple-keyed engine that preceded packed integer terms; the pair order,
 the first-reducer rule, both criteria and the canonical sort decide
-them, so they must not move under a change of representation.
+them, so they must not move under a change of representation.  The
+higher levels of a resolution (the twisted cubic's truncation at level 3,
+the rational normal quartic at level 2) spread their lead terms over many
+components, so they also pin the reducer and pair partners that the
+engine looks up by component.
 
 A failure lists the cases whose digests moved.
 """
@@ -15,11 +19,11 @@ A failure lists the cases whose digests moved.
 import hashlib
 
 from hfstrata.cli import parse_ideal_file
-from hfstrata.groebner import syzygies, vector_syzygies
+from hfstrata.groebner import syzygies, vector_degree, vector_syzygies
 from hfstrata.ring import GREVLEX, LEX
 from hfstrata.strata import random_forms, truncate_ideal
 
-from conftest import build_corpus, ring4, twisted_cubic
+from conftest import build_corpus, rational_normal_quartic, ring4, twisted_cubic
 from test_output_digest import FILES
 
 
@@ -30,6 +34,12 @@ def _digest(vectors):
 
 def _ideal_syzygies(ideal):
     return vector_syzygies(ideal.ring, [(f,) for f in ideal.generators], (0,))
+
+
+def _next_level(ring, vectors, shifts):
+    """The syzygies of `vectors` in the free module with these shifts, and
+    the shifted degrees of `vectors`: the shifts of the next level."""
+    return vector_syzygies(ring, vectors, shifts), [vector_degree(v, shifts) for v in vectors]
 
 
 def _rank2_vectors(order):
@@ -53,7 +63,13 @@ def _cases():
     # syzygies of the syzygies of a truncation: a module of rank 38
     trunc = truncate_ideal(twisted_cubic(), 4)
     degrees = [f.homogeneous_degree() for f in trunc.generators]
-    out["twisted_cubic_trunc4 level 2"] = vector_syzygies(trunc.ring, syzygies(trunc), degrees)
+    level2, shifts = _next_level(trunc.ring, syzygies(trunc), degrees)
+    out["twisted_cubic_trunc4 level 2"] = level2
+    # their syzygies in turn: a module of rank 63
+    out["twisted_cubic_trunc4 level 3"] = _next_level(trunc.ring, level2, shifts)[0]
+    quartic = rational_normal_quartic()
+    degrees = [f.homogeneous_degree() for f in quartic.generators]
+    out["rational_normal_quartic level 2"] = _next_level(quartic.ring, syzygies(quartic), degrees)[0]
     return {name: _digest(vectors) for name, vectors in out.items()}
 
 
@@ -78,6 +94,8 @@ DIGESTS = {
     "lex rank-2 module": "9e4fd1e530acbd767fdd2d9aa5c90d978cdc584e4403e7ab97eeb9435b9a2784",
     "quadric_cone_curve4": "af0fc6823551c98b0af0cc2394a98bc217a2a519465a6ad71ea7019b7685a29f",
     "twisted_cubic_trunc4 level 2": "1893a50e8c7988e54d7120a4e4b4f0223ed30486a1c96a4b1434829db5adc394",
+    "twisted_cubic_trunc4 level 3": "7772be01a6617cc3fb6c8e9d51294f07a17a439206292ee2aca89409ff5e215d",
+    "rational_normal_quartic level 2": "96ab06f3d8962a3d0595290e05d294fd76381d1884e7c6655673ae07553057c5",
 }
 
 

@@ -5,7 +5,8 @@ loops on (exponent tuple, component) terms: find the largest remaining
 term with `max` at every step, reduce it by the first basis element (or
 divisor) whose lead divides it, or move it to the remainder.  The
 engine's `_reduce_full` (heap-ordered, on packed int terms, so its
-inputs are packed and its outputs unpacked here) and `divide` (which
+inputs are packed, its basis grouped by lead component with
+`_by_component`, and its outputs unpacked here) and `divide` (which
 runs through `_reduce_full`) must return the same dicts and polynomials
 on random inputs: module rank 1-3, grevlex and lex,
 p in {2, 3, 32003, 2^31 - 1}, non-monic and non-homogeneous divisors,
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hfstrata.field import PrimeField  # noqa: E402
-from hfstrata.groebner import _Elem, _Packing, _reduce_full, divide  # noqa: E402
+from hfstrata.groebner import _by_component, _Elem, _Packing, _reduce_full, divide  # noqa: E402
 from hfstrata.ring import GREVLEX, LEX, MonomialOrder, RingContext  # noqa: E402
 
 PRIMES = (2, 3, 32003, 2**31 - 1)
@@ -136,7 +137,7 @@ def _engine_normal_form(h, cert, basis, p, pk):
         return None if vec is None else {pk.unpack(t): c for t, c in vec.items()}
 
     elems = [_Elem(pack(g.vec), pack(g.cert), pk.pack(*g.lead)) for g in basis]
-    tail, cert = _reduce_full(pack(h), pack(cert), elems, p, pk)
+    tail, cert = _reduce_full(pack(h), pack(cert), _by_component(elems, pk), p, pk)
     return unpack(tail), unpack(cert)
 
 
