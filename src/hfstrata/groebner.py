@@ -21,6 +21,17 @@ expressing it in terms of the input generators; reducing S-pairs of the
 final reduced Gröbner basis to zero then yields Schreyer generators of
 the full syzygy module, already written over the original generators.
 
+Buchberger (`_module_groebner`) stops at the minimal basis: `_prune`
+keeps the elements whose lead no other lead divides, and the tail pass
+(`_tail_reduce`) that makes it the reduced basis is a separate step.
+The syzygy pass and `buchberger_basis` run both.  An `Ideal` caches the
+minimal basis packed, under a rank-1 `_Packing`, and tail-reduces it
+in place the first time a reader needs reduced elements: lead-term
+readers (`lead_exponents`, `is_unit_ideal`, hence the Hilbert series
+and the Krull dimension) never pay for the tail pass, while
+`groebner_basis()`, `ideal_member` and `QuotientBasis` normal forms do,
+once per ideal.
+
 The syzygy pass reduces only the Schreyer-frame pairs: for each basis
 index i, one pair (i, j), j > i, per minimal generator of the monomial
 ideal of multipliers lcm(lt_i, lt_j) / lt_i (La Scala-Stillman).  Their
@@ -32,20 +43,22 @@ generate the lead-term syzygies, and their reducing to zero, which the
 pass checks, still certifies the basis (Buchberger's criterion).
 
 All reduction runs through one normal-form loop, `_reduce_full`: S-pair
-reduction in Buchberger, interreduction, the syzygy pass, the public
-`divide` and `QuotientBasis` normal forms (whose divisors enter as monic
-elements with their inverse lead coefficients as certificates, built by
-`_divisor_index`).  It visits terms largest first from a min-heap of
-packed keys (Monagan-Pearce heap division), pushing each term when it
-enters the working dict and skipping popped terms that have cancelled,
-so it never rescans the dict for its lead term.
+reduction in Buchberger, the tail pass, the syzygy pass, the public
+`divide` (whose divisors enter as monic elements with their inverse
+lead coefficients as certificates, built by `_divisor_index`), and the
+certificate-free normal forms of `ideal_member` and `QuotientBasis`
+modulo an `Ideal`'s cached reduced basis.  It visits terms largest
+first from a min-heap of packed keys (Monagan-Pearce heap division),
+pushing each term when it enters the working dict and skipping popped
+terms that have cancelled, so it never rescans the dict for its lead
+term.
 
 A lead in another component never divides a term, so wherever the
 engine holds a basis it also holds its component index
 (`_by_component`: index[c] lists the elements whose lead lies in
 component c, in list order).  Reducers, Buchberger's pair partners
-and chain-criterion witnesses, interreduction's pruning and the frame
-partners of the syzygy pass are looked up in the term's own component
+and chain-criterion witnesses, the pruning and the frame partners of
+the syzygy pass are looked up in the term's own component
 only.  The rule is unchanged: the first reducer in list order is the
 first in its component's group, so no pair, criterion outcome or
 certificate moves.  In rank 1 the index has one group, the whole basis.
@@ -243,9 +256,10 @@ def _scale_vec(vec, c, p):
 
 
 def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True):
-    """Reduced Gröbner basis of the submodule generated by `gens`.
+    """Minimal Gröbner basis of the submodule generated by `gens`.
 
-    Returns a list of monic _Elem sorted descending by lead term; each
+    Returns a list of monic _Elem sorted descending by lead term, pruned
+    but not tail-reduced (`_tail_reduce` finishes the reduced GB); each
     cert writes the element over the input generators.  Pair selection
     is the normal strategy (lowest shifted lcm degree, then the order on
     the lcm, then the component); the product criterion applies only in
@@ -315,15 +329,15 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
         if tail:
             add_elem(tail, cert)
 
-    return _interreduce(basis, p, pk)
+    return _prune(basis, pk)
 
 
-def _interreduce(basis, p, pk):
-    """Prune to the minimal basis and tail-reduce: the reduced GB.
+def _prune(basis, pk):
+    """The minimal basis: the elements whose lead no other lead divides.
 
-    Pruning compares leads within a component.  Each kept g is
-    tail-reduced by all the others, in every component: a tail term of g
-    can lie in another component than its lead.
+    Leads are compared within a component.  Returns the kept elements
+    sorted by lead term, descending; their tails are as Buchberger left
+    them (`_tail_reduce` reduces them).
     """
     mask = pk.div_mask
     kept = _by_component((), pk)  # smallest lead term first
@@ -332,14 +346,26 @@ def _interreduce(basis, p, pk):
         if any(not (g.lead - k.lead) & mask for k in group):
             continue
         group.append(g)
+    return sorted((g for group in kept for g in group), key=lambda e: e.lead)
+
+
+def _tail_reduce(basis, p, pk):
+    """The reduced GB from the minimal one `_prune` returns: each g is
+    tail-reduced by all the others, in every component, since a tail
+    term of g can lie in another component than its lead.
+
+    The others are scanned smallest lead term first, the order `_prune`
+    keeps them in: a certificate depends on that order, a reduced
+    vector does not.  The result keeps the order of `basis`.
+    """
+    index = _by_component(reversed(basis), pk)  # smallest lead term first
     final = []
-    for comp, group in enumerate(kept):
-        for g in group:
-            others = kept.copy()
-            others[comp] = [h for h in group if h is not g]
-            tail, cert = _reduce_full(g.vec, g.cert, others, p, pk)
-            final.append(_Elem(tail, cert, g.lead))
-    final.sort(key=lambda e: e.lead)
+    for g in basis:
+        comp = g.lead & pk.comp_mask
+        others = index.copy()
+        others[comp] = [h for h in index[comp] if h is not g]
+        tail, cert = _reduce_full(g.vec, g.cert, others, p, pk)
+        final.append(_Elem(tail, cert, g.lead))
     return final
 
 
@@ -378,7 +404,7 @@ def _syzygy_certs(gens, p, pk, ambient_rank, ambient_shifts):
     term tuples, generates ker(e_i -> gens[i]) in the free module with
     one slot per generator.
     """
-    gb = _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True)
+    gb = _tail_reduce(_module_groebner(gens, p, pk, ambient_rank, ambient_shifts), p, pk)
     index = _by_component(gb, pk)
     syz = []
     for i, j in _frame_pairs(gb, pk):
@@ -484,9 +510,28 @@ def vector_degree(polys, ambient_shifts):
 
 
 class Ideal:
-    """Homogeneous ideal with cached reduced Gröbner basis."""
+    """Homogeneous ideal with its Gröbner basis cached packed.
 
-    __slots__ = ("ring", "generators", "_gb", "_hs_numerator", "_betti", "_resolution")
+    The cache is one list of monic `_Elem`s under the rank-1 packing
+    `_pk`, largest lead first: Buchberger's minimal basis, tails as
+    Buchberger left them.  Readers of lead terms alone (`lead_exponents`,
+    `is_unit_ideal`, and through them `hilbert_series` and `krull_dim`)
+    read it as it is.  The first reader that needs reduced elements
+    (`groebner_basis`, `ideal_member`, `QuotientBasis` normal forms) pays
+    for the tail pass, once: its result replaces the cached list, with
+    the same leads.
+    """
+
+    __slots__ = (
+        "ring",
+        "generators",
+        "_pk",
+        "_basis",
+        "_tails_reduced",
+        "_hs_numerator",
+        "_betti",
+        "_resolution",
+    )
 
     def __init__(self, ring: RingContext, generators):
         self.ring = ring
@@ -498,7 +543,9 @@ class Ideal:
                 raise DegenerateInputError("zero polynomial among ideal generators")
             f.homogeneous_degree()  # raises InhomogeneousError when mixed
         self.generators = gens
-        self._gb = None
+        self._pk = _Packing(ring.n, ring.order.kind, 1)
+        self._basis = None
+        self._tails_reduced = False
         self._hs_numerator = None
         self._betti = None
         self._resolution = None
@@ -519,19 +566,32 @@ class Ideal:
     def is_zero_ideal(self):
         return not self.generators
 
+    def _minimal(self):
+        """The cached basis; its leads are those of the reduced GB."""
+        if self._basis is None:
+            self._basis = _minimal_basis(self.generators, self.ring.field.p, self._pk)
+        return self._basis
+
+    def _reduced(self):
+        """The reduced GB, packed: the cached basis after the tail pass."""
+        basis = self._minimal()
+        if not self._tails_reduced:
+            self._basis = basis = _tail_reduce(basis, self.ring.field.p, self._pk)
+            self._tails_reduced = True
+        return basis
+
     def groebner_basis(self):
-        """The unique reduced Gröbner basis for the ring's order (cached)."""
-        if self._gb is None:
-            self._gb = buchberger_basis(self.ring, self.generators)
-        return self._gb
+        """The unique reduced Gröbner basis for the ring's order."""
+        return _basis_polys(self._reduced(), self._pk, self.ring)
 
     def lead_exponents(self):
         """Exponent vectors of the lead terms of the reduced GB."""
-        return tuple(g.lead_exps() for g in self.groebner_basis())
+        unpack = self._pk.unpack
+        return tuple(unpack(g.lead)[0] for g in self._minimal())
 
     def is_unit_ideal(self):
-        gb = self.groebner_basis()
-        return bool(gb) and sum(gb[0].lead_exps()) == 0
+        basis = self._minimal()
+        return bool(basis) and basis[0].lead == 0  # 0 is the key of the monomial 1
 
 
 def _divisor_index(ring, divisors, pk):
@@ -577,26 +637,35 @@ def divide(f: Polynomial, divisors):
     )
 
 
+def _minimal_basis(generators, p, pk):
+    """Buchberger's minimal basis of the nonzero polynomials among
+    `generators`, packed by the rank-1 `pk`: the one Buchberger run
+    behind `Ideal` and `buchberger_basis`."""
+    vecs = [_vec_from_polys((f,), pk) for f in generators if not f.is_zero()]
+    return _module_groebner(vecs, p, pk, 1, (0,), track_certs=False)
+
+
+def _basis_polys(basis, pk, ring):
+    return tuple(_polys_from_vec(e.vec, pk, ring, 1)[0] for e in basis)
+
+
 def buchberger_basis(ring: RingContext, generators):
     """Reduced Gröbner basis of a list of homogeneous polynomials."""
     pk = _Packing(ring.n, ring.order.kind, 1)
-    vecs = [_vec_from_polys((f,), pk) for f in generators if not f.is_zero()]
-    if not vecs:
-        return ()
-    gb = _module_groebner(vecs, ring.field.p, pk, 1, (0,), track_certs=False)
-    return tuple(_polys_from_vec(e.vec, pk, ring, 1)[0] for e in gb)
+    p = ring.field.p
+    return _basis_polys(_tail_reduce(_minimal_basis(generators, p, pk), p, pk), pk, ring)
 
 
 def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
+    """Whether f reduces to zero modulo the ideal's reduced GB."""
     if f.is_zero():
         return True
     if f.ring != ideal.ring:
         raise StructureError("polynomial from a different ring")
-    gb = ideal.groebner_basis()
-    if not gb:
-        return False
-    _, r = divide(f, gb)
-    return r.is_zero()
+    pk = ideal._pk
+    index = _by_component(ideal._reduced(), pk)
+    tail, _ = _reduce_full(_vec_from_polys((f,), pk), None, index, ideal.ring.field.p, pk)
+    return not tail
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:

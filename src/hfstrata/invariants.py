@@ -27,7 +27,7 @@ from .errors import DegenerateInputError, ParameterError
 from .groebner import (
     EXP_LIMIT,
     Ideal,
-    _divisor_index,
+    _by_component,
     _overflow,
     _Packing,
     _reduce_full,
@@ -139,8 +139,7 @@ class HilbertSeries:
 def hilbert_series(ideal: Ideal) -> HilbertSeries:
     """Exact Hilbert series of S/I (cached on the ideal)."""
     if ideal._hs_numerator is None:
-        lead = [tuple(e) for e in ideal.lead_exponents()] if ideal.generators else []
-        ideal._hs_numerator = tuple(_hs_numerator(lead, ideal.ring.n))
+        ideal._hs_numerator = tuple(_hs_numerator(ideal.lead_exponents(), ideal.ring.n))
     return HilbertSeries(ideal._hs_numerator, ideal.ring.n)
 
 
@@ -166,10 +165,9 @@ class QuotientBasis:
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
         self.ring = ideal.ring
-        self._gb = ideal.groebner_basis()
-        self._lead = [g.lead_exps() for g in self._gb]
+        self._lead = ideal.lead_exponents()
         self._lead_set = frozenset(self._lead)
-        self._pk = _Packing(self.ring.n, self.ring.order.kind, max(1, len(self._gb)))
+        self._pk = ideal._pk
         self._cache = {}
         self._divisors = None
 
@@ -209,8 +207,9 @@ class QuotientBasis:
 
         Column k is the normal form of f times the k-th standard monomial
         of degree d, written sparsely.  A product whose terms are all
-        standard is its own normal form; any other is reduced by the GB's
-        monic divisors, built on first use and kept, with no certificate.
+        standard is its own normal form; any other is reduced, with no
+        certificate, by the ideal's packed reduced GB, which the first
+        such product asks of the ideal.
         """
         e = d + f.homogeneous_degree()
         self.monomials(e)  # caches every degree up to e
@@ -221,7 +220,7 @@ class QuotientBasis:
             prod = {pk.mul(key, t): c for t, c in terms}
             if not prod.keys() <= index.keys():
                 if self._divisors is None:
-                    self._divisors = _divisor_index(self.ring, self._gb, pk)
+                    self._divisors = _by_component(self.ideal._reduced(), pk)
                 prod, _ = _reduce_full(prod, None, self._divisors, self.ring.field.p, pk)
             for t, c in prod.items():
                 mat[index[t], col] = c

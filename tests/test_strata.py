@@ -224,20 +224,29 @@ def test_cone_curve_larger_m(surface, e, m):
 
 def test_cone_curve_computes_each_groebner_basis_once(monkeypatch):
     """One GB for I_X and one for I_X + (g1, g2), which the certificate
-    and the dimension check share."""
+    and the dimension check share.  Both read lead terms only, so the
+    curve's basis never goes through the tail pass: it runs once, on
+    I_X's one-element basis, for the Betti table behind the regularity
+    margin."""
     from hfstrata import groebner
 
-    calls = []
-    original = groebner.buchberger_basis
+    calls, tails = [], []
+    minimal_basis, tail_reduce = groebner._minimal_basis, groebner._tail_reduce
 
-    def counting(ring, generators):
+    def counting(generators, p, pk):
         calls.append(len(generators))
-        return original(ring, generators)
+        return minimal_basis(generators, p, pk)
 
-    monkeypatch.setattr(groebner, "buchberger_basis", counting)
+    def counting_tails(basis, p, pk):
+        tails.append(len(basis))
+        return tail_reduce(basis, p, pk)
+
+    monkeypatch.setattr(groebner, "_minimal_basis", counting)
+    monkeypatch.setattr(groebner, "_tail_reduce", counting_tails)
     _, report = cone_curve(quadric_cone(), 4, seed=1)
     assert report.trials_used == 1
     assert calls == [1, 3]
+    assert tails == [1]
 
 
 def test_verify_prop31_computes_each_fact_once(monkeypatch):
@@ -258,7 +267,7 @@ def test_verify_prop31_computes_each_fact_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(groebner, "buchberger_basis", count("gb", groebner.buchberger_basis))
+    monkeypatch.setattr(groebner, "_minimal_basis", count("gb", groebner._minimal_basis))
     monkeypatch.setattr(invariants, "_koszul_betti", count("koszul", invariants._koszul_betti))
     monkeypatch.setattr(deform, "_ext1", count("ext1", deform._ext1, lambda qb, *_: qb.ideal))
     syz = count("syz", groebner.vector_syzygies, lambda ring, vectors, shifts: len(vectors))
