@@ -1,7 +1,9 @@
 """Command line interface: ideal files in, tables and JSON reports out.
 
 Exit codes: 0 success (and all checks passed for verify commands),
-1 verification checks failed, 2 usage/parse errors, 3 computation errors.
+1 verification checks failed, 2 usage/parse errors (in an ideal file, any
+character outside the token grammar, or a number int() will not read, is
+a parse error at its column), 3 computation errors.
 Results go to stdout, diagnostics to stderr.  JSON reports have a fixed
 key order, integer-only values, no timestamps, and embed the tool
 version plus the full input echo, so identical invocations are
@@ -11,6 +13,7 @@ byte-identical.
 import argparse
 import json
 import os
+import re
 import sys
 from functools import lru_cache
 
@@ -39,106 +42,82 @@ FIELD_ENV_VAR = "HFSTRATA_FIELD"
 # ---------------------------------------------------------------------------
 
 
-def _name_start(c):
-    return c.isalpha() or c == "_"
+# One token grammar for every line: a NUMBER is a run of decimal digits, a
+# NAME a run of letters, digits and `_` that starts with a letter or `_`,
+# then the four operators.  Any other character is refused, and so is a
+# `\w` run that starts with neither a letter, `_` nor a decimal digit
+# (a superscript `²`, a `½`).
+_TOKEN = re.compile(r"\s*(?:(?P<NUMBER>\d+)|(?P<NAME>\w+)|(?P<OP>[-+*^])|(?P<BAD>\S))")
+_SIGN = {"+": 1, "-": -1}
 
 
-def _name_char(c):
-    return c.isalnum() or c == "_"
+def _is_name(word):
+    return word[0].isalpha() or word[0] == "_"
 
 
-def _tokenize_expr(text, line_no, col_offset):
+def _number(digits, line_no, col):
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(line_no, col, f"number too long: {len(digits)} digits (the limit is {limit})") from None
+
+
+def _found(kind, value):
+    return value if kind is None else repr(value)
+
+
+def _tokens(line, line_no):
+    """(kind, value, column) of each token, then the end of the line;
+    kind is NUMBER (value an int), NAME, or the operator itself."""
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        col = col_offset + i + 1
-        if c in "+-*^":
-            tokens.append((c, c, col))
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("NUMBER", int(text[i:j]), col))
-            i = j
-        elif _name_start(c):
-            j = i
-            while j < len(text) and _name_char(text[j]):
-                j += 1
-            tokens.append(("NAME", text[i:j], col))
-            i = j
-        else:
-            raise ParseError(line_no, col, f"unexpected character {c!r}")
+    for m in _TOKEN.finditer(line):
+        kind = m.lastgroup
+        value, col = m[kind], m.start(kind) + 1
+        if kind == "NUMBER":
+            value = _number(value, line_no, col)
+        elif kind == "OP":
+            kind = value
+        elif not _is_name(value):  # BAD, or a `\w` run such as `²x`
+            raise ParseError(line_no, col, f"unexpected character {value[0]!r}")
+        tokens.append((kind, value, col))
+    tokens.append((None, "end of line", len(line) + 1))
     return tokens
 
 
-def _parse_expression(ring, text, line_no, col_offset=0):
-    """Parse `terms joined by +/-, factors by *, powers by ^`."""
-    # `text` is a non-empty line; `take()` without a kind follows a `peek`
-    tokens = _tokenize_expr(text, line_no, col_offset)
-    tokens.append((None, "end of line", col_offset + len(text) + 1))
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def found(tok):
-        return tok[1] if tok[0] is None else repr(tok[1])
-
-    def take(kind=None):
-        nonlocal pos
-        tok = peek()
-        if kind is not None and tok[0] != kind:
-            raise ParseError(line_no, tok[2], f"expected {kind}, found {found(tok)}")
-        pos += 1
-        return tok
-
+def _parse_expression(ring, line, line_no):
+    """Parse `terms joined by +/-, factors by *, powers by ^`: one factor
+    per round, then the token that joins it to the next."""
+    tokens = _tokens(line, line_no)
     var_index = {name: i for i, name in enumerate(ring.names)}
-
-    def parse_factor():
-        kind, value, col = peek()
+    pos = 1 if tokens[0][0] in _SIGN else 0
+    coeff, exps, terms = _SIGN.get(tokens[0][0], 1), [0] * ring.n, []
+    while True:
+        kind, value, col = tokens[pos]
         if kind == "NUMBER":
-            take()
-            return value, (0,) * ring.n
-        if kind == "NAME":
-            take()
-            if value not in var_index:
-                raise ParseError(line_no, col, f"undeclared variable {value!r}")
+            coeff *= value
+        elif kind != "NAME":
+            raise ParseError(line_no, col, f"expected a coefficient or variable, found {_found(kind, value)}")
+        elif value not in var_index:
+            raise ParseError(line_no, col, f"undeclared variable {value!r}")
+        else:
             exp = 1
-            if peek()[0] == "^":
-                take("^")
-                exp = take("NUMBER")[1]
-            exps = [0] * ring.n
-            exps[var_index[value]] = exp
-            return 1, tuple(exps)
-        raise ParseError(line_no, col, f"expected a coefficient or variable, found {found(peek())}")
-
-    def parse_term():
-        coeff, exps = parse_factor()
-        while peek()[0] == "*":
-            take("*")
-            c2, e2 = parse_factor()
-            coeff *= c2
-            exps = tuple(a + b for a, b in zip(exps, e2))
-        return coeff, exps
-
-    terms = []
-    sign = 1
-    if peek()[0] in ("+", "-"):
-        sign = -1 if take()[1] == "-" else 1
-    coeff, exps = parse_term()
-    terms.append((exps, sign * coeff))
-    while peek()[0] is not None:
-        kind, value, col = take()
-        if kind not in ("+", "-"):
+            if tokens[pos + 1][0] == "^":
+                pos += 2
+                kind, exp, col = tokens[pos]
+                if kind != "NUMBER":
+                    raise ParseError(line_no, col, f"expected NUMBER, found {_found(kind, exp)}")
+            exps[var_index[value]] += exp
+        kind, value, col = tokens[pos + 1]
+        pos += 2
+        if kind == "*":
+            continue
+        terms.append((tuple(exps), coeff))
+        if kind is None:
+            return ring.from_terms(terms)
+        if kind not in _SIGN:
             raise ParseError(line_no, col, f"expected '+' or '-', found {value!r}")
-        coeff, exps = parse_term()
-        terms.append((exps, coeff if kind == "+" else -coeff))
-    return ring.from_terms(terms)
+        coeff, exps = _SIGN[kind], [0] * ring.n
 
 
 def parse_ideal_file(text):
@@ -163,24 +142,25 @@ def parse_ideal_file(text):
             continue
         indent = len(line) - len(line.lstrip())
         if in_ideal:
-            gen_sources.append((line_no, indent, line.strip()))
+            gen_sources.append((line_no, indent, line.rstrip()))
             continue
         parts = stripped.split()
         head = parts[0]
         if head == "field":
             if field_p is not None:
                 raise ParseError(line_no, indent + 1, "duplicate field declaration")
-            if len(parts) != 2 or not parts[1].isdigit():
+            number = _TOKEN.match(line, indent + len(head))
+            if len(parts) != 2 or number["NUMBER"] != parts[1]:
                 raise ParseError(line_no, indent + 1, "usage: field <prime>")
-            field_p = int(parts[1])
+            field_p = _number(parts[1], line_no, number.start("NUMBER") + 1)
         elif head == "vars":
             if names is not None:
                 raise ParseError(line_no, indent + 1, "duplicate vars declaration")
             if len(parts) < 2:
                 raise ParseError(line_no, indent + 1, "usage: vars <name> [<name> ...]")
             names = parts[1:]
-            for name in names:  # a name the tokenizer splits could never be used
-                if not (_name_start(name[0]) and all(map(_name_char, name[1:]))):
+            for name in names:  # a name the tokenizer splits or refuses could never be used
+                if not (_is_name(name) and _TOKEN.fullmatch(name)):
                     raise ParseError(line_no, indent + 1, f"variable name {name!r} is not one name token")
             if len(set(names)) != len(names):
                 raise ParseError(line_no, indent + 1, "variable names must be distinct")
@@ -208,7 +188,7 @@ def parse_ideal_file(text):
     ring = RingContext(names, field, MonomialOrder(order_kind or GREVLEX))
     gens = []
     for idx, (line_no, indent, src) in enumerate(gen_sources):
-        f = _parse_expression(ring, src, line_no, indent)
+        f = _parse_expression(ring, src, line_no)
         if f.is_zero():
             raise ParseError(line_no, indent + 1, f"generator {idx} is zero")
         try:

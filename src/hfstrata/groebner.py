@@ -256,7 +256,7 @@ def _scale_vec(vec, c, p):
 
 
 def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True):
-    """Minimal Gröbner basis of the submodule generated by `gens`.
+    """Minimal Gröbner basis of the submodule generated by the nonzero vectors `gens`.
 
     Returns a list of monic _Elem sorted descending by lead term, pruned
     but not tail-reduced (`_tail_reduce` finishes the reduced GB); each
@@ -301,14 +301,10 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
         members[comp].append(j)
 
     for idx, vec in enumerate(gens):
-        if not vec:
-            continue
         add_elem(dict(vec), {idx: 1} if track_certs else None)  # key idx is 1 * e_idx
 
     while heap:
         _, neg_lcm, comp, i, j = heappop(heap)
-        if (i, j) in done:
-            continue
         done.add((i, j))
         lcm = comp - neg_lcm
         if ambient_rank == 1 and leads[i] + leads[j] == lcm:
@@ -416,8 +412,6 @@ def _syzygy_certs(gens, p, pk, ambient_rank, ambient_shifts):
         if cert:
             syz.append(cert)
     for idx, vec in enumerate(gens):
-        if not vec:
-            continue
         tail, cert = _reduce_full(vec, {idx: 1}, index, p, pk)
         if tail:
             raise RuntimeError("generator did not reduce to zero against its own GB")

@@ -89,7 +89,9 @@ def verify_prop31(
 
     hilbert_ok = True
     first_failure = None
-    for d in range(degree_bound + 1):
+    # (S/Gamma)_{d+1} = S_1 (S/Gamma)_d, so once degree m checks as 0 both
+    # sides are 0 above it: the check stops at m whatever the bound
+    for d in range(min(degree_bound, m) + 1):
         predicted = predicted_hilbert_function(lambda t: hilbert_function(ideal_y, t), m, d)
         if hilbert_function(gamma, d) != predicted:
             hilbert_ok = False

@@ -297,6 +297,7 @@ def test_cli_parse_error_exit2(capsys, tmp_path):
 
 
 GEN = "vars x y\nideal:\n"  # generators start on line 3
+BIG = "1" * 5000
 PARSE_ERRORS = [  # (id, file text, HFSTRATA_FIELD, error after "error: ")
     ("character", GEN + "x $ y\n", None, "line 3, col 3: unexpected character '$'"),
     ("exponent", GEN + "x^y\n", None, "line 3, col 3: expected NUMBER, found 'y'"),
@@ -318,6 +319,16 @@ PARSE_ERRORS = [  # (id, file text, HFSTRATA_FIELD, error after "error: ")
     ("directive", "vars x\nfoo\n", None, "line 2, col 1: unknown directive 'foo'"),
     ("no-vars", "field 7\n", None, "line 1, col 1: missing vars declaration"),
     ("no-ideal", "vars x\n", None, "line 1, col 1: missing 'ideal:' section"),
+    # digits int() will not read: a superscript, or more than its 4300-digit limit
+    ("superscript-exponent", GEN + "x^\u00b2\n", None, "line 3, col 3: unexpected character '\u00b2'"),
+    ("superscript-factor", GEN + "\u00b2*x\n", None, "line 3, col 1: unexpected character '\u00b2'"),
+    ("superscript-field", "field \u00b2\n" + GEN, None, "line 1, col 1: usage: field <prime>"),
+    ("long-coefficient", GEN + BIG + "*x\n", None,
+     "line 3, col 1: number too long: 5000 digits (the limit is 4300)"),
+    ("long-exponent", GEN + "x^" + BIG + "\n", None,
+     "line 3, col 3: number too long: 5000 digits (the limit is 4300)"),
+    ("long-field", "field " + BIG + "\n" + GEN, None,
+     "line 1, col 7: number too long: 5000 digits (the limit is 4300)"),
 ]
 
 
@@ -334,6 +345,28 @@ def test_cli_parse_errors_exit2(monkeypatch, capsys, tmp_path, text, env, messag
     path.write_text(text)
     assert run(["gb", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_parse_returns_or_raises_parse_error(monkeypatch):
+    """A file of random lines over names, decimal and non-decimal digits,
+    the operators, a refused character and space either parses or raises
+    ParseError, and nothing else."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.delenv("HFSTRATA_FIELD", raising=False)
+    line = st.text(alphabet="xy_\u00e90123456789\u0663\u00b2+-*^$ ", max_size=12)
+    head = st.sampled_from(["", "field ", "vars x ", "order "])
+
+    @hypothesis.settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.tuples(head, line), max_size=3), st.lists(line, max_size=4))
+    def check(header, generators):
+        lines = [h + rest for h, rest in header] + ["vars x y \u00e9 _", "ideal:"] + generators
+        try:
+            parse_ideal_file("\n".join(lines) + "\n")
+        except ParseError:
+            pass
+
+    check()
 
 
 def test_cli_internal_error_exit3(monkeypatch, capsys, tc_file):

@@ -32,4 +32,5 @@ def test_tracer_wraps_every_layer_and_sees_nakayama(tmp_path):
     assert rc == 0
     stats = tracer.snapshot()
     assert stats["invariants.nakayama.calls"] > 0
+    assert tracer.stats["cli.parse"]["calls"] > 0  # cli.parse.self_s times the parser
     assert stats["linalg.kernel.max_cells"] < 10**6
