@@ -1,31 +1,39 @@
 """Time buchberger_basis and lead terms on cone-curve ideals I_X + (g_1, g_2).
 
 I_X is the quadric cone xw - yz or the Fermat cubic surface
-x^3 + y^3 + z^3 + w^3 over F_32003, and g_1, g_2 are the seeded-random
-dense degree-m forms that `cone-curve --seed S` draws first.  This is the
-Gröbner basis that `cone-curve` reads its Hilbert-series certificate
-from.  Each case prints the best of a few wall times of
-`buchberger_basis` (the reduced basis, tail pass included) and of a
-fresh `Ideal(ring, gens).lead_exponents()` (the `leads` column: the
-minimal basis that `cone-curve` reads, with no tail pass), then the
-number of elements of the reduced basis and its total term count.
+x^3 + y^3 + z^3 + w^3 over F_p (p = 32003 unless --p says otherwise),
+and g_1, g_2 are the seeded-random dense degree-m forms that
+`cone-curve --seed S` draws first.  This is the Gröbner basis that
+`cone-curve` reads its Hilbert-series certificate from.  Each case
+prints the best of a few times of `buchberger_basis` (the reduced basis,
+tail pass included) and of a fresh `Ideal(ring, gens).lead_exponents()`
+(the `leads` columns: the minimal basis that `cone-curve` reads, with no
+tail pass), then the number of elements of the reduced basis and its
+total term count.
+
+Each time is given twice: wall seconds, and reference seconds (`ref`),
+the wall time corrected for the host's speed by perfbench's
+`SpeedSampler` (perfbench/speed.py), so that runs on a shared host
+whose speed drifts, or on different hosts, compare.
 
 Usage:
-    python benchmarks/bench_gb.py [--ms 6,8,10] [--seed 1] [--repeat 3]
+    python benchmarks/bench_gb.py [--ms 6,8,10] [--seed 1] [--repeat 3] [--p 32003]
 """
 
 import argparse
-import time
+import sys
+from pathlib import Path
 
 from hfstrata import PrimeField, RingContext
 from hfstrata.groebner import Ideal, buchberger_basis
 from hfstrata.strata import random_forms
 
-P = 32003
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from speed import SpeedSampler  # noqa: E402
 
 
-def surfaces():
-    ring = RingContext(("x", "y", "z", "w"), PrimeField(P))
+def surfaces(p):
+    ring = RingContext(("x", "y", "z", "w"), PrimeField(p))
     x, y, z, w = (ring.variable(i) for i in range(4))
     return ring, {
         "quadric cone": [x * w - y * z],
@@ -34,13 +42,17 @@ def surfaces():
 
 
 def best_of(repeat, fn):
-    """(last result, best wall time) of `repeat` calls of fn."""
-    best = float("inf")
+    """(last result, best wall seconds, best reference seconds) of
+    `repeat` calls of fn, each timed under its own SpeedSampler."""
+    wall = ref = float("inf")
     for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return result, best
+        with SpeedSampler() as speed:
+            t0 = speed.clock()
+            result = fn()
+            t1 = speed.clock()
+        wall = min(wall, t1 - t0)
+        ref = min(ref, speed.ref_seconds(t0, t1))
+    return result, wall, ref
 
 
 def main():
@@ -48,21 +60,27 @@ def main():
     parser.add_argument("--ms", default="6,8,10")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--p", type=int, default=32003)
     args = parser.parse_args()
 
-    ring, cases = surfaces()
-    print(f"p = {P}, seed = {args.seed}, repeat = {args.repeat} (best of)")
+    ring, cases = surfaces(args.p)
+    print(f"p = {args.p}, seed = {args.seed}, repeat = {args.repeat} (best of)")
     print(
-        f"{'surface':>13} {'m':>3} {'buchberger_basis':>17} {'leads':>8} "
-        f"{'elements':>9} {'terms':>7}"
+        f"{'surface':>13} {'m':>3} {'buchberger_basis':>17} {'ref':>8} "
+        f"{'leads':>8} {'ref':>8} {'elements':>9} {'terms':>7}"
     )
     for name, gens in cases.items():
         for m in (int(t) for t in args.ms.split(",")):
             ideal_gens = gens + list(random_forms(ring, m, 2, args.seed))
-            gb, best = best_of(args.repeat, lambda: buchberger_basis(ring, ideal_gens))
-            _, leads = best_of(args.repeat, lambda: Ideal(ring, ideal_gens).lead_exponents())
+            gb, wall, ref = best_of(args.repeat, lambda: buchberger_basis(ring, ideal_gens))
+            _, leads, leads_ref = best_of(
+                args.repeat, lambda: Ideal(ring, ideal_gens).lead_exponents()
+            )
             terms = sum(len(g.terms) for g in gb)
-            print(f"{name:>13} {m:>3} {best:>16.3f}s {leads:>7.3f}s {len(gb):>9} {terms:>7}")
+            print(
+                f"{name:>13} {m:>3} {wall:>16.3f}s {ref:>7.3f}s {leads:>7.3f}s "
+                f"{leads_ref:>7.3f}s {len(gb):>9} {terms:>7}"
+            )
 
 
 if __name__ == "__main__":

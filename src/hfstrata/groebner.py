@@ -49,9 +49,13 @@ lead coefficients as certificates, built by `_divisor_index`), and the
 certificate-free normal forms of `ideal_member` and `QuotientBasis`
 modulo an `Ideal`'s cached reduced basis.  It visits terms largest
 first from a min-heap of packed keys (Monagan-Pearce heap division),
-pushing each term when it enters the working dict and skipping popped
-terms that have cancelled, so it never rescans the dict for its lead
-term.
+pushing each term once, when it enters the working dict, so it never
+rescans the dict for its lead term.  Coefficients are reduced when
+read: updates accumulate plain ints, and a term is reduced mod p when
+it is popped and dropped there if it is 0, so a cancelled term is
+never deleted and pushed again.  S-pairs and certificates are kept
+reduced as they are built: an S-pair that cancels to the empty vector
+then never reaches the heap.
 
 A lead in another component never divides a term, so wherever the
 engine holds a basis it also holds its component index
@@ -62,6 +66,15 @@ the syzygy pass are looked up in the term's own component
 only.  The rule is unchanged: the first reducer in list order is the
 first in its component's group, so no pair, criterion outcome or
 certificate moves.  In rank 1 the index has one group, the whole basis.
+
+Reducers are memoized per basis index: the memo maps a term to the
+position in its component's group before which no lead divides it.
+One memo serves a whole Buchberger run (groups are only appended to,
+so a hit stays the first divisor, and a miss resumes its scan where it
+stopped), the syzygy pass's reduced basis and a `QuotientBasis`'s
+divisors; each `_tail_reduce` element, whose divisors are the others,
+starts a fresh one.  The rule is still the first divisor in list order,
+so no certificate changes.
 """
 
 import struct
@@ -177,63 +190,77 @@ def _by_component(elems, pk):
     return index
 
 
-def _reduce_full(h, cert, index, p, pk):
+def _reduce_full(h, cert, index, memo, p, pk):
     """Total normal form of h against monic basis elements.
 
-    `index` is the basis as `_by_component` groups it.
+    `index` is the basis as `_by_component` groups it, and `memo` is the
+    index's reducer memo (a fresh `{}` starts one): memo[t] is a position
+    in the group of t's component before which no lead divides t.
 
     Returns (tail, cert) where tail has no term divisible by any basis
     lead term.  Every multiple of a basis element added to h is added to
     cert as the same multiple of that element's cert, so if cert writes
     h over the generators on input, it writes tail over them on output.
 
-    Terms are visited largest first through a min-heap of keys; a term
-    is pushed when it enters the working dict, and popped entries no
-    longer in the dict are skipped.  Reducing t only adds terms below t,
-    so each term is processed once.  Among basis elements whose lead
-    divides t, the first in list order is used.  Only the group of t's
-    own component is scanned for it: a lead in another component never
-    divides t, so the first divisor there is the first in the list.
-    Pair partners, chain witnesses and frame partners are looked up by
-    component the same way.
+    Terms are visited largest first through a min-heap of keys, each
+    pushed once, when it enters the working dict.  Coefficients
+    accumulate there as plain ints and are reduced mod p only when
+    their term is popped; a term that is 0 mod p then is dropped, so a
+    cancelled term is never deleted and pushed again.  Reducing t only
+    adds terms below t, so nothing adds to t once it is popped: each
+    term is processed once, and popped terms stay in the dict.  The
+    certificate is kept reduced as it is built (`_addmul_into`, as for
+    S-pairs), so both outputs hold values in [0, p) only.
+
+    Among basis elements whose lead divides t, the first in list order
+    is used.  Only the group of t's own component is scanned for it (a
+    lead in another component never divides t, so the first divisor
+    there is the first in the list); pair partners, chain witnesses and
+    frame partners are looked up by component the same way.  The scan
+    starts at memo[t]: a hit stays valid as long as the groups are only
+    appended to, as Buchberger does, and a miss records how far the
+    group was scanned, so a later scan resumes there.
     """
     mask, guard, comp_mask = pk.div_mask, pk.guard, pk.comp_mask
     h = dict(h)
     get = h.get
+    recall = memo.get
     cert = None if cert is None else dict(cert)
     heap = list(h)
     heapify(heap)
     tail = {}
     while heap:
         t = heappop(heap)
-        c = get(t)
-        if c is None:
+        c = h[t] % p
+        if not c:
             continue
-        for vec, gcert, lead in index[t & comp_mask]:
+        group = index[t & comp_mask]
+        size = len(group)
+        i = start = recall(t, 0)
+        while i < size:
+            vec, gcert, lead = group[i]
             mult = t - lead
-            if mult & mask:
-                continue
-            m = p - c
-            for u, v in vec.items():
-                e = u + mult
-                old = get(e)
-                if old is None:
-                    if e & guard:
-                        raise _overflow()
-                    h[e] = m * v % p
-                    heappush(heap, e)
-                else:
-                    val = (old + m * v) % p
-                    if val:
-                        h[e] = val
-                    else:
-                        del h[e]
-            if cert is not None:
-                _addmul_into(cert, m, mult, gcert, p, guard)
-            break
-        else:
+            if not mult & mask:
+                break
+            i += 1
+        if i != start:
+            memo[t] = i
+        if i == size:
             tail[t] = c
-            del h[t]
+            continue
+        m = p - c
+        for u, v in vec.items():
+            e = u + mult
+            old = get(e)
+            if old is None:
+                if e & guard:
+                    raise _overflow()
+                h[e] = m * v
+                heappush(heap, e)
+            else:
+                h[e] = old + m * v
+        if cert is not None:
+            _addmul_into(cert, m, mult, gcert, p, guard)
     return tail, cert
 
 
@@ -271,6 +298,7 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
     leads = []  # basis[i].lead
     lead_exps = []  # (exps, comp) of basis[i].lead
     index = _by_component((), pk)  # the basis by component
+    memo = {}  # the reducer memo of index, valid since groups only grow
     members = _by_component((), pk)  # members[c]: the indices i of index[c]
     heap = []
     done = set()
@@ -321,7 +349,7 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
         if skip:
             continue
         s, cs = _s_pair(basis[i], basis[j], lcm, p, guard, track_certs)
-        tail, cert = _reduce_full(s, cs, index, p, pk)
+        tail, cert = _reduce_full(s, cs, index, memo, p, pk)
         if tail:
             add_elem(tail, cert)
 
@@ -360,7 +388,7 @@ def _tail_reduce(basis, p, pk):
         comp = g.lead & pk.comp_mask
         others = index.copy()
         others[comp] = [h for h in index[comp] if h is not g]
-        tail, cert = _reduce_full(g.vec, g.cert, others, p, pk)
+        tail, cert = _reduce_full(g.vec, g.cert, others, {}, p, pk)
         final.append(_Elem(tail, cert, g.lead))
     return final
 
@@ -402,17 +430,19 @@ def _syzygy_certs(gens, p, pk, ambient_rank, ambient_shifts):
     """
     gb = _tail_reduce(_module_groebner(gens, p, pk, ambient_rank, ambient_shifts), p, pk)
     index = _by_component(gb, pk)
+    memo = {}
     syz = []
     for i, j in _frame_pairs(gb, pk):
         (ti, comp), (tj, _) = pk.unpack(gb[i].lead), pk.unpack(gb[j].lead)
         lcm = pk.pack(monomial_lcm(ti, tj), comp)
-        tail, cert = _reduce_full(*_s_pair(gb[i], gb[j], lcm, p, pk.guard, True), index, p, pk)
+        s, cs = _s_pair(gb[i], gb[j], lcm, p, pk.guard, True)
+        tail, cert = _reduce_full(s, cs, index, memo, p, pk)
         if tail:
             raise RuntimeError("S-pair of a Gröbner basis did not reduce to zero")
         if cert:
             syz.append(cert)
     for idx, vec in enumerate(gens):
-        tail, cert = _reduce_full(vec, {idx: 1}, index, p, pk)
+        tail, cert = _reduce_full(vec, {idx: 1}, index, memo, p, pk)
         if tail:
             raise RuntimeError("generator did not reduce to zero against its own GB")
         if cert:
@@ -623,7 +653,7 @@ def divide(f: Polynomial, divisors):
     p = ring.field.p
     pk = _Packing(ring.n, ring.order.kind, len(divisors))
     index = _divisor_index(ring, divisors, pk)
-    tail, cert = _reduce_full(_vec_from_polys((f,), pk), {}, index, p, pk)
+    tail, cert = _reduce_full(_vec_from_polys((f,), pk), {}, index, {}, p, pk)
     quotients = {t: p - c for t, c in cert.items()}
     return (
         _polys_from_vec(quotients, pk, ring, len(divisors)),
@@ -658,7 +688,7 @@ def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
         raise StructureError("polynomial from a different ring")
     pk = ideal._pk
     index = _by_component(ideal._reduced(), pk)
-    tail, _ = _reduce_full(_vec_from_polys((f,), pk), None, index, ideal.ring.field.p, pk)
+    tail, _ = _reduce_full(_vec_from_polys((f,), pk), None, index, {}, ideal.ring.field.p, pk)
     return not tail
 
 

@@ -169,7 +169,8 @@ class QuotientBasis:
         self._lead_set = frozenset(self._lead)
         self._pk = ideal._pk
         self._cache = {}
-        self._divisors = None
+        self._divisors = None  # the reduced GB by component, with its reducer memo
+        self._memo = {}
 
     def monomials(self, d):
         """Degree-d monomials outside the lead term ideal, descending.
@@ -209,7 +210,9 @@ class QuotientBasis:
         of degree d, written sparsely.  A product whose terms are all
         standard is its own normal form; any other is reduced, with no
         certificate, by the ideal's packed reduced GB, which the first
-        such product asks of the ideal.
+        such product asks of the ideal.  The reducer memo of that basis
+        lives as long as this QuotientBasis, so every product reads the
+        reducers found for its terms by earlier ones.
         """
         e = d + f.homogeneous_degree()
         self.monomials(e)  # caches every degree up to e
@@ -221,7 +224,9 @@ class QuotientBasis:
             if not prod.keys() <= index.keys():
                 if self._divisors is None:
                     self._divisors = _by_component(self.ideal._reduced(), pk)
-                prod, _ = _reduce_full(prod, None, self._divisors, self.ring.field.p, pk)
+                prod, _ = _reduce_full(
+                    prod, None, self._divisors, self._memo, self.ring.field.p, pk
+                )
             for t, c in prod.items():
                 mat[index[t], col] = c
         return mat

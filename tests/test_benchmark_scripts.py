@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SMALLEST = {
     "bench_linalg.py": ["--sizes", "20x20", "--repeat", "1"],
-    "bench_gb.py": ["--ms", "4", "--repeat", "1"],
+    "bench_gb.py": ["--ms", "4", "--repeat", "1", "--p", "3"],
     "bench_verify.py": ["--cases", "3:4", "--cones", "quadric:4", "--repeat", "1"],
     "bench_oracle.py": ["--repeat", "1"],
 }

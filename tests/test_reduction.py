@@ -11,6 +11,12 @@ runs through `_reduce_full`) must return the same dicts and polynomials
 on random inputs: module rank 1-3, grevlex and lex,
 p in {2, 3, 32003, 2^31 - 1}, non-monic and non-homogeneous divisors,
 and divisor lists whose order decides the quotients.
+
+Two fixed cases check what the engine adds to the loop: a reducer memo
+shared across reductions through one index still finds an element
+appended after a term was found irreducible, and coefficients that
+accumulate unreduced give the reference's normal form when a running
+sum passes through a nonzero multiple of p (p = 2 and 3).
 """
 
 import pytest
@@ -127,18 +133,24 @@ def reduction_inputs(draw):
     return (h, cert, basis, p, order), _Packing(n, order.kind, max(rank, n_gens))
 
 
+def _pack(vec, pk):
+    return None if vec is None else {pk.pack(*t): c for t, c in vec.items()}
+
+
+def _unpack(vec, pk):
+    return None if vec is None else {pk.unpack(t): c for t, c in vec.items()}
+
+
+def _pack_elem(g, pk):
+    return _Elem(_pack(g.vec, pk), _pack(g.cert, pk), pk.pack(*g.lead))
+
+
 def _engine_normal_form(h, cert, basis, p, pk):
-    """`_reduce_full` on the packed inputs, with its outputs unpacked."""
-
-    def pack(vec):
-        return None if vec is None else {pk.pack(*t): c for t, c in vec.items()}
-
-    def unpack(vec):
-        return None if vec is None else {pk.unpack(t): c for t, c in vec.items()}
-
-    elems = [_Elem(pack(g.vec), pack(g.cert), pk.pack(*g.lead)) for g in basis]
-    tail, cert = _reduce_full(pack(h), pack(cert), _by_component(elems, pk), p, pk)
-    return unpack(tail), unpack(cert)
+    """`_reduce_full` on the packed inputs, with a fresh memo and its
+    outputs unpacked."""
+    index = _by_component([_pack_elem(g, pk) for g in basis], pk)
+    tail, cert = _reduce_full(_pack(h, pk), _pack(cert, pk), index, {}, p, pk)
+    return _unpack(tail, pk), _unpack(cert, pk)
 
 
 @SETTINGS
@@ -193,3 +205,72 @@ def test_divisor_order_decides_quotients(p):
     assert forward == _reference_divide(f, divisors)
     assert backward == _reference_divide(f, divisors[::-1])
     assert forward[0] == (y, y) and backward[0] == (-x, ring.zero())
+
+
+
+def _basis_elem(vec, cert, order):
+    """A basis element in the reference's terms: vec is monic, its lead the largest term."""
+    return _Elem(vec, cert, max(vec, key=lambda t: (order.key(t[0]), -t[1])))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reducer_memo_resumes_after_an_append(p):
+    """A miss records how far the group was scanned: an element appended
+    later whose lead divides a term that was irreducible is found by
+    the next reduction through the same index and memo."""
+    order = MonomialOrder(GREVLEX)
+    pk = _Packing(3, GREVLEX, 2)
+    one = (0, 0, 0)
+    # g1 = x^2 - yz and g2 = xy^2 + z^3, with certificates e_0 and e_1
+    g1 = _basis_elem({((2, 0, 0), 0): 1, ((0, 1, 1), 0): p - 1}, {(one, 0): 1}, order)
+    g2 = _basis_elem({((1, 2, 0), 0): 1, ((0, 0, 3), 0): 1}, {(one, 1): 1}, order)
+    # x^3 reduces by g1 to xyz; xy^2, xyz and y^3 are irreducible by g1 alone
+    h = {((3, 0, 0), 0): 1, ((1, 2, 0), 0): 1, ((0, 3, 0), 0): 1}
+    index, memo = _by_component([_pack_elem(g1, pk)], pk), {}
+
+    def engine():
+        tail, cert = _reduce_full(_pack(h, pk), {}, index, memo, p, pk)
+        return _unpack(tail, pk), _unpack(cert, pk)
+
+    first = engine()
+    assert first == _reference_normal_form(h, {}, [g1], p, order)
+    assert ((1, 2, 0), 0) in first[0]
+    index[0].append(_pack_elem(g2, pk))  # appended, as Buchberger does
+    second = engine()
+    assert second == _reference_normal_form(h, {}, [g1, g2], p, order)
+    assert ((1, 2, 0), 0) not in second[0]
+
+
+@pytest.mark.parametrize(
+    ("p", "coeffs", "tail"),
+    [
+        # z's coefficient reads 1, then 1 + 1 = 2 = p, then 3: z
+        (2, (1, 1, 1), {((0, 0, 1), 0): 1}),
+        # z reads 1, then 1 + 2 = 3 = p, then 5: 2z
+        (3, (1, 1, 1), {((0, 0, 1), 0): 2}),
+        # z reads 2, then 2 + 1 = 3 = p, then 5: 2z
+        (3, (2, 1, 2), {((0, 0, 1), 0): 2}),
+        # z reads 2, then 4, then 6 = 2p: it cancels and is dropped
+        (3, (1, 1, 2), {}),
+    ],
+)
+def test_coefficients_reaching_a_multiple_of_p_partway(p, coeffs, tail):
+    """Coefficients accumulate unreduced and are reduced when read: a
+    term whose running sum passes through a nonzero multiple of p
+    mid-reduction keeps its later updates, and one that ends at a
+    multiple of p leaves no term behind.  The certificate, kept reduced
+    as it is built, agrees with the reference's too."""
+    order = MonomialOrder(GREVLEX)
+    one = (0, 0, 0)
+    # x + z and y + z, both with certificate e_0
+    basis = [
+        _basis_elem({((1, 0, 0), 0): 1, ((0, 0, 1), 0): 1}, {(one, 0): 1}, order),
+        _basis_elem({((0, 1, 0), 0): 1, ((0, 0, 1), 0): 1}, {(one, 0): 1}, order),
+    ]
+    a, b, c = coeffs
+    h = {((1, 0, 0), 0): a, ((0, 1, 0), 0): b, ((0, 0, 1), 0): c}
+    cert = {(one, 0): 1}
+    engine = _engine_normal_form(h, cert, basis, p, _Packing(3, GREVLEX, 1))
+    assert engine == _reference_normal_form(h, cert, basis, p, order)
+    assert engine[0] == tail
+    assert all(0 < v < p for part in engine for v in part.values())
