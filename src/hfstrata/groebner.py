@@ -32,6 +32,23 @@ and the Krull dimension) never pay for the tail pass, while
 `groebner_basis()`, `ideal_member` and `QuotientBasis` normal forms do,
 once per ideal.
 
+A rank-1 run can take a *floor* (Traverso's Hilbert-driven
+Buchberger): floor(d) is a proven lower bound on dim (S/J)_d for the
+ideal J being computed.  Pairs are popped in degree order, and the run
+keeps the degree-d monomials that no current lead divides
+(`_Staircase`) for the degree d of the pair in hand.  Their count is at
+least h_J(d) >= floor(d); once it equals floor(d), the current leads
+span LT(J)_d, so every remaining degree-d S-polynomial, an element of
+J_d, reduces to zero: a nonzero remainder would be an element of J_d
+whose lead lies outside that span.  Such a pair goes to `done`
+unreduced.  Its S-polynomial has a standard representation over the
+current basis, as that of a pair reduced to zero has, so the chain
+criterion, which reads `done`, stays sound.  A skipped pair would have
+added no element, so the run returns the plain run's basis, element
+for element.  A count below the floor proves the floor false and
+raises RuntimeError.  `strata` builds the floors of its
+regular-sequence certificate this way.
+
 The syzygy pass reduces only the Schreyer-frame pairs: for each basis
 index i, one pair (i, j), j > i, per minimal generator of the monomial
 ideal of multipliers lcm(lt_i, lt_j) / lt_i (La Scala-Stillman).  Their
@@ -282,7 +299,74 @@ def _scale_vec(vec, c, p):
     return {t: (c * v) % p for t, v in vec.items()}
 
 
-def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True):
+class _Staircase:
+    """The degree-d monomials that no current lead divides, for the
+    current degree d of a rank-1 Buchberger run, against a `floor`.
+
+    floor(d) is a proven lower bound on dim (S/J)_d.  `keys` maps each
+    such monomial's key to the size of its support.  The set of degree
+    d + 1 is built from the x_i multiples of that of degree d: such a
+    multiple c is outside the lead ideal iff it is no lead and every
+    c / x_s, for x_s dividing c, is in the set of degree d, that is iff
+    it is reached from as many of them as its support has variables.
+    Raises RuntimeError when the count drops below the floor, which a
+    true bound never allows.
+    """
+
+    __slots__ = ("floor", "leads", "variables", "guard", "degree", "keys", "target")
+
+    def __init__(self, floor, leads, pk):
+        self.floor = floor
+        self.leads = set(leads)
+        self.variables = [pk.pack(tuple(int(i == s) for i in range(pk.n))) for s in range(pk.n)]
+        self.guard = pk.guard
+        self.degree = 0
+        self.keys = {} if 0 in self.leads else {0: 0}  # 0 is the key of the monomial 1
+        self.target = floor(0)
+        self._check()
+
+    def _check(self):
+        if len(self.keys) < self.target:
+            raise RuntimeError(
+                f"{len(self.keys)} standard monomials in degree {self.degree}, "
+                f"below the floor {self.target}"
+            )
+
+    def spanned(self, d):
+        """Whether the current leads span the degree-d lead terms of J:
+        every S-pair of degree d then reduces to zero.  Degrees below
+        the current one are never asked for."""
+        guard, variables, leads = self.guard, self.variables, self.leads
+        while self.degree < d:
+            hits, sizes = {}, {}
+            for u, size in self.keys.items():
+                for x in variables:
+                    c = u + x
+                    if c in hits:
+                        hits[c] += 1
+                    else:
+                        hits[c] = 1
+                        sizes[c] = size + 1 if (u - x) & guard else size  # x new in c
+            keys = {}
+            for c, size in sizes.items():
+                if hits[c] == size and c not in leads:
+                    if c & guard:
+                        raise _overflow()
+                    keys[c] = size
+            self.keys = keys
+            self.degree += 1
+            self.target = self.floor(self.degree)
+            self._check()
+        return len(self.keys) == self.target
+
+    def add(self, lead):
+        """A new basis element of the current degree: its lead leaves the set."""
+        self.leads.add(lead)
+        del self.keys[lead]
+        self._check()
+
+
+def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True, floor=None):
     """Minimal Gröbner basis of the submodule generated by the nonzero vectors `gens`.
 
     Returns a list of monic _Elem sorted descending by lead term, pruned
@@ -292,6 +376,12 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
     the lcm, then the component); the product criterion applies only in
     rank 1, the chain criterion everywhere.  Pair partners and chain
     witnesses come from the pair's own component.
+
+    `floor`, for a homogeneous ideal only (rank 1), maps d to a proven
+    lower bound on dim (S/J)_d; once the degree-d monomials outside the
+    current lead ideal number floor(d), the remaining degree-d pairs go
+    to `done` unreduced (see the module docstring).  It changes no
+    element of the result, only which pairs are reduced.
     """
     mask, guard = pk.div_mask, pk.guard
     basis = []
@@ -330,10 +420,13 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
 
     for idx, vec in enumerate(gens):
         add_elem(dict(vec), {idx: 1} if track_certs else None)  # key idx is 1 * e_idx
+    stairs = None if floor is None else _Staircase(floor, leads, pk)
 
     while heap:
-        _, neg_lcm, comp, i, j = heappop(heap)
+        deg, neg_lcm, comp, i, j = heappop(heap)
         done.add((i, j))
+        if stairs is not None and stairs.spanned(deg):
+            continue  # the leads span LT(J)_deg, so this S-pair reduces to zero
         lcm = comp - neg_lcm
         if ambient_rank == 1 and leads[i] + leads[j] == lcm:
             continue  # product criterion (valid for ideals only; comp is 0)
@@ -352,6 +445,8 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
         tail, cert = _reduce_full(s, cs, index, memo, p, pk)
         if tail:
             add_elem(tail, cert)
+            if stairs is not None:
+                stairs.add(leads[-1])
 
     return _prune(basis, pk)
 
@@ -590,10 +685,14 @@ class Ideal:
     def is_zero_ideal(self):
         return not self.generators
 
-    def _minimal(self):
-        """The cached basis; its leads are those of the reduced GB."""
+    def _minimal(self, floor=None):
+        """The cached basis; its leads are those of the reduced GB.
+
+        `floor`, read only when the basis is not cached yet, maps d to a
+        proven lower bound on dim (S/I)_d; Buchberger then skips the
+        S-pairs it shows reduce to zero (`_module_groebner`)."""
         if self._basis is None:
-            self._basis = _minimal_basis(self.generators, self.ring.field.p, self._pk)
+            self._basis = _minimal_basis(self.generators, self.ring.field.p, self._pk, floor)
         return self._basis
 
     def _reduced(self):
@@ -661,12 +760,13 @@ def divide(f: Polynomial, divisors):
     )
 
 
-def _minimal_basis(generators, p, pk):
+def _minimal_basis(generators, p, pk, floor=None):
     """Buchberger's minimal basis of the nonzero polynomials among
     `generators`, packed by the rank-1 `pk`: the one Buchberger run
-    behind `Ideal` and `buchberger_basis`."""
+    behind `Ideal` and `buchberger_basis`.  `floor`, if given, is a
+    lower bound on the quotient's Hilbert function (`_module_groebner`)."""
     vecs = [_vec_from_polys((f,), pk) for f in generators if not f.is_zero()]
-    return _module_groebner(vecs, p, pk, 1, (0,), track_certs=False)
+    return _module_groebner(vecs, p, pk, 1, (0,), track_certs=False, floor=floor)
 
 
 def _basis_polys(basis, pk, ring):

@@ -4,7 +4,9 @@
   function, resolution shape (added strands in degree exactly m + i at
   homological index i), and the tangent/obstruction comparison;
 * cone curve: I_C = I_X + (g_1, g_2) for a certified regular sequence of
-  seeded-random degree-m forms.
+  seeded-random degree-m forms; the certificate compares Hilbert series,
+  and its Gröbner bases add the forms one at a time, each run driven
+  by the Hilbert function of the ideal before it.
 
 Verification failures are data in the reports, not process errors: the
 tool's job includes exhibiting negative controls.
@@ -157,7 +159,14 @@ def random_forms(ring: RingContext, degree: int, count: int, seed: int):
 
 
 def _regular_sequence_extension(ideal: Ideal, forms):
-    """(I + (forms), certificate outcome), sharing the extension's GB."""
+    """(I + (forms), certificate outcome), sharing the extension's GB.
+
+    The forms are added one at a time, J_k = J_{k-1} + (g_k), and each
+    J_k's Buchberger run gets the floor
+    h_{J_{k-1}}(d) - h_{J_{k-1}}(d - m) on its Hilbert function.  It holds
+    for any g_k of degree m, regular or not, since J_{k,d} = J_{k-1,d} +
+    g_k S_{d-m}; the run skips the S-pairs it shows reduce to zero.
+    """
     forms = list(forms)
     degrees = set()
     for g in forms:
@@ -169,17 +178,22 @@ def _regular_sequence_extension(ideal: Ideal, forms):
     if len(degrees) != 1:
         raise ParameterError(f"forms must share one degree, got {sorted(degrees)}")
     m = degrees.pop()
-    extended = ideal_sum(ideal, Ideal(ideal.ring, forms))
+    chain = [ideal]
+    for g in forms:
+        chain.append(ideal_sum(chain[-1], Ideal(ideal.ring, (g,))))
+    for previous, extended in zip(chain, chain[1:]):
+        hs = hilbert_series(previous)
+        extended._minimal(floor=lambda d, hs=hs: hs.coefficient(d) - hs.coefficient(d - m))
     expected = list(hilbert_series(ideal).numerator)
     factor = [1] + [0] * (m - 1) + [-1]
     for _ in forms:
         expected = _poly_mul_t(expected, factor)
-    return extended, tuple(_trim(expected)) == hilbert_series(extended).numerator
+    return chain[-1], tuple(_trim(expected)) == hilbert_series(chain[-1]).numerator
 
 
 def is_regular_sequence(ideal: Ideal, forms) -> bool:
-    """Koszul certificate for two forms of equal degree m:
-    numerator HS(S/(I + (g1,g2))) == numerator HS(S/I) * (1 - t^m)^2."""
+    """Koszul certificate for forms g_1, ..., g_k of one degree m:
+    numerator HS(S/(I + (g_1, ..., g_k))) == numerator HS(S/I) * (1 - t^m)^k."""
     return _regular_sequence_extension(ideal, forms)[1]
 
 

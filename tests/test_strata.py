@@ -223,19 +223,20 @@ def test_cone_curve_larger_m(surface, e, m):
 
 
 def test_cone_curve_computes_each_groebner_basis_once(monkeypatch):
-    """One GB for I_X and one for I_X + (g1, g2), which the certificate
-    and the dimension check share.  Both read lead terms only, so the
-    curve's basis never goes through the tail pass: it runs once, on
-    I_X's one-element basis, for the Betti table behind the regularity
-    margin."""
+    """One GB for I_X, one for I_X + (g1) and one for I_X + (g1, g2),
+    which the certificate and the dimension check share; the forms are
+    added one at a time, each run with the Hilbert floor of the ideal
+    before it.  All read lead terms only, so the extensions never go
+    through the tail pass: it runs once, on I_X's one-element basis,
+    for the Betti table behind the regularity margin."""
     from hfstrata import groebner
 
     calls, tails = [], []
     minimal_basis, tail_reduce = groebner._minimal_basis, groebner._tail_reduce
 
-    def counting(generators, p, pk):
-        calls.append(len(generators))
-        return minimal_basis(generators, p, pk)
+    def counting(generators, p, pk, floor=None):
+        calls.append((len(generators), floor is not None))
+        return minimal_basis(generators, p, pk, floor)
 
     def counting_tails(basis, p, pk):
         tails.append(len(basis))
@@ -245,8 +246,59 @@ def test_cone_curve_computes_each_groebner_basis_once(monkeypatch):
     monkeypatch.setattr(groebner, "_tail_reduce", counting_tails)
     _, report = cone_curve(quadric_cone(), 4, seed=1)
     assert report.trials_used == 1
-    assert calls == [1, 3]
+    assert calls == [(1, False), (2, True), (3, True)]
     assert tails == [1]
+
+
+def _count_reductions(monkeypatch):
+    """counts["pairs"] / counts["zero"]: S-pairs reduced by Buchberger
+    from now on, and how many of them reduced to zero."""
+    from hfstrata import groebner
+
+    counts = {"pairs": 0, "zero": 0}
+    reduce_full = groebner._reduce_full
+
+    def counting(h, cert, index, memo, p, pk):
+        tail, out = reduce_full(h, cert, index, memo, p, pk)
+        counts["pairs"] += 1
+        counts["zero"] += not tail
+        return tail, out
+
+    monkeypatch.setattr(groebner, "_reduce_full", counting)
+    return counts
+
+
+def test_certificate_reduces_no_zero_pair_on_the_fermat_cubic(monkeypatch):
+    """For the Fermat cubic at m = 6, seed 1, every g_k is regular, the
+    floor is the Hilbert function itself, and each degree's S-pairs stop
+    with its last new element: no S-pair reduces to zero."""
+    fermat = _fermat_cubic()
+    forms = random_forms(fermat.ring, 6, 2, seed=1)
+    hilbert_series(fermat)  # I_X's own run has a single generator and no pair
+    counts = _count_reductions(monkeypatch)
+    assert is_regular_sequence(fermat, forms)
+    assert counts["pairs"] > 0
+    assert counts["zero"] == 0
+
+
+def test_cone_curve_round_zero_reductions(monkeypatch):
+    """One perfbench cone_curve round (seed 1: the quadric cone at
+    m = 4, 5, 6 and the Fermat cubic at m = 5, 6, with the form seeds
+    that round draws) reduces at most 21 S-pairs to zero in its
+    certificates; a plain Buchberger run reduces 66 to zero."""
+    import random
+
+    rng = random.Random(1)
+    cases = [(quadric_cone, m) for m in (4, 5, 6)] + [(_fermat_cubic, m) for m in (5, 6)]
+    ideals = []
+    for surface, m in cases:
+        ideal = surface()
+        hilbert_series(ideal)
+        ideals.append((ideal, random_forms(ideal.ring, m, 2, rng.randrange(1, 2**31))))
+    counts = _count_reductions(monkeypatch)
+    for ideal, forms in ideals:
+        assert is_regular_sequence(ideal, forms)
+    assert counts["zero"] <= 21
 
 
 def test_verify_prop31_computes_each_fact_once(monkeypatch):
