@@ -26,7 +26,19 @@ cuts elimination time by a third to two thirds.  Matrices without
 singleton rows pay only for the nonzero pattern.
 
 Dense matrices are C-contiguous int64 arrays with entries reduced into
-[0, p); with p < 2**31 the row updates stay within int64.
+[0, p).  Reducing mod p costs far more than the row update it follows,
+so each elimination decides once, from p and the shape, whether it can
+leave updated entries unreduced (delayed reduction, as in FFLAS-FFPACK:
+Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  An update subtracts a
+product of two residues, at most (p - 1)**2, and an entry takes at most
+one update per pivot, in forward elimination and in back-substitution
+alike.  So when p + k*p*(p - 1) < 2**63 with k = min(m, n), the lazy
+side reduces only what it reads, the column searched for a pivot and the
+pivot row, and the whole matrix once at the end of each pass.  That holds
+at every size for p <= 32003, up to k = 8 at p = 1073741789 and up to
+k = 2 at p = 2**31 - 1; otherwise each updated block is reduced at once.
+The RREF is unique, so both sides give the same output.  The peel
+reduces its working copy only if an entry lies outside [0, p).
 
 One sparse kernel, `echelon_insert`, serves the engine's Nakayama
 selection, whose rows are monomial multiples of a few vectors and about
@@ -58,6 +70,11 @@ def rref(a, p):
     return a, rank, pivots
 
 
+def _lazy(shape, p):
+    """Whether min(shape) unreduced row updates stay within int64."""
+    return p + min(shape) * p * (p - 1) < 2**63
+
+
 def _peel_singletons(nz):
     """Clear the columns of singleton rows of the nonzero pattern nz, in
     place, until no row has exactly one nonzero; returns their mask and
@@ -70,12 +87,12 @@ def _peel_singletons(nz):
     counts = nz.sum(axis=1)
     peeled = np.zeros(nz.shape[1], dtype=bool)
     while True:
-        single = np.flatnonzero(counts == 1)
+        single = (counts == 1).nonzero()[0]
         if not single.size:
             return peeled, counts
         hit = np.zeros_like(peeled)  # one entry per column, however many rows share it
-        hit[np.nonzero(nz[single])[1]] = True
-        cols = np.flatnonzero(hit)
+        hit[nz[single].nonzero()[1]] = True
+        cols = hit.nonzero()[0]
         counts -= nz[:, cols].sum(axis=1)
         nz[:, cols] = False
         peeled[cols] = True
@@ -84,18 +101,25 @@ def _peel_singletons(nz):
 def _forward_pivots(a, p):
     """Forward elimination in place; returns the pivot columns.
 
-    Rows at or below the rank are zero left of the current column, so a
-    swap moves only columns c onwards.  The row it moves down was zero in
-    column c, the pivot being the first nonzero, so the other nonzero
-    rows r + nz[1:] keep their places.
+    Rows at or below the rank are zero mod p left of the current column,
+    so a swap moves only columns c onwards.  The row it moves down was
+    zero in column c, the pivot being the first nonzero, so the other
+    nonzero rows r + nz[1:] keep their places.  On the lazy side
+    (`_lazy`) the updated rows are left unreduced, and so are the entries
+    this clears, which are multiples of p: only the column searched and
+    the pivot row are reduced, in place, before they are read.
     """
     m, n = a.shape
+    lazy = _lazy(a.shape, p)
     r = 0
     pivots = []
     for c in range(n):
         if r >= m:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[r:, c]
+        if lazy:
+            col %= p
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -104,10 +128,14 @@ def _forward_pivots(a, p):
             a[i, c:] = a[r, c:]
             a[r, c:] = row
         if nz.size > 1:
+            pivot_row = a[r, c:]
+            if lazy:
+                pivot_row %= p
             rows = r + nz[1:]
             blk = a[rows, c:]
-            blk -= (blk[:, :1] * pow(int(a[r, c]), p - 2, p) % p) * a[r, c:]
-            blk %= p
+            blk -= (blk[:, :1] * pow(int(a[r, c]), p - 2, p) % p) * pivot_row
+            if not lazy:
+                blk %= p
             a[rows, c:] = blk
         pivots.append(c)
         r += 1
@@ -120,21 +148,34 @@ def rref_inplace(a, p):
     Forward elimination (`_forward_pivots`), pivot rows scaled to 1, then
     back-substitution from the bottom pivot up: each pivot column is
     cleared in the rows above, whose entries in the pivot columns below
-    are already zero.
+    are already zero.  On the lazy side (`_lazy`) each pass reduces the
+    column and the pivot row it reads, and the matrix once at its end.
     """
+    lazy = _lazy(a.shape, p)
     pivots = _forward_pivots(a, p)
+    if lazy:
+        a %= p
     rank = len(pivots)
     top = a[:rank]
     top *= np.array([pow(int(v), p - 2, p) for v in top[np.arange(rank), pivots]], dtype=np.int64)[:, None]
     top %= p
     for r in range(rank - 1, 0, -1):
         c = pivots[r]
-        rows = np.flatnonzero(a[:r, c])
+        col = a[:r, c]
+        if lazy:
+            col %= p
+        rows = col.nonzero()[0]
         if rows.size:
+            pivot_row = a[r, c:]
+            if lazy:
+                pivot_row %= p
             blk = a[rows, c:]
-            blk -= blk[:, :1] * a[r, c:]
-            blk %= p
+            blk -= blk[:, :1] * pivot_row
+            if not lazy:
+                blk %= p
             a[rows, c:] = blk
+    if lazy:
+        top %= p
     return rank, pivots
 
 
@@ -142,12 +183,14 @@ def _peeled_block(a, p):
     """(block, peeled, cols): singleton rows peeled from the nonzero
     pattern of one working copy of a reduced mod p, the mask of the
     columns they peeled, and the block of the rows and the columns
-    `cols` they leave nonzero, gathered only if the peel removed any."""
+    `cols` they leave nonzero, gathered only if the peel removed any.
+    The copy is reduced only if an entry lies outside [0, p)."""
     work = np.array(a, dtype=np.int64, order="C", ndmin=2)
-    work %= p
+    if work.size and (work.min() < 0 or work.max() >= p):
+        work %= p
     nz = work != 0
     peeled, counts = _peel_singletons(nz)
-    rows, cols = np.flatnonzero(counts), np.flatnonzero(nz.sum(axis=0))
+    rows, cols = counts.nonzero()[0], nz.sum(axis=0).nonzero()[0]
     if rows.size < work.shape[0] or cols.size < work.shape[1]:
         work = work[rows[:, None], cols]
     return work, peeled, cols
@@ -158,7 +201,7 @@ def pivot_columns(a, p):
     columns and the pivot columns of the forward-eliminated block."""
     work, pivots, cols = _peeled_block(a, p)
     pivots[cols[_forward_pivots(work, p)]] = True
-    return np.flatnonzero(pivots).tolist()
+    return pivots.nonzero()[0].tolist()
 
 
 def echelon_insert(echelon, row, p):
@@ -215,8 +258,8 @@ def nullspace(a, p):
     work, pivots, cols = _peeled_block(a, p)
     rk, block_pivots = rref_inplace(work, p)
     pivots[cols[block_pivots]] = True
-    free = np.flatnonzero(~pivots)
-    block_free = np.flatnonzero(~pivots[cols])
+    free = (~pivots).nonzero()[0]
+    block_free = (~pivots[cols]).nonzero()[0]
     basis = np.zeros((len(pivots), len(free)), dtype=np.int64)
     basis[free, np.arange(len(free))] = 1
     basis[np.ix_(cols[block_pivots], np.searchsorted(free, cols[block_free]))] = -work[:rk, block_free] % p

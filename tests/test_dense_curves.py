@@ -1,13 +1,18 @@
 """verify_prop31 on dense curves whose invariants have closed forms.
 
 Every other curve in the suite is a rational normal curve or a monomial
-or cone example, all with a large torus.  These two are cut out by
-seeded-random forms, so they are dense and have only the trivial torus:
+or cone example, all with a large torus.  These three are cut out
+by seeded-random forms, so they are dense and have only the trivial
+torus:
 
 * can4, the canonical curve of genus 4 in P^3: a (2, 3) complete
   intersection, h(d) = 6d - 3 for d >= 2.  Its sigma_2 is the Koszul
   relation, so T = h(2) + h(3) = 24 (also 3g - 3 + dim PGL(4)) and
   Ext^1 = h(5) = 27.
+* can5, the canonical curve of genus 5 in P^4: three quadrics, a
+  complete intersection, h(d) = 8d - 4 for d >= 2.  Its sigma_2 is the
+  three Koszul relations, so T = 3 h(2) = 36 (also 3g - 3 + dim PGL(5))
+  and Ext^1 = 3 h(4) = 84.
 * ell5, the elliptic normal quintic in P^4: the 4x4 Pfaffians of a
   random 5x5 skew matrix of linear forms, Betti table 1, 5, 5, 1 in
   degrees 0, 2, 3, 5 (Buchsbaum-Eisenbud) and h(d) = 5d.  T = h^0(N) =
@@ -38,6 +43,11 @@ def can4(ring, seed):
     return random_forms(ring, 2, 1, seed) + random_forms(ring, 3, 1, seed + 1)
 
 
+def can5(ring, seed):
+    """Three quadrics: the canonical curve of genus 5."""
+    return random_forms(ring, 2, 3, seed)
+
+
 def ell5(ring, seed):
     """The 4x4 Pfaffians of a skew 5x5 matrix of random linear forms."""
     forms = iter(random_forms(ring, 1, 10, seed))
@@ -56,6 +66,8 @@ def ell5(ring, seed):
 CURVES = {
     "can4": (4, can4, (1, 0, -1, -1, 0, 1), {(0, 2): 1, (0, 3): 1, (1, 5): 1},
              lambda d: 6 * d - 3, 24, 27, 6),
+    "can5": (5, can5, (1, 0, -3, 0, 3, 0, -1), {(0, 2): 3, (1, 4): 3, (2, 6): 1},
+             lambda d: 8 * d - 4, 36, 84, 6),
     "ell5": (5, ell5, (1, 0, -5, 5, 0, -1), {(0, 2): 5, (1, 3): 5, (2, 5): 1},
              lambda d: 5 * d, 25, 50, 5),
 }

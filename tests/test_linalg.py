@@ -61,18 +61,34 @@ def reference_rref(rows, p):
 
 
 def test_rref_inplace_matches_reference():
+    """Both sides of `linalg._lazy`: unreduced updates at p = 32003 and
+    below at every size, at p = 1073741789 up to min(m, n) = 8 and at
+    2**31 - 1 up to 2; a reduction after every update beyond those.  The
+    dense shapes up to 24 x 24 at the two large primes take both."""
     rng = random.Random(99)
-    for p in (2, 3, 32003, 2**31 - 1):
+    cases = []
+    for p in (2, 3, 32003, 2**31 - 1, 1073741789):
         for _ in range(40):
             m = rng.randrange(1, 12)
             n = rng.randrange(1, 12)
-            a = random_matrix(rng, m, n, p, density=rng.choice([0.2, 0.5, 0.9]))
-            if rng.random() < 0.3:  # repeated rows force dependent pivots
-                a[rng.randrange(m)] = a[rng.randrange(m)]
-            ref, rank, pivots = reference_rref(a.tolist(), p)
-            work = np.ascontiguousarray(a.copy())
-            assert linalg.rref_inplace(work, p) == (rank, pivots), p
-            assert work.tolist() == ref, p
+            cases.append((p, random_matrix(rng, m, n, p, density=rng.choice([0.2, 0.5, 0.9]))))
+    for p in (1073741789, 2**31 - 1):
+        for _ in range(30):
+            m = rng.randrange(2, 25)
+            n = rng.randrange(2, 25)
+            cases.append((p, random_matrix(rng, m, n, p, density=0.9)))
+    sides = {}
+    for p, a in cases:
+        m = a.shape[0]
+        if rng.random() < 0.3:  # repeated rows force dependent pivots
+            a[rng.randrange(m)] = a[rng.randrange(m)]
+        ref, rank, pivots = reference_rref(a.tolist(), p)
+        work = np.ascontiguousarray(a.copy())
+        assert linalg.rref_inplace(work, p) == (rank, pivots), p
+        assert work.tolist() == ref, p
+        sides.setdefault(p, set()).add(linalg._lazy(a.shape, p))
+    assert sides[32003] == {True}
+    assert sides[1073741789] == sides[2**31 - 1] == {True, False}
 
 
 def test_empty_shapes():
