@@ -33,21 +33,34 @@ and the Krull dimension) never pay for the tail pass, while
 once per ideal.
 
 A rank-1 run can take a *floor* (Traverso's Hilbert-driven
-Buchberger): floor(d) is a proven lower bound on dim (S/J)_d for the
-ideal J being computed.  Pairs are popped in degree order, and the run
-keeps the degree-d monomials that no current lead divides
-(`_Staircase`) for the degree d of the pair in hand.  Their count is at
-least h_J(d) >= floor(d); once it equals floor(d), the current leads
-span LT(J)_d, so every remaining degree-d S-polynomial, an element of
-J_d, reduces to zero: a nonzero remainder would be an element of J_d
-whose lead lies outside that span.  Such a pair goes to `done`
-unreduced.  Its S-polynomial has a standard representation over the
-current basis, as that of a pair reduced to zero has, so the chain
-criterion, which reads `done`, stays sound.  A skipped pair would have
-added no element, so the run returns the plain run's basis, element
-for element.  A count below the floor proves the floor false and
-raises RuntimeError.  `strata` builds the floors of its
-regular-sequence certificate this way.
+Buchberger): a Hilbert series, numerator over (1 - t)^n, that is a
+proven lower bound on HS(S/J), coefficientwise, for the ideal J being
+computed.  Pairs are popped in degree order, and the run keeps the
+degree-d monomials that no current lead divides (`_Staircase`) for the
+degree d of the pair in hand.  Their count is at least h_J(d) >=
+floor(d); once it equals floor(d), the current leads span LT(J)_d, so
+every remaining degree-d S-polynomial, an element of J_d, reduces to
+zero: a nonzero remainder would be an element of J_d whose lead lies
+outside that span.  Such a pair goes to `done` unreduced.  Its
+S-polynomial has a standard representation over the current basis, as
+that of a pair reduced to zero has, so the chain criterion, which reads
+`done`, stays sound.  A skipped pair would have added no element.  A
+count below the floor proves the floor false and raises RuntimeError.
+
+The run also stops at its floor.  At the first degree found spanned
+above that of the last new element, it compares the Hilbert-series
+numerator of the current leads B with the floor's, once per set of
+leads (in the degree of a new element itself, being spanned says
+nothing of the degrees above).  HS(S/LT(B)) >= HS(S/J) >= floor
+coefficientwise, since LT(B) lies in LT(J), so equality makes LT(B) and
+LT(J) equal in every degree: B is a Gröbner basis, every pair left
+would be skipped or reduce to zero, and none would add an element.  The
+run ends there, and the basis is the plain run's, element for element.
+The floor is then HS(S/J) itself, and `Ideal` caches its numerator as
+the ideal's.  The product criterion is tested before the staircase, so
+a pair it drops never makes the staircase build its degree.  `strata`
+builds the floors of its regular-sequence certificate this way, and
+`invariants` those of its Artinian reductions.
 
 The syzygy pass reduces only the Schreyer-frame pairs: for each basis
 index i, one pair (i, j), j > i, per minimal generator of the monomial
@@ -109,6 +122,7 @@ from .ring import (
     GREVLEX,
     Polynomial,
     RingContext,
+    _hs_numerator,
     minimal_monomials,
     monomial_div,
     monomial_lcm,
@@ -303,26 +317,29 @@ class _Staircase:
     """The degree-d monomials that no current lead divides, for the
     current degree d of a rank-1 Buchberger run, against a `floor`.
 
-    floor(d) is a proven lower bound on dim (S/J)_d.  `keys` maps each
-    such monomial's key to the size of its support.  The set of degree
-    d + 1 is built from the x_i multiples of that of degree d: such a
-    multiple c is outside the lead ideal iff it is no lead and every
-    c / x_s, for x_s dividing c, is in the set of degree d, that is iff
-    it is reached from as many of them as its support has variables.
-    Raises RuntimeError when the count drops below the floor, which a
-    true bound never allows.
+    `floor` is a Hilbert series (its `numerator` over (1 - t)^n and its
+    `coefficient(d)`) that is a proven lower bound on HS(S/J),
+    coefficientwise.  `keys` maps each such monomial's key to the size
+    of its support.  The set of degree d + 1 is built from the x_i
+    multiples of that of degree d: such a multiple c is outside the lead
+    ideal iff it is no lead and every c / x_s, for x_s dividing c, is in
+    the set of degree d, that is iff it is reached from as many of them
+    as its support has variables.  Raises RuntimeError when the count
+    drops below the floor, which a true bound never allows.
     """
 
-    __slots__ = ("floor", "leads", "variables", "guard", "degree", "keys", "target")
+    __slots__ = ("floor", "leads", "variables", "pk", "degree", "keys", "target", "grown", "met")
 
     def __init__(self, floor, leads, pk):
         self.floor = floor
         self.leads = set(leads)
         self.variables = [pk.pack(tuple(int(i == s) for i in range(pk.n))) for s in range(pk.n)]
-        self.guard = pk.guard
+        self.pk = pk
         self.degree = 0
         self.keys = {} if 0 in self.leads else {0: 0}  # 0 is the key of the monomial 1
-        self.target = floor(0)
+        self.target = floor.coefficient(0)
+        self.grown = -1  # the degree of the last new element, None once compared
+        self.met = False
         self._check()
 
     def _check(self):
@@ -336,7 +353,7 @@ class _Staircase:
         """Whether the current leads span the degree-d lead terms of J:
         every S-pair of degree d then reduces to zero.  Degrees below
         the current one are never asked for."""
-        guard, variables, leads = self.guard, self.variables, self.leads
+        guard, variables, leads = self.pk.guard, self.variables, self.leads
         while self.degree < d:
             hits, sizes = {}, {}
             for u, size in self.keys.items():
@@ -355,18 +372,32 @@ class _Staircase:
                     keys[c] = size
             self.keys = keys
             self.degree += 1
-            self.target = self.floor(self.degree)
+            self.target = self.floor.coefficient(self.degree)
             self._check()
         return len(self.keys) == self.target
+
+    def complete(self):
+        """Whether the current leads have the floor's Hilbert series, so
+        that they generate LT(J).  Asked when the current degree is
+        spanned; compared once per set of leads, and only in a degree
+        above that of the last new element: in that one, being spanned
+        says nothing of the degrees above."""
+        if self.grown is not None and self.degree > self.grown:
+            self.grown = None
+            unpack = self.pk.unpack
+            exps = [unpack(t)[0] for t in self.leads]
+            self.met = tuple(_hs_numerator(exps, self.pk.n)) == self.floor.numerator
+        return self.met
 
     def add(self, lead):
         """A new basis element of the current degree: its lead leaves the set."""
         self.leads.add(lead)
         del self.keys[lead]
+        self.grown = self.degree
         self._check()
 
 
-def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True, floor=None):
+def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True, stairs=None):
     """Minimal Gröbner basis of the submodule generated by the nonzero vectors `gens`.
 
     Returns a list of monic _Elem sorted descending by lead term, pruned
@@ -377,11 +408,13 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
     rank 1, the chain criterion everywhere.  Pair partners and chain
     witnesses come from the pair's own component.
 
-    `floor`, for a homogeneous ideal only (rank 1), maps d to a proven
-    lower bound on dim (S/J)_d; once the degree-d monomials outside the
-    current lead ideal number floor(d), the remaining degree-d pairs go
-    to `done` unreduced (see the module docstring).  It changes no
-    element of the result, only which pairs are reduced.
+    `stairs`, for a homogeneous ideal only (rank 1), is the `_Staircase`
+    of the generators' leads against a floor on HS(S/J): once the
+    degree-d monomials outside the current lead ideal number
+    floor.coefficient(d), the remaining degree-d pairs go to `done`
+    unreduced, and once the leads' Hilbert series is the floor, the run
+    ends, with `stairs.met` set (see the module docstring).  It changes
+    no element of the result, only which pairs are reduced.
     """
     mask, guard = pk.div_mask, pk.guard
     basis = []
@@ -420,16 +453,17 @@ def _module_groebner(gens, p, pk, ambient_rank, ambient_shifts, track_certs=True
 
     for idx, vec in enumerate(gens):
         add_elem(dict(vec), {idx: 1} if track_certs else None)  # key idx is 1 * e_idx
-    stairs = None if floor is None else _Staircase(floor, leads, pk)
 
     while heap:
         deg, neg_lcm, comp, i, j = heappop(heap)
         done.add((i, j))
-        if stairs is not None and stairs.spanned(deg):
-            continue  # the leads span LT(J)_deg, so this S-pair reduces to zero
         lcm = comp - neg_lcm
         if ambient_rank == 1 and leads[i] + leads[j] == lcm:
             continue  # product criterion (valid for ideals only; comp is 0)
+        if stairs is not None and stairs.spanned(deg):
+            if stairs.complete():
+                break  # the leads generate LT(J): every pair left reduces to zero
+            continue  # the leads span LT(J)_deg, so this S-pair reduces to zero
         skip = False
         for k in members[comp]:
             if k == i or k == j or (lcm - leads[k]) & mask:
@@ -688,11 +722,15 @@ class Ideal:
     def _minimal(self, floor=None):
         """The cached basis; its leads are those of the reduced GB.
 
-        `floor`, read only when the basis is not cached yet, maps d to a
-        proven lower bound on dim (S/I)_d; Buchberger then skips the
-        S-pairs it shows reduce to zero (`_module_groebner`)."""
+        `floor`, read only when the basis is not cached yet, is a Hilbert
+        series bounding HS(S/I) below, coefficientwise; Buchberger then
+        skips the S-pairs it shows reduce to zero, and stops once the
+        leads' series is the floor (`_module_groebner`).  The floor's
+        numerator is then the ideal's own, and is cached as such."""
         if self._basis is None:
-            self._basis = _minimal_basis(self.generators, self.ring.field.p, self._pk, floor)
+            self._basis, met = _minimal_basis(self.generators, self.ring.field.p, self._pk, floor)
+            if met:
+                self._hs_numerator = floor.numerator
         return self._basis
 
     def _reduced(self):
@@ -761,12 +799,16 @@ def divide(f: Polynomial, divisors):
 
 
 def _minimal_basis(generators, p, pk, floor=None):
-    """Buchberger's minimal basis of the nonzero polynomials among
-    `generators`, packed by the rank-1 `pk`: the one Buchberger run
-    behind `Ideal` and `buchberger_basis`.  `floor`, if given, is a
-    lower bound on the quotient's Hilbert function (`_module_groebner`)."""
+    """(basis, met): Buchberger's minimal basis of the nonzero
+    polynomials among `generators`, packed by the rank-1 `pk`, the one
+    Buchberger run behind `Ideal` and `buchberger_basis`.  `floor`, if
+    given, is a Hilbert series bounding the quotient's below
+    (`_module_groebner`), in pk.n variables; `met` says whether the run
+    ended on finding the leads' series equal to it."""
     vecs = [_vec_from_polys((f,), pk) for f in generators if not f.is_zero()]
-    return _module_groebner(vecs, p, pk, 1, (0,), track_certs=False, floor=floor)
+    stairs = None if floor is None else _Staircase(floor, map(min, vecs), pk)
+    basis = _module_groebner(vecs, p, pk, 1, (0,), track_certs=False, stairs=stairs)
+    return basis, stairs is not None and stairs.met
 
 
 def _basis_polys(basis, pk, ring):
@@ -777,7 +819,8 @@ def buchberger_basis(ring: RingContext, generators):
     """Reduced Gröbner basis of a list of homogeneous polynomials."""
     pk = _Packing(ring.n, ring.order.kind, 1)
     p = ring.field.p
-    return _basis_polys(_tail_reduce(_minimal_basis(generators, p, pk), p, pk), pk, ring)
+    basis, _ = _minimal_basis(generators, p, pk)
+    return _basis_polys(_tail_reduce(basis, p, pk), pk, ring)
 
 
 def ideal_member(f: Polynomial, ideal: Ideal) -> bool:

@@ -1,10 +1,17 @@
 """Order-independent graded invariants.
 
 Hilbert functions come from the standard pivot recursion on the lead
-term ideal.  Graded Betti numbers come from Koszul homology,
-beta_{i,j}(I) = dim H_{i+1}(K(x) ⊗ S/I)_j, with S/I coordinatized by
-the standard monomials of the reduced Gröbner basis; the degrees
-searched are capped by the Taylor resolution of the lead term ideal.
+term ideal (`ring._hs_numerator`).  Graded Betti numbers come from
+Koszul homology, beta_{i,j}(I) = dim H_{i+1}(K(x) ⊗ S/I)_j, with S/I
+coordinatized by the standard monomials of the reduced Gröbner basis;
+the degrees searched are capped by the Taylor resolution of the lead
+term ideal.  The Koszul pass runs on an Artinian reduction of I
+(`_artinian_reduction`): I is cut by x_n - l for a seeded-random linear
+form l, one variable at a time, into a ring with one name fewer, and a
+cut is kept only when the Hilbert-series numerator does not change,
+which holds exactly when x_n - l is a nonzerodivisor on S/I; then the
+Betti numbers do not change either (Bayer-Stillman).  An Artinian S/I,
+Gamma's among them, is not cut at all.
 In those coordinates, multiplication by a form is
 `QuotientBasis.multiplication_matrix`: the Koszul differentials are
 built from the variables' matrices, and `deform`'s pairing matrices
@@ -17,6 +24,7 @@ Schreyer syzygies of the columns of the level before, the generator
 row's included.  Levels are built only as far as a caller asks.
 """
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -35,58 +43,19 @@ from .groebner import (
     vector_degree,
     vector_syzygies,
 )
-from .ring import GradedFreeModule, GradedMap, minimal_monomials, monomials_of_degree
+from .ring import (
+    GradedFreeModule,
+    GradedMap,
+    RingContext,
+    _hs_numerator,
+    _trim,
+    monomial_mul,
+    monomials_of_degree,
+)
 
 # ---------------------------------------------------------------------------
 # Hilbert series of the lead-term ideal
 # ---------------------------------------------------------------------------
-
-
-def _poly_mul_t(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _trim(coeffs):
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _hs_numerator(gens, n):
-    """Numerator of HS(S/I) over (1-t)^n for a monomial ideal I."""
-    gens = minimal_monomials(gens)
-    if not gens:
-        return [1]
-    if any(sum(m) == 0 for m in gens):
-        return [0]
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in gens]
-    counts = [0] * n
-    for s in supports:
-        for i in s:
-            counts[i] += 1
-    if max(counts) <= 1:
-        # pairwise coprime generators: Koszul product
-        out = [1]
-        for m in gens:
-            d = sum(m)
-            factor = [1] + [0] * (d - 1) + [-1]
-            out = _poly_mul_t(out, factor)
-        return _trim(out)
-    v = counts.index(max(counts))
-    pivot = tuple(1 if i == v else 0 for i in range(n))
-    plus = _hs_numerator(gens + [pivot], n)
-    colon = _hs_numerator(
-        [tuple(e - 1 if i == v and e else e for i, e in enumerate(m)) for m in gens], n
-    )
-    out = plus + [0] * max(0, len(colon) + 1 - len(plus))
-    for k, c in enumerate(colon):
-        out[k + 1] += c
-    return _trim(out)
 
 
 class HilbertSeries:
@@ -333,6 +302,8 @@ def _koszul_betti(ideal: Ideal):
     beta_{i,j}(I) = beta_{i+1,j}(S/I) = dim H_{i+1}(K(x) ⊗ S/I)_j, and
     (K_k ⊗ S/I)_j is one copy of (S/I)_{j-k} per k-subset of variables,
     so dim H_k = C(n,k) h_{j-k} - rank d_k - rank d_{k+1} in degree j.
+    `betti_table` hands it the Artinian reduction of I
+    (`_artinian_reduction`), whose table is I's, in fewer variables.
     """
     ring = ideal.ring
     n, p = ring.n, ring.field.p
@@ -373,12 +344,75 @@ def _koszul_betti(ideal: Ideal):
     return entries
 
 
+REDUCTION_TRIES = 8  # random linear forms tried per step of `_artinian_reduction`
+
+
+def _cut_last_variable(ideal: Ideal, coeffs) -> Ideal:
+    """The image of I modulo x_n - l, l = sum_i coeffs[i] x_i, in the
+    ring of the first n - 1 variables: each generator with l in place of
+    x_n, the ones that vanish dropped.  Same field, same order."""
+    ring = ideal.ring
+    small = RingContext(ring.names[:-1], ring.field, ring.order)
+    p = ring.field.p
+    form = small.from_terms((small.variable(s).lead_exps(), c) for s, c in enumerate(coeffs))
+    powers = [small.one()]  # powers[k] = l^k
+    gens = []
+    for f in ideal.generators:
+        acc = {}
+        for exps, c in f.terms:
+            while len(powers) <= exps[-1]:
+                powers.append(powers[-1] * form)
+            for e, v in powers[exps[-1]].terms:
+                key = monomial_mul(exps[:-1], e)
+                acc[key] = (acc.get(key, 0) + c * v) % p
+        g = small._from_dict(acc)
+        if not g.is_zero():
+            gens.append(g)
+    return Ideal(small, gens)
+
+
+def _artinian_reduction(ideal: Ideal) -> Ideal:
+    """I cut by linear nonzerodivisors, one variable at a time, while
+    each cut is certified: an ideal in fewer variables with the graded
+    Betti numbers of I (Bayer-Stillman, Invent. Math. 87, 1987).
+
+    A step draws a linear form l in x_1..x_{n-1} (seeded, so every run
+    draws the same ones) and takes J, the image of I modulo x_n - l.
+    Always HS(S'/J) = (1 - t) HS(S/I) + t HS(0 :_{S/I} (x_n - l)), so the
+    step is kept iff J's Hilbert-series numerator is I's, that is iff
+    x_n - l is a nonzerodivisor on S/I; a minimal free resolution of S/I
+    then stays minimal and exact modulo it.  (1 - t) HS(S/I) is thus a
+    floor for J's Buchberger run, which ends as soon as its leads meet
+    it.  The steps stop when S/I is Artinian or a step finds no
+    nonzerodivisor in REDUCTION_TRIES draws: the depth of S/I bounds
+    the steps, so a non-Cohen-Macaulay quotient stops early, and over a
+    small field a nonzerodivisor of degree 1 may not exist at all.
+    """
+    rng = random.Random(1)
+    p = ideal.ring.field.p
+    hs = hilbert_series(ideal)
+    for _ in range(krull_dim(ideal)):
+        floor = HilbertSeries(hs.numerator, hs.n - 1)
+        for _ in range(REDUCTION_TRIES):
+            cut = _cut_last_variable(ideal, [rng.randrange(p) for _ in range(floor.n)])
+            cut._minimal(floor)
+            if hilbert_series(cut) == floor:
+                break
+        else:
+            break
+        ideal, hs = cut, floor
+    return ideal
+
+
 def betti_table(ideal: Ideal) -> BettiTable:
     """Graded Betti numbers of the ideal (cached on the ideal).
 
     The unit ideal has the single entry (0, 0) and the zero ideal none.
+    Any other ideal is first cut down by linear nonzerodivisors
+    (`_artinian_reduction`), each cut certified by its Hilbert series,
+    and the Koszul homology is taken in the ring that is left.
     The alternating sum of the table must reproduce the Hilbert series
-    numerator of the pivot recursion, an independent check.
+    numerator of the pivot recursion on I itself, an independent check.
     """
     if ideal._betti is None:
         if ideal.is_zero_ideal():
@@ -386,7 +420,7 @@ def betti_table(ideal: Ideal) -> BettiTable:
         elif ideal.is_unit_ideal():
             entries = {(0, 0): 1}
         else:
-            entries = _koszul_betti(ideal)
+            entries = _koszul_betti(_artinian_reduction(ideal))
         numerator = {0: 1}
         for (i, j), b in entries.items():
             numerator[j] = numerator.get(j, 0) + (-1) ** (i + 1) * b

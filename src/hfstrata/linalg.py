@@ -107,7 +107,10 @@ def _forward_pivots(a, p):
     nonzero rows r + nz[1:] keep their places.  On the lazy side
     (`_lazy`) the updated rows are left unreduced, and so are the entries
     this clears, which are multiples of p: only the column searched and
-    the pivot row are reduced, in place, before they are read.
+    the pivot row are reduced, in place, before they are read.  When
+    every row below the pivot is nonzero in its column, as on a dense
+    matrix, the update runs in place on that slice; otherwise the rows
+    it touches are gathered and scattered back.
     """
     m, n = a.shape
     lazy = _lazy(a.shape, p)
@@ -131,12 +134,14 @@ def _forward_pivots(a, p):
             pivot_row = a[r, c:]
             if lazy:
                 pivot_row %= p
+            full = nz.size == m - r  # every row below the pivot is updated
             rows = r + nz[1:]
-            blk = a[rows, c:]
+            blk = a[r + 1 :, c:] if full else a[rows, c:]
             blk -= (blk[:, :1] * pow(int(a[r, c]), p - 2, p) % p) * pivot_row
             if not lazy:
                 blk %= p
-            a[rows, c:] = blk
+            if not full:
+                a[rows, c:] = blk
         pivots.append(c)
         r += 1
     return pivots

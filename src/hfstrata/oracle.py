@@ -54,10 +54,13 @@ current z as its limit and later steps the final one.  Step 1 ranks
 every degree from the lowest generator degree up, and I_e = 0 below
 it, so no zero piece below B is missed; with none, z = B and nothing
 is cut.  No Hilbert value is ranked on its own.  The check stays
-independent: the engine's `_koszul_betti` has zero chain groups in
-exactly the skipped degrees, so neither side computes anything there,
-while an entry the engine misses below the stop still differs from the
-oracle's, and a spurious engine entry above it meets the oracle's 0.
+independent: the engine's `_koszul_betti` runs on an Artinian
+reduction S'/J of S/I, by linear nonzerodivisors, whose pieces are
+quotients of those of S/I, so its first zero piece z' is at most z and
+its chain groups are zero in every skipped degree too: neither side
+computes anything there.  An entry the engine misses below the stop
+still differs from the oracle's, and a spurious engine entry above it
+meets the oracle's 0.
 
 Selection: at each Betti level and degree e the Nakayama selection runs
 on kernel coordinates, degree by degree with only ker_{e-1} kept.  The

@@ -63,6 +63,58 @@ def minimal_monomials(monos):
     return out
 
 
+def _poly_mul_t(a, b):
+    """Product of two polynomials in t, as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _trim(coeffs):
+    """Drop trailing zero coefficients in place, keeping at least one."""
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _hs_numerator(gens, n):
+    """Numerator of HS(S/I) over (1-t)^n for a monomial ideal I, by the
+    pivot recursion HN(I) = HN(I + x_v) + t HN(I : x_v).  It sits here,
+    beside `minimal_monomials`, so that the Gröbner engine can compare
+    its leads' series with a floor and `invariants` can read it too."""
+    gens = minimal_monomials(gens)
+    if not gens:
+        return [1]
+    if any(sum(m) == 0 for m in gens):
+        return [0]
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in gens]
+    counts = [0] * n
+    for s in supports:
+        for i in s:
+            counts[i] += 1
+    if max(counts) <= 1:
+        # pairwise coprime generators: Koszul product
+        out = [1]
+        for m in gens:
+            d = sum(m)
+            factor = [1] + [0] * (d - 1) + [-1]
+            out = _poly_mul_t(out, factor)
+        return _trim(out)
+    v = counts.index(max(counts))
+    pivot = tuple(1 if i == v else 0 for i in range(n))
+    plus = _hs_numerator(gens + [pivot], n)
+    colon = _hs_numerator(
+        [tuple(e - 1 if i == v and e else e for i, e in enumerate(m)) for m in gens], n
+    )
+    out = plus + [0] * max(0, len(colon) + 1 - len(plus))
+    for k, c in enumerate(colon):
+        out[k + 1] += c
+    return _trim(out)
+
+
 def monomial_div(a, b):
     """Exponent vector of x^a / x^b; caller guarantees divisibility."""
     return tuple(map(sub, a, b))

@@ -18,15 +18,14 @@ from .deform import Report, Truncation, check_margin, check_truncation, compare_
 from .errors import GenericityError, ParameterError
 from .groebner import EXP_LIMIT, Ideal, _overflow, ideal_sum, maximal_ideal_power
 from .invariants import (
+    HilbertSeries,
     betti_table,
     hilbert_function,
     hilbert_series,
     krull_dim,
     regularity,
-    _poly_mul_t,
-    _trim,
 )
-from .ring import RingContext, monomials_of_degree
+from .ring import RingContext, _poly_mul_t, _trim, monomials_of_degree
 
 
 def truncate_ideal(ideal_y: Ideal, m: int, override: bool = False) -> Ideal:
@@ -162,10 +161,12 @@ def _regular_sequence_extension(ideal: Ideal, forms):
     """(I + (forms), certificate outcome), sharing the extension's GB.
 
     The forms are added one at a time, J_k = J_{k-1} + (g_k), and each
-    J_k's Buchberger run gets the floor
-    h_{J_{k-1}}(d) - h_{J_{k-1}}(d - m) on its Hilbert function.  It holds
-    for any g_k of degree m, regular or not, since J_{k,d} = J_{k-1,d} +
-    g_k S_{d-m}; the run skips the S-pairs it shows reduce to zero.
+    J_k's Buchberger run gets the floor (1 - t^m) HS(S/J_{k-1}), whose
+    coefficients are h_{J_{k-1}}(d) - h_{J_{k-1}}(d - m).  It holds for
+    any g_k of degree m, regular or not, since J_{k,d} = J_{k-1,d} +
+    g_k S_{d-m}; the run skips the S-pairs it shows reduce to zero, and
+    may end once its leads' series meets the floor, which only a regular
+    g_k allows.
     """
     forms = list(forms)
     degrees = set()
@@ -181,11 +182,11 @@ def _regular_sequence_extension(ideal: Ideal, forms):
     chain = [ideal]
     for g in forms:
         chain.append(ideal_sum(chain[-1], Ideal(ideal.ring, (g,))))
+    factor = [1] + [0] * (m - 1) + [-1]
     for previous, extended in zip(chain, chain[1:]):
         hs = hilbert_series(previous)
-        extended._minimal(floor=lambda d, hs=hs: hs.coefficient(d) - hs.coefficient(d - m))
+        extended._minimal(floor=HilbertSeries(_poly_mul_t(hs.numerator, factor), hs.n))
     expected = list(hilbert_series(ideal).numerator)
-    factor = [1] + [0] * (m - 1) + [-1]
     for _ in forms:
         expected = _poly_mul_t(expected, factor)
     return chain[-1], tuple(_trim(expected)) == hilbert_series(chain[-1]).numerator

@@ -18,7 +18,6 @@ from hfstrata.invariants import (
     krull_dim,
     minimal_free_resolution,
     regularity,
-    _poly_mul_t,
 )
 from hfstrata.oracle import (
     betti_bruteforce,
@@ -27,6 +26,7 @@ from hfstrata.oracle import (
     syzygies_bruteforce,
     tangent_bruteforce,
 )
+from hfstrata.ring import _poly_mul_t
 from hfstrata.strata import cone_curve, predicted_hilbert_function, truncate_ideal, verify_prop31
 
 from conftest import build_corpus, quadric_cone, ring3, twisted_cubic

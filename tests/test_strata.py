@@ -192,7 +192,7 @@ def test_cone_curve_quadric():
     assert krull_dim(curve) == 1
     expected = [1, 0, -1]  # (1 - t^2)
     factor = [1, 0, 0, 0, -1]  # (1 - t^4)
-    from hfstrata.invariants import _poly_mul_t
+    from hfstrata.ring import _poly_mul_t
 
     numerator = _poly_mul_t(_poly_mul_t(expected, factor), factor)
     assert list(hilbert_series(curve).numerator) == numerator
@@ -216,26 +216,27 @@ def test_cone_curve_larger_m(surface, e, m):
     curve, report = cone_curve(surface(), m, seed=1)
     assert report.all_ok()
     assert report.dim_c == report.dim_x - 2 == 1
-    from hfstrata.invariants import _poly_mul_t
+    from hfstrata.ring import _poly_mul_t
 
     numerator = _poly_mul_t(_poly_mul_t(_one_minus_t(e), _one_minus_t(m)), _one_minus_t(m))
     assert list(hilbert_series(curve).numerator) == numerator
 
 
 def test_cone_curve_computes_each_groebner_basis_once(monkeypatch):
-    """One GB for I_X, one for I_X + (g1) and one for I_X + (g1, g2),
-    which the certificate and the dimension check share; the forms are
-    added one at a time, each run with the Hilbert floor of the ideal
-    before it.  All read lead terms only, so the extensions never go
-    through the tail pass: it runs once, on I_X's one-element basis,
-    for the Betti table behind the regularity margin."""
+    """In the ring of I_X: one GB for I_X, one for I_X + (g1) and one for
+    I_X + (g1, g2), which the certificate and the dimension check share;
+    the forms are added one at a time, each run with the Hilbert floor
+    of the ideal before it.  The Betti table behind the regularity
+    margin cuts I_X down to one variable, one floor-driven run per cut,
+    and its Koszul pass there meets no product outside the standard
+    monomials.  So no basis goes through the tail pass."""
     from hfstrata import groebner
 
     calls, tails = [], []
     minimal_basis, tail_reduce = groebner._minimal_basis, groebner._tail_reduce
 
     def counting(generators, p, pk, floor=None):
-        calls.append((len(generators), floor is not None))
+        calls.append((pk.n, len(generators), floor is not None))
         return minimal_basis(generators, p, pk, floor)
 
     def counting_tails(basis, p, pk):
@@ -246,8 +247,9 @@ def test_cone_curve_computes_each_groebner_basis_once(monkeypatch):
     monkeypatch.setattr(groebner, "_tail_reduce", counting_tails)
     _, report = cone_curve(quadric_cone(), 4, seed=1)
     assert report.trials_used == 1
-    assert calls == [(1, False), (2, True), (3, True)]
-    assert tails == [1]
+    assert [(k, floor) for n, k, floor in calls if n == 4] == [(1, False), (2, True), (3, True)]
+    assert [call for call in calls if call[0] < 4] == [(3, 1, True), (2, 1, True), (1, 1, True)]
+    assert tails == []
 
 
 def _count_reductions(monkeypatch):
