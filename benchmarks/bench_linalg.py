@@ -1,25 +1,34 @@
 """Benchmark the mod-p elimination kernels on random matrices.
 
-Both kernels run the one forward elimination, `_forward_pivots`.
-`rref_inplace` follows it with back-substitution to the reduced row
-echelon form, for callers that read its rows; `rank` runs it after
-peeling singleton rows, for callers that read only a rank or pivot
-columns.  This times both on the same matrices, and forward elimination
-alone (no peel) beside them, best of a few runs per size, prints the
-back-substitution's share as `rref_inplace` minus forward, and checks
-that all three find the same rank.
+`rref_inplace` builds the reduced row echelon form, for callers that
+read its rows; `rank` finds only the pivot columns, after peeling
+singleton rows, for callers that read a rank.  On the lazy side both
+first split the rows (`linalg._split_rows`): the first row with each
+leading column pivots without elimination, and only the Schur
+complement of the others goes through the pivot loop.  This times both
+on the same matrices, beside the pivot loop alone on the whole matrix
+(`loop`: `_rref_loop`, the RREF without the split, and `forward`:
+`_forward_pivots`, forward elimination without peel or split), best of
+a few runs per size, and checks that all four find the same rank.
 
-Each size is timed on two families: dense rows (density 0.6), where the
-peel finds nothing, and the same with half of the rows replaced by
-singleton rows on random columns, like the multiples of monomial
-generators in the oracle's and the Koszul complex's matrices.
+Each size is timed on three families: dense rows (density 0.6), where
+neither the peel nor the split finds much; the same with half of the
+rows replaced by singleton rows on random columns, like the multiples of
+monomial generators in the oracle's and the Koszul complex's matrices;
+and `macaulay` rows, built as the oracle builds a graded piece: every
+degree-d multiple of xw - yz and of two dense cubics in x, y, z, w,
+columns the monomials of degree d, with d the degree whose dim S_d is
+nearest the size's column count, and at most the size's row count of
+those rows, drawn at random and kept in order.  Its line gives the
+shape it was built at.
 
 Each prime of `--p` gets its own matrices, and the default covers both
 sides of `linalg._lazy`.  The `side` column says whether eliminating the
 whole matrix leaves updated rows unreduced (`lazy`: the unreduced sums
-fit in int64, as at p = 32003 at every size) or reduces them after
-every update (`eager`: at p = 2^31 - 1 from min(m, n) = 3 on).  `rank`
-decides on the block the peel leaves.
+fit in int64, as at p = 32003 at every size; the split runs there) or
+reduces them after every update (`eager`: at p = 2^31 - 1 from
+min(m, n) = 3 on; no split).  `rank` decides on the block the peel
+leaves.
 
 Usage:
     python benchmarks/bench_linalg.py [--sizes 100x100,300x200] [--repeat 5]
@@ -32,7 +41,8 @@ import time
 
 import numpy as np
 
-from hfstrata.linalg import _forward_pivots, _lazy, rank, rref_inplace
+from hfstrata.linalg import _forward_pivots, _lazy, _rref_loop, rank, rref_inplace
+from hfstrata.ring import GREVLEX, monomials_of_degree
 
 
 def random_matrix(rng, m, n, p, density=0.6, singleton_share=0.0):
@@ -45,6 +55,25 @@ def random_matrix(rng, m, n, p, density=0.6, singleton_share=0.0):
             if rng.random() < density:
                 a[i, j] = rng.randrange(p)
     return a
+
+
+def macaulay_matrix(rng, m, n, p):
+    """At most m of the degree-d multiples of xw - yz and of two dense
+    cubics in four variables, d such that dim S_d is nearest n."""
+    d = min(range(2, 40), key=lambda k: abs(len(monomials_of_degree(4, k, GREVLEX)) - n))
+    columns = {e: c for c, e in enumerate(monomials_of_degree(4, d, GREVLEX))}
+    cubic = monomials_of_degree(4, 3, GREVLEX)
+    forms = [[((1, 0, 0, 1), 1), ((0, 1, 1, 0), p - 1)]]
+    forms += [[(e, rng.randrange(1, p)) for e in cubic] for _ in range(2)]
+    rows = []
+    for form in forms:
+        for b in monomials_of_degree(4, d - sum(form[0][0]), GREVLEX):
+            row = np.zeros(len(columns), dtype=np.int64)
+            for e, c in form:
+                row[columns[tuple(u + v for u, v in zip(e, b))]] = c
+            rows.append(row)
+    keep = sorted(rng.sample(range(len(rows)), min(m, len(rows))))
+    return np.array([rows[i] for i in keep], dtype=np.int64)
 
 
 def bench(fn, base, p, repeat):
@@ -75,20 +104,25 @@ def main():
     for p in (int(token) for token in args.p.split(",")):
         print(f"p = {p}, repeat = {args.repeat} (best of)")
         print(
-            f"{'size':>10} {'rows':>10} {'side':>6} {'rref_inplace':>14} {'forward':>12}"
-            f" {'backsub':>12} {'rank':>12} {'value':>6}"
+            f"{'size':>10} {'family':>10} {'side':>6} {'rref_inplace':>14} {'loop':>12}"
+            f" {'forward':>12} {'rank':>12} {'value':>6}"
         )
         for m, n in sizes:
-            side = "lazy" if _lazy((m, n), p) else "eager"
-            for label, share in (("dense", 0.0), ("singleton", 0.5)):
-                base = random_matrix(rng, m, n, p, singleton_share=share)
+            for label, share in (("dense", 0.0), ("singleton", 0.5), ("macaulay", None)):
+                if share is None:
+                    base = macaulay_matrix(rng, m, n, p)
+                else:
+                    base = random_matrix(rng, m, n, p, singleton_share=share)
+                side = "lazy" if _lazy(base.shape, p) else "eager"
                 t_rref, (r_rref, _) = bench(rref_inplace, base, p, args.repeat)
+                t_loop, (r_loop, _) = bench(_rref_loop, base, p, args.repeat)
                 t_fwd, pivots = bench(_forward_pivots, base, p, args.repeat)
                 t_rank, r_rank = bench(rank, base, p, args.repeat)
-                assert r_rank == r_rref == len(pivots), (p, m, n, label, r_rank, r_rref, len(pivots))
+                assert r_rank == r_rref == r_loop == len(pivots), (p, m, n, label, r_rank, r_rref, r_loop)
+                size = "x".join(map(str, base.shape))
                 print(
-                    f"{m:>4}x{n:<5} {label:>10} {side:>6} {t_rref * 1e3:>12.2f}ms"
-                    f" {t_fwd * 1e3:>10.2f}ms {(t_rref - t_fwd) * 1e3:>10.2f}ms"
+                    f"{size:>10} {label:>10} {side:>6} {t_rref * 1e3:>12.2f}ms"
+                    f" {t_loop * 1e3:>10.2f}ms {t_fwd * 1e3:>10.2f}ms"
                     f" {t_rank * 1e3:>10.2f}ms {r_rank:>6}"
                 )
 

@@ -1,17 +1,44 @@
 """Exact linear algebra over F_p.
 
-One dense elimination, `_forward_pivots`: forward elimination in place,
-vectorized over rows with numpy, pivoting on the first nonzero row at
-or below the rank, columns left to right, with no scaling of pivot rows.
-Two kernels use it:
+One dense elimination, in two steps.  The pivot loop, `_forward_pivots`,
+is forward elimination in place, vectorized over rows with numpy,
+pivoting on the first nonzero row at or below the rank, columns left to
+right, with no scaling of pivot rows.  On the lazy side (below) a split
+of the rows comes first, and only what it leaves goes through the loop.
+Two kernels use them:
 
-- `rref_inplace`, the reduced row echelon form, follows it with
-  back-substitution, for the callers that read R[:rank, free]: `rref`,
-  `nullspace`, the oracle's quotient pieces and normal-form tables.
+- `rref_inplace`, the reduced row echelon form, follows the loop with
+  back-substitution (`_rref_loop`), for the callers that read
+  R[:rank, free]: `rref`, `nullspace`, the oracle's quotient pieces and
+  normal-form tables.
 - `pivot_columns`, for the callers that read only a rank or pivot
   columns: `rank` (the oracle's Hilbert values and syzygy counts, the
   tangent rank, the Koszul ranks in `invariants`, the ranks in `deform`)
   and `greedy_independent_rows` (the oracle's Nakayama selections).
+
+The split (`_split_rows`, `_schur_complement`) is the first step of
+F4's linear algebra (Faugère, JPAA 139, 1999; Faugère and Lachartre,
+PASCO 2010).  The first row with each leading column is a pivot row as
+it stands, without elimination.  These rows, ordered by lead, form an
+upper-triangular T on their lead columns C, with a nonzero diagonal,
+and B on the other columns; R_C and R_B are the other rows in the same
+columns.  Row operations turn [T B; R_C R_B] into [I X; 0 W] with
+X = T^-1 B and the Schur complement W = R_B - R_C X, so the pivot
+columns are C and those of W: `pivot_columns` returns C at once when no
+two rows share a lead, and `rref_inplace` builds the RREF, which is
+unique, from [I | X] and W's RREF with one more product.  X is solved
+level by level, each level the rows of T whose other nonzeros sit in
+rows solved before.  Each product is one int64 matrix product when its
+left factor is dense enough, and otherwise a few vectorized passes over
+that factor's nonzeros (`_subtract_product`), so that on large sparse
+matrices, such as the Koszul and deformation matrices of the octic's
+`verify-prop31`, the split costs about what the loop does.  The
+oracle's graded pieces are monomial multiples of a few forms, and the
+multiples of one form have distinct leads: on the Fermat cubic curve's
+232 x 286 piece in degree 10, 120 rows pivot in 3 levels and W is
+112 x 166; on the twisted cubic's Hilbert pieces W is zero.  On the 334
+matrices of one round of the `oracle` benchmark workload the kernels'
+time drops by a third.
 
 Before eliminating, `pivot_columns` and `nullspace` peel singleton rows
 until none are left (`_peeled_block`).  A row whose one nonzero sits in
@@ -37,8 +64,13 @@ side reduces only what it reads, the column searched for a pivot and the
 pivot row, and the whole matrix once at the end of each pass.  That holds
 at every size for p <= 32003, up to k = 8 at p = 1073741789 and up to
 k = 2 at p = 2**31 - 1; otherwise each updated block is reduced at once.
-The RREF is unique, so both sides give the same output.  The peel
-reduces its working copy only if an entry lies outside [0, p).
+The split runs exactly on the lazy side, and the same bound makes it
+exact: each of its products multiplies residues over an inner dimension
+of at most len(T) <= k, or rank(W) <= k, so its sums stay within int64
+until the block is reduced once.  The eager side runs the pivot loop on
+the whole matrix.  The RREF is unique, so both sides give the same
+output.  The peel reduces its working copy only
+if an entry lies outside [0, p).
 
 One sparse kernel, `echelon_insert`, serves the engine's Nakayama
 selection, whose rows are monomial multiples of a few vectors and about
@@ -147,8 +179,9 @@ def _forward_pivots(a, p):
     return pivots
 
 
-def rref_inplace(a, p):
-    """In-place reduced row echelon form; returns (rank, pivot_columns).
+def _rref_loop(a, p):
+    """In-place reduced row echelon form by the pivot loop alone; returns
+    (rank, pivot_columns).
 
     Forward elimination (`_forward_pivots`), pivot rows scaled to 1, then
     back-substitution from the bottom pivot up: each pivot column is
@@ -184,6 +217,153 @@ def rref_inplace(a, p):
     return rank, pivots
 
 
+def _split_rows(nz):
+    """(top, lead, rest) for a nonzero pattern: the first row with each
+    leading column, those leading columns in ascending order, and the
+    other nonzero rows.
+
+    Each nonzero row is marked at (leading column, row) in an n x m
+    pattern, whose first mark in a column's line is its first row.  No
+    stable sort: its first call faults in more of numpy's code than this
+    pattern takes in memory.
+    """
+    m, n = nz.shape
+    if not m or not n:  # argmax refuses empty lines
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, empty
+    lead = nz.argmax(axis=1)
+    live = nz[np.arange(m), lead]
+    by_lead = np.zeros((n, m), dtype=bool)
+    by_lead[lead[live], live.nonzero()[0]] = True
+    first = by_lead.argmax(axis=1)
+    cols = by_lead[np.arange(n), first].nonzero()[0]
+    top = first[cols]
+    live[top] = False
+    return top, cols, live.nonzero()[0]
+
+
+def _subtract_product(out, pattern, src, rows, cols, x):
+    """out -= M x for M = src[rows][:, cols], whose nonzero pattern is
+    `pattern`, unreduced.
+
+    A block at least a sixteenth nonzero takes one int64 product.  A
+    sparser one takes one pass per k, each subtracting the k-th nonzero
+    of every row that has one times its row of x, so that its work
+    follows M's nonzeros, as the pivot loop's does: on the largest
+    matrix of the octic's `verify-prop31`, 5941 x 2698 and 0.4%
+    nonzero, dense products took 17 times the loop's time.  The
+    sixteenth is what one multiply-add in the product costs against one
+    entry of a pass, the pass's fixed cost included.  Either way, for
+    residues in src and x, an entry of out moves by at most (p - 1)**2
+    per nonzero of its row of M.  Rows go len(x) at a time, so that no
+    temporary outgrows x.
+    """
+    chunk = max(len(x), 1)
+    for lo in range(0, len(out), chunk):
+        part, mask = out[lo : lo + chunk], pattern[lo : lo + chunk]
+        at_row, at_col = mask.nonzero()
+        if 16 * len(at_row) >= mask.size:
+            part -= src[rows[lo : lo + chunk, None], cols] @ x
+            continue
+        values = src[rows[lo + at_row], cols[at_col]]
+        counts = mask.sum(axis=1)
+        start = counts.cumsum() - counts
+        for k in range(int(counts.max())):
+            live = (counts > k).nonzero()[0]
+            at = start[live] + k
+            step = x[at_col[at]]
+            step *= values[at, None]
+            if live.size == len(part):
+                part -= step
+            else:
+                part[live] -= step
+
+
+def _schur_complement(a, nz, top, lead, rest, p):
+    """(free, X, W) for the split (`_split_rows`) of a, reduced mod p,
+    with nonzero pattern nz: the columns `free` outside `lead`, X = T^-1 B
+    and the Schur complement W = R_B - R_C X, both reduced mod p, W
+    without rows when it is zero.
+
+    T = a[top, lead] is upper triangular with a nonzero diagonal, each
+    pivot row being zero left of its lead, and B = a[top, free]; R_C and
+    R_B are the rows `rest` in the same columns, so the rows of a span
+    those of [T | B] and [0 | W].  X is solved level by level: a level
+    holds the rows of T whose off-diagonal nonzeros sit in rows solved
+    already, and takes one product with those rows and one scaling.
+    Every product (`_subtract_product`) has inner dimension at most
+    len(top) <= min(a.shape), so on the lazy side (`_lazy`) its
+    unreduced sums stay within int64.
+    """
+    mask = np.ones(a.shape[1], dtype=bool)
+    mask[lead] = False
+    free = mask.nonzero()[0]
+    x = a[top[:, None], free]
+    diagonal = a[top, lead].tolist()  # the few forms' leading coefficients, mostly
+    inverse = {v: pow(v, p - 2, p) for v in set(diagonal)}
+    inv = np.array([inverse[v] for v in diagonal], dtype=np.int64)
+    dep = nz[top[:, None], lead]  # T's off-diagonal pattern
+    dep[np.arange(len(top)), np.arange(len(top))] = False
+    pending = dep.sum(axis=1)  # the unsolved rows each row of T waits for
+    level = (pending == 0).nonzero()[0]
+    pending[level] = -1  # taken: its count stays below 0
+    while level.size:
+        blk = x[level]
+        used = dep[level].sum(axis=0).nonzero()[0]
+        if used.size:
+            _subtract_product(blk, dep[level][:, used], a, top[level], lead[used], x[used])
+            blk %= p
+        blk *= inv[level, None]
+        x[level] = blk % p
+        pending -= dep[:, level].sum(axis=1)
+        level = (pending == 0).nonzero()[0]
+        pending[level] = -1
+    w = a[rest[:, None], free]
+    if rest.size:
+        _subtract_product(w, nz[rest[:, None], lead], a, rest, lead, x)
+        w %= p
+        if not (w != 0).sum():  # as on the twisted cubic's Hilbert pieces
+            w = w[:0]
+    return free, x, w
+
+
+def rref_inplace(a, p):
+    """In-place reduced row echelon form of a, reduced mod p; returns
+    (rank, pivot_columns).
+
+    The eager side (`_lazy`) runs the pivot loop (`_rref_loop`) on a.
+    The lazy side splits the rows first (`_split_rows`,
+    `_schur_complement`): scaled by T^-1, the pivot rows are [I | X] on
+    the lead columns and the free ones, and only the complement W takes
+    the loop.  With R the nonzero rows of W's RREF, which pivot on the
+    free columns P, the lead rows of the RREF are [I | X - X[:, P] R],
+    one product more, since clearing the columns P of [I | X] with R
+    changes no lead column.  The RREF is unique, so this is the loop's
+    output.
+    """
+    if not _lazy(a.shape, p):
+        return _rref_loop(a, p)
+    nz = a != 0
+    top, lead, rest = _split_rows(nz)
+    free, x, w = _schur_complement(a, nz, top, lead, rest, p)
+    del nz
+    rank_w, pivots_w = _rref_loop(w, p)
+    if rank_w:
+        at_w = np.array(pivots_w, dtype=np.intp)
+        _subtract_product(x, x[:, at_w] != 0, x, np.arange(len(x)), at_w, w[:rank_w])
+        x %= p
+    mask = np.zeros(a.shape[1], dtype=bool)
+    mask[lead] = True
+    mask[free[pivots_w]] = True
+    pivots = mask.nonzero()[0]
+    at_lead = np.searchsorted(pivots, lead)
+    a.fill(0)
+    a[at_lead, lead] = 1
+    a[at_lead[:, None], free] = x
+    a[np.searchsorted(pivots, free[pivots_w])[:, None], free] = w[:rank_w]
+    return len(pivots), pivots.tolist()
+
+
 def _peeled_block(a, p):
     """(block, peeled, cols): singleton rows peeled from the nonzero
     pattern of one working copy of a reduced mod p, the mask of the
@@ -203,9 +383,21 @@ def _peeled_block(a, p):
 
 def pivot_columns(a, p):
     """Pivot columns of the RREF of a, without building it: the peeled
-    columns and the pivot columns of the forward-eliminated block."""
+    columns, and those of the block they leave.  On the lazy side
+    (`_lazy`) these are the split's lead columns (`_split_rows`), and
+    the pivot columns of the forward-eliminated Schur complement when two
+    rows share a lead; on the eager side those of the forward-eliminated
+    block."""
     work, pivots, cols = _peeled_block(a, p)
-    pivots[cols[_forward_pivots(work, p)]] = True
+    if not _lazy(work.shape, p):
+        pivots[cols[_forward_pivots(work, p)]] = True
+        return pivots.nonzero()[0].tolist()
+    nz = work != 0
+    top, lead, rest = _split_rows(nz)
+    pivots[cols[lead]] = True
+    if rest.size:  # two rows share a lead
+        free, _, w = _schur_complement(work, nz, top, lead, rest, p)
+        pivots[cols[free[_forward_pivots(w, p)]]] = True
     return pivots.nonzero()[0].tolist()
 
 

@@ -99,6 +99,7 @@ where a generator would drop out unseen, or below 0; `tangent` returns
 matter then.
 """
 
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -116,17 +117,19 @@ def _codes(vec, exps, radix):
 
 
 class GradedPieceBasis:
-    """Ordered monomial basis of S_d (descending in the ring's order)."""
+    """Ordered monomial basis of S_d (descending in the ring's order).
+
+    `GradedPieceBasis(ring, d)` returns the one instance built for
+    (n, d, order kind), shared like the monomial lists of
+    `monomials_of_degree`: `_unknowns` and `_ideal_piece` ask for the
+    same few pieces in every degree of every call.  Its arrays are
+    read-only.
+    """
 
     __slots__ = ("degree", "monomials", "exps", "_perm", "_sorted")
 
-    def __init__(self, ring: RingContext, degree: int):
-        self.degree = degree
-        self.monomials = monomials_of_degree(ring.n, degree, ring.order.kind)
-        self.exps = np.array(self.monomials, dtype=np.int64).reshape(-1, ring.n)
-        codes = _codes(0, self.exps, degree + 1)
-        self._perm = np.argsort(codes)
-        self._sorted = codes[self._perm]
+    def __new__(cls, ring: RingContext, degree: int):
+        return _graded_piece_basis(ring.n, degree, ring.order.kind)
 
     def __len__(self):
         return len(self.monomials)
@@ -134,6 +137,21 @@ class GradedPieceBasis:
     def columns(self, exps):
         """Column of each degree-d exponent row of exps."""
         return self._perm[np.searchsorted(self._sorted, _codes(0, exps, self.degree + 1))]
+
+
+@lru_cache(maxsize=None)
+def _graded_piece_basis(n, degree, order_kind):
+    """The shared `GradedPieceBasis` of S_d in n variables."""
+    basis = object.__new__(GradedPieceBasis)
+    basis.degree = degree
+    basis.monomials = monomials_of_degree(n, degree, order_kind)
+    basis.exps = np.array(basis.monomials, dtype=np.int64).reshape(-1, n)
+    codes = _codes(0, basis.exps, degree + 1)
+    basis._perm = np.argsort(codes)
+    basis._sorted = codes[basis._perm]
+    for array in (basis.exps, basis._perm, basis._sorted):
+        array.flags.writeable = False
+    return basis
 
 
 def _vector_terms(vectors, n):

@@ -29,6 +29,17 @@ def test_graded_piece_basis_size():
     assert len(basis) == 35  # C(7,3)
 
 
+def test_graded_piece_basis_is_shared_and_read_only():
+    """One basis per (n, d, order kind); its arrays refuse writes, so
+    no caller can change it under another."""
+    basis = GradedPieceBasis(twisted_cubic().ring, 4)
+    assert GradedPieceBasis(twisted_cubic().ring, 4) is basis
+    assert GradedPieceBasis(ring2(), 4) is not basis
+    for array in (basis.exps, basis._perm, basis._sorted):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 def test_hf_hand_counts():
     r = ring2()
     x, y = r.variable(0), r.variable(1)
