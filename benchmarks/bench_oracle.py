@@ -1,13 +1,15 @@
-"""Time the brute-force oracle's hf, tangent and betti on four inputs.
+"""Time the brute-force oracle's hf, tangent and betti on five inputs.
 
 The inputs are the Fermat cubic x^3 + y^3 + z^3 + w^3 plus two dense
 quintics with fixed coefficients over F_32003, a complete intersection
 of degrees 3, 5, 5 and the heaviest tangent case of the perfbench
-`oracle` workload; the quadric cone xw - yz plus two such quartics,
-whose tangent (B = 8) and betti (bound 10) are the workload's other
-heavy oracle operations; and the twisted cubic truncated at m = 4 and
-at m = 6 over F_(2^31 - 1), where every entry of the tangent and Betti
-matrices can be near 2^31.  `hf` computes h_0 .. h_B (`hf_values`,
+`oracle` workload; the same with two dense sextics, in tangent mode
+only (B = 12), a larger complete intersection whose syzygies, all
+Koszul, the tangent drops before lifting; the quadric cone xw - yz
+plus two such quartics, whose tangent (B = 8) and betti (bound 10) are
+the workload's other heavy oracle operations; and the twisted cubic
+truncated at m = 4 and at m = 6 over F_(2^31 - 1), where every entry
+of the tangent and Betti matrices can be near 2^31.  `hf` computes h_0 .. h_B (`hf_values`,
 zero after the first zero), `tangent` uses degree bound B (m + 4 for
 the m = 6 truncation, beyond the workload's sizes), and `betti`
 searches degrees up to a bound at or above the top of the Betti table
@@ -45,6 +47,7 @@ def inputs():
     x, y, z, w = (ring.variable(i) for i in range(4))
     fermat = x * x * x + y * y * y + z * z * z + w * w * w
     curve = Ideal(ring, [fermat, dense_form(ring, 5, 1), dense_form(ring, 5, 2)])
+    curve6 = Ideal(ring, [fermat, dense_form(ring, 6, 1), dense_form(ring, 6, 2)])
     cone_curve = Ideal(ring, [x * w - y * z, dense_form(ring, 4, 1), dense_form(ring, 4, 2)])
 
     ring = RingContext(("x", "y", "z", "w"), PrimeField(2**31 - 1))
@@ -57,6 +60,7 @@ def inputs():
     every = ("hf", "tangent", "betti")
     return [
         ("Fermat cubic curve, m = 5", curve, 10, 13, 3, every),
+        ("Fermat cubic curve, m = 6", curve6, 12, 15, 3, ("tangent",)),
         ("quadric cone curve, m = 4", cone_curve, 8, 10, 6, ("tangent", "betti")),
         ("twisted cubic + m^4, p = 2^31-1", truncation(4), 8, 8, 6, every),
         ("twisted cubic + m^6, p = 2^31-1", truncation(6), 10, 10, 6, every),

@@ -28,10 +28,19 @@ over the terms c x^t of a_j: a gather of table rows, each product
 reduced mod p, then one segmented sum per syzygy.  Products stay below
 p^2 and each sum adds fewer than 2^32 terms below p, so int64 is exact
 for every p < 2^31, and the work follows the syzygies' nonzeros, not
-dim S_e.  Only the syzygies the Nakayama selection keeps are lifted
+dim S_e.  Each generator slot takes one gather and one segmented sum for
+all its unknowns, in chunks no larger than the degree's matrix of
+multiples.  Only the syzygies the Nakayama selection keeps are lifted
 (Selection): for a = x_v * b, b a syzygy of degree e - 1, sum a_j phi_j
 = x_v * sum b_j phi_j, so a's condition is x_v times b's and lies in the
 span of b's; the kept syzygies give the span, and the rank, of all.
+A syzygy whose entries all lie in I is not lifted either: each a_j phi_j
+lies in I, so its condition rows are exactly the zero rows the lift
+drops.  Membership is the same projection one degree down: a_j, of
+degree e - deg f_j, lies in I when its gathered normal form is zero.
+A complete intersection's syzygies are generated by the Koszul ones,
+whose entries lie in I (I/I^2 is free over S/I), so a complete
+intersection such as a cone curve lifts nothing.
 
 Vanishing: S/I is generated in degree 0, so (S/I)_{e+1} = S_1 (S/I)_e
 and every piece after a zero one is zero.  `hf_values` answers 0 from
@@ -72,7 +81,10 @@ one on [B; I].  That keeps the unit row e_k unless some vector of the
 row span of B ends at k (its last nonzero), so the new generators are
 the coordinates that are not pivots of B read right to left, and no
 identity block is built.  `tangent_bruteforce` runs the same selection
-on the first syzygies of the generators as given.
+on the first syzygies of the generators as given, then drops each kept
+syzygy whose entries all lie in I (Projection).  The rank stays
+exact: the dropped syzygies' conditions are zero, and the rest span
+the same conditions.
 
 Rank only: a Hilbert value is dim S_d minus the rank of the
 generator-multiple matrix, and a syzygy count is the number of unknowns
@@ -81,8 +93,10 @@ minus it, so `hf_bruteforce` and `syzygy_counts` (`oracle syz`) call
 form is built only where its rows are read: the kernel bases of
 `syzygies_bruteforce`, `tangent_bruteforce` and `betti_bruteforce`,
 and the quotient pieces of `tangent_bruteforce` at generator degrees,
-whose free monomials are the unknowns, and at degrees with a kept
-syzygy, whose normal-form tables its conditions read.  Every other
+whose free monomials are the unknowns, at degrees with a kept syzygy
+that has an entry outside I, whose normal-form tables its conditions
+read, and at the lower degrees e - deg f_j whose tables a membership
+check reads, built only when a nonzero entry needs one.  Every other
 rank those two need is a kernel's #unknowns - dim ker, so they make
 one elimination per degree elsewhere.
 
@@ -96,7 +110,8 @@ Bounds: `syz`, `tangent` and `betti` search degrees up to B (`--bound`)
 and raise ParameterError when B is below the largest generator degree,
 where a generator would drop out unseen, or below 0; `tangent` returns
 0 first when S/I vanishes in every generator degree, as no syzygy can
-matter then.
+matter then, and refuses the unit ideal (a generator of degree 0) as
+the engine's `tangent_space` does.
 """
 
 from functools import lru_cache
@@ -105,7 +120,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .errors import ParameterError
+from .errors import DegenerateInputError, ParameterError
 from .invariants import BettiTable
 from .ring import Polynomial, RingContext, monomials_of_degree
 
@@ -198,40 +213,59 @@ def _multiples(terms, unk_vec, unk_exps, basis=None):
     return mat
 
 
-def _ideal_piece(ideal, d):
-    """(basis, slots, multiplier exponents, M) in degree d: the basis of
-    S_d, the unknowns of (⊕_j S(-deg f_j))_d, and the matrix M in that
-    basis whose row u is generator slots[u] times its multiplier.  The
-    row span of M is I_d, and its left kernel the degree-d syzygies."""
-    ring, basis = ideal.ring, GradedPieceBasis(ideal.ring, d)
-    degs = [f.homogeneous_degree() for f in ideal.generators]
+def _generator_terms(ideal):
+    """(ring, degrees, flat term arrays) of the generators, each a
+    one-component vector: what every `_ideal_piece` of one ideal reads,
+    built once per call."""
+    gens = ideal.generators
+    return (ideal.ring, [f.homogeneous_degree() for f in gens],
+            _vector_terms([(f,) for f in gens], ideal.ring.n))
+
+
+def _ideal_piece(gens, d):
+    """(basis, slots, multiplier exponents, M) in degree d, from the
+    `_generator_terms` gens: the basis of S_d, the unknowns of
+    (⊕_j S(-deg f_j))_d, and the matrix M in that basis whose row u is
+    generator slots[u] times its multiplier.  The row span of M is I_d,
+    and its left kernel the degree-d syzygies."""
+    ring, degs, terms = gens
+    basis = GradedPieceBasis(ring, d)
     unk_vec, unk_exps = _unknowns(ring, degs, d)
-    terms = _vector_terms([(f,) for f in ideal.generators], ring.n)
     return basis, unk_vec, unk_exps, _multiples(terms, unk_vec, unk_exps, basis)
 
 
 def _quotient_piece(basis, mat, p):
     """(S/I)_d in the coordinates of `basis`, from the multiples matrix
-    of `_ideal_piece`: the nonzero RREF rows of I_d, their pivot columns
-    and the free (non-pivot) columns."""
+    of `_ideal_piece`: the free (non-pivot) columns of the RREF R of I_d,
+    and the normal-form table NF of S_d, NF[free] = 1 and NF[pivots] =
+    -R[:, free], whose row c is the normal form of the c-th monomial."""
     rref, rank, pivots = linalg.rref(mat, p)
-    return rref[:rank], pivots, np.delete(np.arange(len(basis)), pivots)
+    free = np.delete(np.arange(len(basis)), pivots)
+    nf = np.zeros((len(basis), len(free)), dtype=np.int64)
+    nf[free] = np.eye(len(free), dtype=np.int64)
+    nf[pivots] = -rref[:rank, free] % p
+    return free, nf
+
+
+def _hf(gens, d):
+    """dim (S/I)_d = dim S_d - rank of the generator-multiple matrix."""
+    if d < 0:
+        raise ParameterError(f"degree must be >= 0, got {d}")
+    basis, _, _, mat = _ideal_piece(gens, d)
+    return len(basis) - linalg.rank(mat, gens[0].field.p)
 
 
 def hf_bruteforce(ideal, d: int) -> int:
     """dim (S/I)_d = dim S_d - rank of the generator-multiple matrix."""
-    if d < 0:
-        raise ParameterError(f"degree must be >= 0, got {d}")
-    basis, _, _, mat = _ideal_piece(ideal, d)
-    return len(basis) - linalg.rank(mat, ideal.ring.field.p)
+    return _hf(_generator_terms(ideal), d)
 
 
 def hf_values(ideal, degrees):
     """dim (S/I)_d for each of the ascending degrees.  (S/I)_{d+1} =
     S_1 (S/I)_d, so every value after a zero is 0 and is not ranked."""
-    values = []
+    gens, values = _generator_terms(ideal), []
     for d in degrees:
-        values.append(hf_bruteforce(ideal, d) if not values or values[-1] else 0)
+        values.append(_hf(gens, d) if not values or values[-1] else 0)
     return values
 
 
@@ -246,10 +280,11 @@ def _check_bound(degs, degree_bound):
 def _syzygy_matrices(ideal, degree_bound):
     """(e, slots, multiplier exponents, M) per degree e up to the bound,
     from `_ideal_piece`: the degree-e syzygies are the left kernel of M."""
-    degs = [f.homogeneous_degree() for f in ideal.generators]
+    gens = _generator_terms(ideal)
+    degs = gens[1]
     _check_bound(degs, degree_bound)
     for e in range(min(degs, default=degree_bound + 1), degree_bound + 1):
-        yield (e,) + _ideal_piece(ideal, e)[1:]
+        yield (e,) + _ideal_piece(gens, e)[1:]
 
 
 def syzygy_counts(ideal, degree_bound: int):
@@ -333,24 +368,68 @@ def _new_generators(prev, unk_vec, unk_exps, ns, p):
     return _units_kept(rows.reshape(-1, len(free)), p)
 
 
-def _lift_conditions(basis, rref, pivots, free, unk_vec, unk_exps, syz, unknowns, p):
+def _outside_ideal(col, unk_vec, e, gens, quotients, p):
+    """Whether some entry a_j of the degree-e syzygy `col` (a kernel
+    column over the degree-e unknowns, slots unk_vec) lies outside I.
+
+    Slot j's rows hold a_j in the basis of S_{e - deg f_j}, so a_j lies
+    in I exactly when its normal form, the sum of a_j's coefficients
+    times the rows of that degree's normal-form table, is zero; below the
+    lowest generator degree I is zero.  `quotients` caches the
+    `_quotient_piece` of each degree: entries whose piece is built, or
+    needs none, are read first, a missing piece is built only for a
+    nonzero entry, and the first nonzero normal form answers.
+    """
+    _, degs, _ = gens
+    low = min(degs)
+    ready = [e - d < low or e - d in quotients for d in degs]
+    for j in sorted(range(len(degs)), key=lambda j: not ready[j]):
+        a = col[unk_vec == j]
+        nz = np.flatnonzero(a)
+        d = e - degs[j]
+        if not len(nz):
+            continue
+        if d < low:
+            return True
+        if d not in quotients:
+            basis, _, _, mat = _ideal_piece(gens, d)
+            quotients[d] = (basis,) + _quotient_piece(basis, mat, p)
+        nf = quotients[d][2]
+        if ((nf[nz] * a[nz, None] % p).sum(axis=0) % p).any():
+            return True
+    return False
+
+
+def _lift_conditions(basis, free, nf, unk_vec, unk_exps, syz, unknowns, p):
     """Tangent conditions of the degree-e syzygies `syz` (kernel columns
     over the unknowns unk_vec, unk_exps): one row per syzygy and free
-    monomial of S_e, one column per unknown (j, m), the normal form of
-    a_j * m modulo I_e (Projection), from the quotient piece (rref,
-    pivots, free) of I_e in `basis`; zero rows are dropped."""
-    # row c: the normal form of the c-th monomial of S_e modulo I_e
-    nf = np.zeros((len(basis), len(free)), dtype=np.int64)
-    nf[free] = np.eye(len(free), dtype=np.int64)
-    nf[pivots] = -rref[:, free] % p
-    slots = {j: (unk_exps[unk_vec == j], _column_runs(syz[unk_vec == j])) for j in {j for j, _ in unknowns}}
-    block = np.zeros((syz.shape[1], len(free), len(unknowns)), dtype=np.int64)
-    for k, (j, m) in enumerate(unknowns):
-        exps, (rows, coeff, starts, cols) = slots[j]
-        if len(rows):
-            terms = nf[basis.columns(exps[rows] + m)] * coeff[:, None] % p
-            block[cols, :, k] = np.add.reduceat(terms, starts, axis=0) % p
-    block = block.reshape(-1, len(unknowns))
+    monomial of S_e, one column per unknown (j, m) of `unknowns` =
+    (slots, multiplier exponents), the normal form of a_j * m modulo I_e
+    (Projection), from the quotient piece (free, nf) of I_e in `basis`;
+    zero rows are dropped.
+
+    Each slot takes one gather and one segmented sum for all its
+    unknowns, in chunks of unknowns small enough that no temporary
+    outgrows the degree's matrix of multiples, #unknowns x dim S_e.
+    """
+    slots, mults = unknowns
+    n, width = mults.shape[1], len(free)
+    budget = len(unk_vec) * len(basis)
+    block = np.zeros((syz.shape[1], width, len(slots)), dtype=np.int64)
+    for j in sorted(set(slots.tolist())):  # not np.unique, whose first call imports numpy.ma (~1 MB RSS)
+        ks = np.flatnonzero(slots == j)
+        rows, coeff, starts, cols = _column_runs(syz[unk_vec == j])
+        if not len(rows):
+            continue
+        exps = unk_exps[unk_vec == j][rows]
+        step = max(1, budget // (len(rows) * max(width, n)))
+        for lo in range(0, len(ks), step):
+            chunk = ks[lo:lo + step]
+            prod = (exps[:, None] + mults[chunk]).reshape(-1, n)
+            terms = nf[basis.columns(prod)].reshape(len(rows), len(chunk), width) * coeff[:, None, None] % p
+            # the two index arrays, split by a slice, put their (cols, chunk) axes first
+            block[cols[:, None], :, chunk] = np.add.reduceat(terms, starts, axis=0) % p
+    block = block.reshape(syz.shape[1] * width, len(slots))
     return block[block.any(axis=1)]
 
 
@@ -363,37 +442,45 @@ def tangent_bruteforce(ideal, degree_bound: int) -> int:
     linear condition that the generator images annihilate it modulo I.
     A syzygy x_v * b, b of degree e - 1, gives x_v times b's condition,
     so the kept ones give the same conditions' span as every syzygy.
-    One elimination per degree gives the kernel and, by its size, the
-    rank of I_e; the echelon form of I_e is built only at generator
-    degrees and degrees with a kept syzygy.  Degrees from the first e
+    A kept syzygy whose entries all lie in I gives zero conditions and
+    is dropped before lifting (`_outside_ideal`).  One elimination per
+    degree gives the kernel and, by its size, the rank of I_e; the
+    echelon form of I_e is built only at generator degrees, degrees
+    with a kept syzygy that has an entry outside I, and the lower
+    degrees whose pieces that check reads.  Degrees from the first e
     with (S/I)_e = 0 on contribute nothing and are not built.
     """
-    ring = ideal.ring
-    gens = ideal.generators
-    if not gens:
+    if not ideal.generators:
         _check_bound([], degree_bound)
         return 0
+    gens = _generator_terms(ideal)
+    ring, degs, _ = gens
+    if 0 in degs:
+        raise DegenerateInputError("tangent space of the unit ideal is undefined")
     p = ring.field.p
-    degs = [f.homogeneous_degree() for f in gens]
     quotients, lifts, prev = {}, [], None
     for e in range(min(degs), max(degs + [degree_bound]) + 1):
-        basis, unk_vec, unk_exps, mat = _ideal_piece(ideal, e)
+        basis, unk_vec, unk_exps, mat = _ideal_piece(gens, e)
         ns = linalg.nullspace(mat.T, p)
         if len(unk_vec) - ns.shape[1] == len(basis):
             break  # (S/I)_{e+1} = S_1 (S/I)_e, so every later piece is zero
         new = _new_generators(prev, unk_vec, unk_exps, ns, p)
         prev = unk_vec, unk_exps, ns
-        if e in degs or new:
+        cut = [k for k in new if _outside_ideal(ns[:, k], unk_vec, e, gens, quotients, p)]
+        if e in degs or cut:
             quotients[e] = (basis,) + _quotient_piece(basis, mat, p)
-        if new:
-            lifts.append((e, unk_vec, unk_exps, ns[:, new]))
-    unknowns = [(j, quotients[d][0].exps[c]) for j, d in enumerate(degs) if d in quotients for c in quotients[d][3]]
-    if not unknowns:
+        if cut:
+            lifts.append((e, unk_vec, unk_exps, ns[:, cut]))
+    built = [j for j, d in enumerate(degs) if d in quotients]
+    free = [quotients[degs[j]][1] for j in built]
+    if not sum(map(len, free)):
         return 0
     _check_bound(degs, degree_bound)
+    unknowns = (np.repeat(np.array(built, dtype=np.int64), [len(c) for c in free]),
+                np.concatenate([quotients[degs[j]][0].exps[c] for j, c in zip(built, free)]))
     blocks = [_lift_conditions(*quotients[e], unk_vec, unk_exps, syz, unknowns, p)
               for e, unk_vec, unk_exps, syz in lifts]
-    return len(unknowns) - (linalg.rank(np.vstack(blocks), p) if blocks else 0)
+    return len(unknowns[0]) - (linalg.rank(np.vstack(blocks), p) if blocks else 0)
 
 
 def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:

@@ -275,6 +275,16 @@ def test_cli_oracle_bound_below_generators_exit2(capsys, tmp_path):
     assert capsys.readouterr().out.split() == "0 1 total:2 1 2: 1 . 3: 1 . 4: . 1".split()
 
 
+def test_cli_tangent_of_the_unit_ideal_exit2(capsys, tmp_path):
+    """The engine's and the oracle's tangent both refuse the unit ideal."""
+    path = tmp_path / "unit.ideal"
+    path.write_text("field 32003\nvars x y\nideal:\n1\nx\n")
+    for argv in (["tangent", str(path)], ["oracle", "tangent", str(path)]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: tangent space of the unit ideal is undefined\n"), argv
+
+
 def test_python_m_hfstrata_from_a_checkout(tc_file):
     """`PYTHONPATH=src python -m hfstrata` runs the CLI without an install."""
     src = str(Path(__file__).resolve().parent.parent / "src")

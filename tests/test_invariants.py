@@ -16,7 +16,7 @@ from hfstrata.invariants import (
     minimal_free_resolution,
     regularity,
 )
-from hfstrata.oracle import _ideal_piece, _quotient_piece, exactness_violations
+from hfstrata.oracle import _generator_terms, _ideal_piece, _quotient_piece, exactness_violations
 from hfstrata.ring import GradedFreeModule, GradedMap, RingContext, monomials_of_degree
 
 from conftest import build_corpus, ring2, ring4, skew_lines, twisted_cubic
@@ -248,11 +248,8 @@ def _normal_form_table(ideal, e):
     """The oracle's normal forms of the monomials of S_e, one row each, in
     the free columns of the RREF of I_e: the standard monomials, descending."""
     p = ideal.ring.field.p
-    basis, _, _, mat = _ideal_piece(ideal, e)
-    rref, pivots, free = _quotient_piece(basis, mat, p)
-    nf = np.zeros((len(basis), len(free)), dtype=np.int64)
-    nf[free] = np.eye(len(free), dtype=np.int64)
-    nf[pivots] = -rref[:, free] % p
+    basis, _, _, mat = _ideal_piece(_generator_terms(ideal), e)
+    free, nf = _quotient_piece(basis, mat, p)
     return basis, [basis.monomials[c] for c in free], nf
 
 

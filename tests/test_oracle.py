@@ -11,6 +11,7 @@ from hfstrata.ring import RingContext
 from hfstrata.strata import random_forms
 from hfstrata.oracle import (
     GradedPieceBasis,
+    _generator_terms,
     _ideal_piece,
     _quotient_piece,
     betti_bruteforce,
@@ -132,12 +133,15 @@ def test_betti_truncation_matches_engine():
 
 def test_tangent_lifts_only_minimal_syzygies(monkeypatch):
     """`tangent_bruteforce` builds conditions only for the syzygies the
-    Nakayama selection keeps, and echelon forms of I_e only at generator
-    degrees and those syzygies' degrees.  The values match the engine:
-    the twisted cubic's 12, the Fermat cubic curve's 19 + 2 * 44 = 107
-    (a complete intersection, every condition zero), and 8 for
-    (x^2, xy, yz^2) in 3 variables, whose syzygies in degrees 3 and 4 each cut the
-    value, so dropping either degree's conditions changes it."""
+    Nakayama selection keeps that have an entry outside I, and echelon
+    forms of I_e only at generator degrees, those syzygies' degrees and
+    the lower degrees the membership checks read.  The values match the
+    engine: the twisted cubic's 12, the Fermat cubic curve's 19 + 2 * 44
+    = 107 (a complete intersection: its Koszul syzygies have every entry
+    in I, so nothing is lifted, and the check of the degree-10 one reads
+    the piece of degree 10 - 3 = 7), and 8 for (x^2, xy, yz^2) in 3
+    variables, whose syzygies in degrees 3 and 4 each cut the value, so
+    dropping either degree's conditions changes it."""
     lifted, echelons = [], []
     lift, quotient = oracle._lift_conditions, oracle._quotient_piece
 
@@ -159,7 +163,7 @@ def test_tangent_lifts_only_minimal_syzygies(monkeypatch):
     monomial = Ideal(ring3, [x * x, x * y, y * z * z])
     for ideal, bound, value, lifts, degrees in [
         (twisted_cubic(), 8, 12, [(3, 2)], [2, 3]),
-        (fermat, 10, 107, [(8, 2), (10, 1)], [3, 5, 8, 10]),
+        (fermat, 10, 107, [], [3, 5, 7]),
         (monomial, 7, 8, [(3, 1), (4, 1)], [2, 3, 4]),
     ]:
         lifted.clear()
@@ -264,8 +268,8 @@ def test_oracle_euler_characteristic(corpus):
 def check_rank_only_paths(ideal):
     """The rank-only paths equal the kernel paths they replace."""
     for d in range(6):
-        basis, _, _, mat = _ideal_piece(ideal, d)
-        assert hf_bruteforce(ideal, d) == len(_quotient_piece(basis, mat, ideal.ring.field.p)[2]), d
+        basis, _, _, mat = _ideal_piece(_generator_terms(ideal), d)
+        assert hf_bruteforce(ideal, d) == len(_quotient_piece(basis, mat, ideal.ring.field.p)[0]), d
     top = max((f.homogeneous_degree() for f in ideal.generators), default=0) + 2
     kernels = {e: len(vectors) for e, vectors in syzygies_bruteforce(ideal, top).items()}
     assert syzygy_counts(ideal, top) == kernels
