@@ -1,4 +1,4 @@
-"""Time the brute-force oracle's hf, tangent and betti on five inputs.
+"""Time the brute-force oracle's hf, tangent and betti on eight inputs.
 
 The inputs are the Fermat cubic x^3 + y^3 + z^3 + w^3 plus two dense
 quintics with fixed coefficients over F_32003, a complete intersection
@@ -14,7 +14,12 @@ zero after the first zero), `tangent` uses degree bound B (m + 4 for
 the m = 6 truncation, beyond the workload's sizes), and `betti`
 searches degrees up to a bound at or above the top of the Betti table
 (13, 8 and 10, the m = 6 table ending in degree 9); on the
-truncations each step stops where Tor vanishes, below that bound.
+truncations each step stops where Tor vanishes, below that bound; and
+Γ = I_Y + m^4 for the rational normal curves Y in P^6, P^7 and P^8 over
+F_32003, in betti mode only, with bound 4 + n for P^n, the degree of
+the last strand.  Level 0 finds (S/I)_4 = 0 on every truncation, so
+their tables are Koszul homology on the pieces (S/I)_d, d < 4; the
+Fermat and quadric cone curves never vanish and keep the search.
 Each case prints the best of a few wall times, the tracemalloc peak of
 one more run and the value computed.
 
@@ -28,8 +33,11 @@ import tracemalloc
 from itertools import combinations_with_replacement
 
 from hfstrata import Ideal, PrimeField, RingContext
+from hfstrata.groebner import ideal_sum, maximal_ideal_power
 from hfstrata.oracle import betti_bruteforce, hf_values, tangent_bruteforce
 from hfstrata.ring import monomials_of_degree
+
+from bench_verify import rational_normal_curve
 
 
 def dense_form(ring, d, k):
@@ -64,7 +72,13 @@ def inputs():
         ("quadric cone curve, m = 4", cone_curve, 8, 10, 6, ("tangent", "betti")),
         ("twisted cubic + m^4, p = 2^31-1", truncation(4), 8, 8, 6, every),
         ("twisted cubic + m^6, p = 2^31-1", truncation(6), 10, 10, 6, every),
-    ]
+    ] + [(f"RNC in P^{n} + m^4", rnc_truncation(n, 4), None, 4 + n, n, ("betti",)) for n in (6, 7, 8)]
+
+
+def rnc_truncation(n, m):
+    """I_Y + m^m over F_32003, Y the rational normal curve in P^n."""
+    curve = rational_normal_curve(n)
+    return ideal_sum(curve, maximal_ideal_power(curve.ring, m))
 
 
 def best_of(repeat, fn):

@@ -50,37 +50,58 @@ piece off the size of the degree's syzygy kernel, #unknowns - dim ker
 zero; below it, one matrix of multiples per degree gives the kernel
 and, where Rank only says so, the quotient piece.
 
-Stopping: step s of `betti_bruteforce` (step 0 the generators) counts
-beta_{s+1,j}(S/I), which is zero for j >= s + 1 + z, z the first degree
-with (S/I)_z = 0: the Koszul chain group of Tor_{s+1}(S/I, k)_j is
-∧^{s+1} k^n ⊗ (S/I)_{j-s-1}, zero from there on.  So step s searches
+Stopping: step s of `betti_bruteforce`'s search (step 0 the generators)
+counts beta_{s+1,j}(S/I), which is zero for j >= s + 1 + z, z the first
+degree with (S/I)_z = 0: the Koszul chain group of Tor_{s+1}(S/I, k)_j
+is ∧^{s+1} k^n ⊗ (S/I)_{j-s-1}, zero from there on.  So step s searches
 degrees up to min(B, s + z).  z comes from ranks the search makes
 anyway: level 0's selection in degree e keeps dim I_e rows, and step
 1's kernel in degree e has #unknowns - dim ker = dim I_e, the chosen
 generators spanning I_e.  z starts at B and drops to the first e < B
 where either equals dim S_e.  Level 0 stops above z, step 1 reads the
 current z as its limit and later steps the final one.  Step 1 ranks
-every degree from the lowest generator degree up, and I_e = 0 below
-it, so no zero piece below B is missed; with none, z = B and nothing
-is cut.  No Hilbert value is ranked on its own.  The check stays
-independent: the engine's `_koszul_betti` runs on an Artinian
-reduction S'/J of S/I, by linear nonzerodivisors, whose pieces are
-quotients of those of S/I, so its first zero piece z' is at most z and
-its chain groups are zero in every skipped degree too: neither side
-computes anything there.  An entry the engine misses below the stop
-still differs from the oracle's, and a spurious engine entry above it
-meets the oracle's 0.
+every degree from the lowest generator degree up, and I_e = 0 below it,
+so no zero piece below B is missed; with none, z = B and nothing is
+cut.  No Hilbert value is ranked on its own.  The check stays
+independent: the engine's `_koszul_betti` runs on an Artinian reduction
+S'/J of S/I, by linear nonzerodivisors, whose pieces are quotients of
+those of S/I, so its first zero piece z' is at most z and its chain
+groups are zero in every skipped degree too: neither side computes
+anything there.  An entry the engine misses below the stop still
+differs from the oracle's, and a spurious engine entry above it meets
+the oracle's 0.
 
-Selection: at each Betti level and degree e the Nakayama selection runs
-on kernel coordinates, degree by degree with only ker_{e-1} kept.  The
-standard-form kernel basis of ker_e holds an identity block in its rows
-`free`, and z -> z[free] maps ker_e onto F^k keeping every linear
-dependence.  The x_v-multiples of ker_{e-1} lie in ker_e, so they are
-gathered at `free` only, into rows B, and the selection is the greedy
-one on [B; I].  That keeps the unit row e_k unless some vector of the
-row span of B ends at k (its last nonzero), so the new generators are
-the coordinates that are not pivots of B read right to left, and no
-identity block is built.  `tangent_bruteforce` runs the same selection
+Koszul: beta_{k,j}(S/I) = dim H_k(K(x) ⊗ S/I)_j (Eisenbud, The Geometry
+of Syzygies, ch. 1), and row i of I's table is beta_{i+1}(S/I) when
+I ⊂ m.  (K_k ⊗ S/I)_j is one copy of (S/I)_{j-k} per k-subset of the
+variables, so beta_{k,j} = C(n,k) h(j-k) - rank d_k - rank d_{k+1},
+with rank d_1 = h(j) for j >= 1, S/I being generated in degree 0.  The
+pieces are the oracle's own, `_quotient_piece` for each d < z, and
+x_t: (S/I)_d -> (S/I)_{d+1} is the gather nf_{d+1}[columns(u + e_t)]
+over the free monomials u of degree d: no Gröbner basis, no
+`QuotientBasis`, no Artinian reduction, no Taylor caps.
+`betti_bruteforce` takes this path when level 0 alone finds
+0 < z < B, a generator degree where the kept generators span S_z, as
+on a truncation I_Y + m^m below its bound; z = 0 is the unit ideal, not
+in m.  Otherwise it runs the step search of Stopping and Selection.
+The chain groups follow the answer on such a quotient, but a
+hypersurface's are large while its syzygy search is nearly empty:
+Koszul homology took the quadric cone's `betti` at bound 8 from 1.06 to
+8.87 ms (2-vCPU host), so a quotient that does not vanish below the
+bound keeps the search.  Row 0 of the Koszul table must equal level 0's
+selection, else RuntimeError.
+
+Selection: at each Betti level and degree e of the search the
+Nakayama selection runs on kernel coordinates, degree by degree with
+only ker_{e-1} kept.  The standard-form kernel basis of ker_e holds an
+identity block in its rows `free`, and z -> z[free] maps ker_e onto
+F^k keeping every linear dependence.  The x_v-multiples of ker_{e-1}
+lie in ker_e, so they are gathered at `free` only, into rows B, and
+the selection is the greedy one on [B; I].  That keeps the unit row
+e_k unless some vector of the row span of B ends at k (its last
+nonzero), so the new generators are the coordinates that are not pivots
+of B read right to left, and no identity block is built.
+`tangent_bruteforce` runs the same selection
 on the first syzygies of the generators as given, then drops each kept
 syzygy whose entries all lie in I (Projection).  The rank stays
 exact: the dropped syzygies' conditions are zero, and the rest span
@@ -91,7 +112,8 @@ generator-multiple matrix, and a syzygy count is the number of unknowns
 minus it, so `hf_bruteforce` and `syzygy_counts` (`oracle syz`) call
 `linalg.rank` and build no echelon rows or kernel basis.  The echelon
 form is built only where its rows are read: the kernel bases of
-`syzygies_bruteforce`, `tangent_bruteforce` and `betti_bruteforce`,
+`syzygies_bruteforce`, `tangent_bruteforce` and `betti_bruteforce`'s
+search, the quotient pieces of its Koszul pass, whose tables give x_t,
 and the quotient pieces of `tangent_bruteforce` at generator degrees,
 whose free monomials are the unknowns, at degrees with a kept syzygy
 that has an entry outside I, whose normal-form tables its conditions
@@ -115,6 +137,7 @@ the engine's `tangent_space` does.
 """
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -483,15 +506,65 @@ def tangent_bruteforce(ideal, degree_bound: int) -> int:
     return len(unknowns[0]) - (linalg.rank(np.vstack(blocks), p) if blocks else 0)
 
 
+def _koszul_entries(gens, z, max_step, degree_bound):
+    """{(k - 1, j): beta_{k,j}(S/I)} for k <= min(max_step + 1, n) and
+    k <= j <= degree_bound, as Koszul homology on the pieces (S/I)_d,
+    d < z, of the `_generator_terms` gens, given (S/I)_z = 0 (Koszul)."""
+    ring = gens[0]
+    n, p = ring.n, ring.field.p
+    pieces = []  # (basis, free columns, normal-form table) of (S/I)_d
+    for d in range(z):
+        basis, _, _, mat = _ideal_piece(gens, d)
+        free, nf = _quotient_piece(basis, mat, p)
+        if not len(free):
+            break  # every later piece is zero too (Vanishing)
+        pieces.append((basis, free, nf))
+    h = [len(free) for _, free, _ in pieces] + [0]
+    units, times, ranks = np.eye(n, dtype=np.int64), {}, {}
+
+    def rank(k, j):
+        """Rank of d_k: (K_k ⊗ S/I)_j -> (K_{k-1} ⊗ S/I)_j for j - k < len(h),
+        as its transpose: block (sigma, sigma minus its a-th variable t)
+        is (-1)^a x_t, whose row u is the normal form of x_t u in
+        (S/I)_{d+1}, u a free monomial of degree d = j - k."""
+        d = j - k
+        if k == 1:
+            return h[j]  # S/I is generated in degree 0
+        if k > n or d < 0 or not h[d + 1]:
+            return 0
+        if d not in times:
+            (basis, free, _), (up, _, nf) = pieces[d], pieces[d + 1]
+            times[d] = [nf[up.columns(basis.exps[free] + units[t])] for t in range(n)]
+        if (k, j) not in ranks:
+            src, tgt = h[d], h[d + 1]
+            faces = {tau: r for r, tau in enumerate(combinations(range(n), k - 1))}
+            mat = np.zeros((comb(n, k) * src, len(faces) * tgt), dtype=np.int64)
+            for c, sigma in enumerate(combinations(range(n), k)):
+                for a, t in enumerate(sigma):
+                    r = faces[sigma[:a] + sigma[a + 1:]]
+                    mat[c * src:(c + 1) * src, r * tgt:(r + 1) * tgt] = (-1) ** a * times[d][t] % p
+            ranks[k, j] = linalg.rank(mat, p)
+        return ranks[k, j]
+
+    entries = {}
+    for k in range(1, min(max_step + 1, n) + 1):
+        for j in range(k, min(degree_bound, k + len(h) - 2) + 1):
+            entries[(k - 1, j)] = comb(n, k) * h[j - k] - rank(k, j) - rank(k + 1, j)
+    return entries
+
+
 def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
-    """Graded Betti numbers from iterated brute-force syzygy modules.
+    """Graded Betti numbers from iterated brute-force syzygy modules, or
+    from Koszul homology where S/I vanishes below the bound.
 
     beta_{i,j} counts degree-j kernel elements independent of the
     monomial multiples of lower-degree ones (Nakayama by rank); the
     chosen representatives feed the next homological level.  Step s
     searches degrees up to min(degree_bound, s + z), z the first degree
     below the bound with (S/I)_z = 0, else the bound, read off level 0's
-    and step 1's ranks as they go (Stopping).
+    and step 1's ranks as they go (Stopping).  When level 0 alone finds
+    0 < z < degree_bound, the steps are read off the Koszul homology of
+    the pieces (S/I)_d, d < z, instead (Koszul).
     """
     if max_step < 0:
         raise ParameterError(f"max_step must be >= 0, got {max_step}")
@@ -524,6 +597,12 @@ def betti_bruteforce(ideal, max_step: int, degree_bound: int) -> BettiTable:
         if new:
             entries[(0, e)] = len(new)
             chosen.extend(new)
+
+    if max_step and 0 < z < degree_bound:  # I ⊂ m and (S/I)_z = 0 (Koszul)
+        koszul = BettiTable(_koszul_entries(_generator_terms(ideal), z, max_step, degree_bound))
+        if {key: b for key, b in koszul.entries.items() if key[0] == 0} != entries:
+            raise RuntimeError("Koszul homology disagrees with the minimal generators")
+        return koszul
 
     level = _vector_terms([(gens[j],) for j in chosen], ring.n)
     shifts = [degs[j] for j in chosen]

@@ -275,6 +275,31 @@ def test_cli_oracle_bound_below_generators_exit2(capsys, tmp_path):
     assert capsys.readouterr().out.split() == "0 1 total:2 1 2: 1 . 3: 1 . 4: . 1".split()
 
 
+@pytest.mark.parametrize("names, gens, argv, code, out", [
+    # the unit ideal: level 0 finds (S/I)_0 = 0, and I ⊄ m keeps the search
+    ("x y", "1 x", [], 0, "0 total:1 0: 1"),
+    ("x y", "1 x", ["--bound", "0"], 2, ""),
+    ("x y", "", [], 0, "(empty Betti table)"),
+    # (x, y, z)^2 takes the Koszul path unless max_step = 0
+    ("x y z", "x^2 x*y y^2 x*z y*z z^2", ["--max-step", "0"], 0, "0 total:6 2: 6"),
+    ("x y z", "x^2 x*y y^2 x*z y*z z^2", ["--max-step", "1"], 0, "0 1 total:6 8 2: 6 8"),
+    ("x y z", "x^2 x*y y^2 x*z y*z z^2", ["--max-step", "7", "--bound", "4"], 0,
+     "0 1 2 total:6 8 3 2: 6 8 3"),
+    # (x, y^3): level 0 finds z = 3, the search runs at bound 3, Koszul above
+    ("x y", "x y^3", ["--bound", "2"], 2, ""),
+    ("x y", "x y^3", ["--bound", "3"], 0, "0 total:2 1: 1 3: 1"),
+    ("x y", "x y^3", ["--max-step", "5", "--bound", "4"], 0, "0 1 total:2 1 1: 1 . 3: 1 1"),
+])
+def test_cli_oracle_betti_edges(capsys, tmp_path, names, gens, argv, code, out):
+    """`oracle betti` on the inputs at the edges of its Koszul path."""
+    path = tmp_path / "edge.ideal"
+    path.write_text(f"field 32003\nvars {names}\nideal:\n" + "".join(f + "\n" for f in gens.split()))
+    assert run(["oracle", "betti", str(path)] + argv) == code
+    captured = capsys.readouterr()
+    assert captured.out.split() == out.split()
+    assert ("degree_bound below" in captured.err) == bool(code)
+
+
 def test_cli_tangent_of_the_unit_ideal_exit2(capsys, tmp_path):
     """The engine's and the oracle's tangent both refuse the unit ideal."""
     path = tmp_path / "unit.ideal"

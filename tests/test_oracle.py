@@ -228,21 +228,43 @@ def betti_kernel_degrees(monkeypatch, ideal, max_step, bound):
 
 
 def test_betti_search_stops_where_tor_vanishes(monkeypatch):
-    """(S/Γ)_4 = 0 for Γ = twisted cubic + m^4, so step s builds no kernel
-    above degree s + 4, and bounds 8 and 12 build the same kernels and
-    give the same table.  The twisted cubic itself never vanishes: every
-    step with generators still searches up to the bound."""
+    """(S/Γ)_4 = 0 for Γ = twisted cubic + m^4, and level 0 finds it: the
+    kept generators span S_4.  So the table is Koszul homology on the
+    quotient pieces of degree d < 4, built once each, with no kernel,
+    and bounds 8 and 12 build the same pieces and give the engine's
+    table.  The twisted cubic itself never vanishes: every step with
+    generators still searches up to the bound."""
+    from hfstrata.invariants import betti_table
+
     tc = twisted_cubic()
     gamma = ideal_sum(tc, maximal_ideal_power(tc.ring, 4))
-    table, steps = betti_kernel_degrees(monkeypatch, gamma, 6, 8)
-    assert (table, steps) == betti_kernel_degrees(monkeypatch, gamma, 6, 12)
-    assert len(steps) == 4  # steps 1..3 carry entries, step 4 finds none
-    for s, degrees in enumerate(steps, start=1):
-        assert max(degrees) == s + 4, (s, degrees)
+    quotient, runs = oracle._quotient_piece, []
+    for bound in (8, 12):
+        pieces = []
+
+        def recording(basis, mat, p):
+            pieces.append(basis.degree)
+            return quotient(basis, mat, p)
+
+        monkeypatch.setattr(oracle, "_quotient_piece", recording)
+        runs.append(betti_kernel_degrees(monkeypatch, gamma, 6, bound) + (pieces,))
+    assert runs[0] == runs[1]
+    table, steps, pieces = runs[0]
+    assert (steps, pieces) == ([[]], [0, 1, 2, 3])
+    assert table == betti_table(gamma)
 
     table, steps = betti_kernel_degrees(monkeypatch, tc, 6, 7)
     assert table.entries == {(0, 2): 3, (1, 3): 2}
     assert [max(degrees) for degrees in steps] == [7, 7]
+
+
+def test_koszul_row_zero_is_checked_against_the_generators(monkeypatch):
+    """A Koszul rank one too high changes row 0, which must then disagree
+    with level 0's selection and raise, not print a wrong table."""
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda a, p: rank(a, p) + 1)
+    with pytest.raises(RuntimeError):
+        betti_bruteforce(maximal_ideal_power(ring2(), 2), 3, 4)
 
 
 def test_oracle_euler_characteristic(corpus):

@@ -9,9 +9,15 @@ normal-form table avoids by reducing each product mod p before summing.
 The reference's Betti search runs up to the bound; on Artinian ideals,
 the random ones plus a power of the maximal ideal, the oracle's stop
 where Tor vanishes cuts every step.  The reference's tangent lifts every
-syzygy, the oracle's only the minimal ones.  Also `linalg.nullspace` against its former scalar loop, and the three
-facts the Betti selection in kernel coordinates rests on.
+syzygy, the oracle's only the minimal ones.  Both paths of the Betti
+table, Koszul homology where level 0 finds S/I vanishing below the
+bound and the search elsewhere, are also held to the engine's
+`betti_table`, with the path taken asserted.  Also `linalg.nullspace`
+against its former scalar loop, and the three facts the Betti
+selection in kernel coordinates rests on.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +27,10 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracle_reference as ref  # noqa: E402
-from hfstrata import linalg  # noqa: E402
+from hfstrata import linalg, oracle  # noqa: E402
 from hfstrata.field import PrimeField  # noqa: E402
-from hfstrata.groebner import Ideal  # noqa: E402
+from hfstrata.groebner import Ideal, ideal_sum, maximal_ideal_power  # noqa: E402
+from hfstrata.invariants import betti_table, regularity  # noqa: E402
 from hfstrata.oracle import (  # noqa: E402
     _free_rows,
     _units_kept,
@@ -34,17 +41,20 @@ from hfstrata.oracle import (  # noqa: E402
 )
 from hfstrata.ring import GREVLEX, LEX, MonomialOrder, RingContext, monomials_of_degree  # noqa: E402
 
+from conftest import build_corpus  # noqa: E402
+
 PRIMES = (2, 3, 32003, 2**31 - 1)
 SETTINGS = dict(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite
-def ideals(draw):
-    """Random forms, or products of random linear forms.  The second kind
-    has full-size coefficients in its syzygies and echelon forms, so at
-    p = 2^31 - 1 the tangent projection multiplies entries near 2^31."""
+def ideals(draw, low=1):
+    """Random forms in low..4 variables, or products of random linear
+    forms.  The second kind has full-size coefficients in its syzygies
+    and echelon forms, so at p = 2^31 - 1 the tangent projection
+    multiplies entries near 2^31."""
     p = draw(st.sampled_from(PRIMES))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(low, 4))
     order = draw(st.sampled_from((GREVLEX, LEX)))
     ring = RingContext("xyzw"[:n], PrimeField(p), MonomialOrder(order))
     top = 3 if n < 4 else 2
@@ -95,6 +105,51 @@ def test_betti_stop_matches_uncut_reference(ideal, k):
     gamma = Ideal(ring, list(ideal.generators) + power)
     bound = k + ring.n + 1
     assert betti_bruteforce(gamma, ring.n + 1, bound) == ref.betti(gamma, ring.n + 1, bound)
+
+
+def assert_betti_path(ideal, max_step, bound):
+    """The oracle's table equals the reference's search and the engine's
+    table in the same window, and the Koszul pass ran exactly when level
+    0 finds z < bound: when some generator degree 0 < e < bound has
+    (S/I)_e = 0, the generators kept there spanning S_e."""
+    with mock.patch.object(oracle, "_koszul_entries", wraps=oracle._koszul_entries) as koszul:
+        table = betti_bruteforce(ideal, max_step, bound)
+    assert table == ref.betti(ideal, max_step, bound)
+    engine = {(i, j): b for (i, j), b in betti_table(ideal).items() if i <= max_step and j <= bound}
+    assert table.entries == engine
+    degs = {f.homogeneous_degree() for f in ideal.generators}
+    vanishes = any(0 < e < bound and ref.hf(ideal, e) == 0 for e in degs)
+    assert koszul.called == (max_step > 0 and vanishes)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(ideals(low=2), st.integers(0, 3), st.data())
+def test_betti_paths_match_reference_and_engine(ideal, k, data):
+    """Random forms in 2-4 variables, alone (k = 0) or plus all monomials
+    of degree k, at bounds 0-n above the top generator degree and every
+    max_step up to n + 1: both sides of the Koszul selection, z = bound
+    among them, against the search of `oracle_reference`."""
+    ring = ideal.ring
+    if k:
+        k = min(k, 2) if ring.n == 4 else k  # keeps the reference's kernels small
+        power = [ring.from_terms([(m, 1)]) for m in monomials_of_degree(ring.n, k, ring.order.kind)]
+        ideal = Ideal(ring, list(ideal.generators) + power)
+    elif not ideal.generators:
+        return
+    top = max(f.homogeneous_degree() for f in ideal.generators)
+    bound = top + data.draw(st.integers(0, ring.n))
+    assert_betti_path(ideal, data.draw(st.integers(0, ring.n + 1)), bound)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_betti_paths_on_corpus_truncations(p):
+    """Every nonzero corpus ideal plus m^m at m = reg + 2, at the bound
+    m + n - 1 of its last strand: all take the Koszul path."""
+    for ideal in build_corpus(p=p).values():
+        if ideal.is_zero_ideal():
+            continue
+        m, n = regularity(ideal) + 2, ideal.ring.n
+        assert_betti_path(ideal_sum(ideal, maximal_ideal_power(ideal.ring, m)), n, m + n - 1)
 
 
 @settings(max_examples=60, **SETTINGS)
