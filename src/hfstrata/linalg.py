@@ -9,8 +9,8 @@ Two kernels use them:
 
 - `rref_inplace`, the reduced row echelon form, follows the loop with
   back-substitution (`_rref_loop`), for the callers that read
-  R[:rank, free]: `rref`, `nullspace`, the oracle's quotient pieces and
-  normal-form tables.
+  R[:rank, free]: `rref` (the oracle's quotient pieces and normal-form
+  tables) and `nullspace`.
 - `pivot_columns`, for the callers that read only a rank or pivot
   columns: `rank` (the oracle's Hilbert values and syzygy counts, the
   tangent rank, the Koszul ranks in `invariants`, the ranks in `deform`)
@@ -40,17 +40,31 @@ multiples of one form have distinct leads: on the Fermat cubic curve's
 matrices of one round of the `oracle` benchmark workload the kernels'
 time drops by a third.
 
-Before eliminating, `pivot_columns` and `nullspace` peel singleton rows
-until none are left (`_peeled_block`).  A row whose one nonzero sits in
-column c makes c a pivot column, since every column left of c is zero
-in that row.  Dropping that row and column c leaves the other pivot
-columns unchanged, since clearing column c with that row changes no
-other entry, and column c is zero in every kernel vector.  Multiples of
-monomials are singleton rows: on the matrices of one round of each
-benchmark workload, the peel removes 68% of the cells of the Koszul
-ranks in `verify-prop31`, and 75% of those of `hf_bruteforce`, where it
-cuts elimination time by a third to two thirds.  Matrices without
-singleton rows pay only for the nonzero pattern.
+Before eliminating, `rref`, `pivot_columns` and `nullspace` peel
+singleton rows until none are left (`_peeled_block`).  A row whose one
+nonzero sits in column c makes c a pivot column, since every column left
+of c is zero in that row.  Dropping that row and column c leaves the
+other pivot columns unchanged, since clearing column c with that row
+changes no other entry, and column c is zero in every kernel vector;
+the RREF row of c is the unit vector e_c.  Multiples of monomials are
+singleton rows: on the matrices of one round of each benchmark workload,
+the peel removes 68% of the cells of the Koszul ranks in
+`verify-prop31`, and 75% of those of `hf_bruteforce`, where it cuts
+elimination time by a third to two thirds.  Matrices without singleton
+rows pay only for one pass over their nonzeros.
+
+Sparse input: `rref`, `rank`, `pivot_columns`, `nullspace` and
+`greedy_independent_rows` take a dense array or a `SparseMatrix`, row,
+column and value arrays with a shape, whose `.T` swaps them.  The peel
+runs once, for both, on the list of nonzeros, with row counts from
+`np.bincount` (`_peel`): a dense input's list comes from one `nonzero`
+pass over a working copy, from which the block it leaves is gathered; a
+sparse input's entries left are scattered into a fresh block.  So a
+sparse input is written out dense only as that block.  The oracle's
+matrices of multiples and Koszul differentials come as lists: the Fermat
+cubic curve's degree-10 piece is 10% nonzero, and the Koszul
+differentials of Γ = I_Y + m^4 for the rational normal curve in P^8 are
+0.16% nonzero.
 
 Dense matrices are C-contiguous int64 arrays with entries reduced into
 [0, p).  Reducing mod p costs far more than the row update it follows,
@@ -69,8 +83,8 @@ exact: each of its products multiplies residues over an inner dimension
 of at most len(T) <= k, or rank(W) <= k, so its sums stay within int64
 until the block is reduced once.  The eager side runs the pivot loop on
 the whole matrix.  The RREF is unique, so both sides give the same
-output.  The peel reduces its working copy only
-if an entry lies outside [0, p).
+output.  The peel reduces a dense working copy only if an entry lies
+outside [0, p), and a sparse input's values always.
 
 One sparse kernel, `echelon_insert`, serves the engine's Nakayama
 selection, whose rows are monomial multiples of a few vectors and about
@@ -93,13 +107,22 @@ def as_matrix(rows, ncols):
 
 
 def rref(a, p):
-    """Reduced row echelon form of a copy; returns (rref, rank, pivots)."""
-    a = np.array(a, dtype=np.int64, order="C")
-    a %= p
-    if a.size == 0:
-        return a, 0, []
-    rank, pivots = rref_inplace(a, p)
-    return a, rank, pivots
+    """Reduced row echelon form of a dense or sparse (`SparseMatrix`)
+    matrix, as a new dense one; returns (rref, rank, pivots).
+
+    Singleton rows are peeled first (`_peeled_block`) and only the block
+    they leave is reduced.  A peeled column's row of the RREF is its
+    unit vector, since its singleton row, cleared by the rows peeled
+    before it, is a multiple of it; the block's RREF rows, zero in the
+    peeled columns, are the other rows."""
+    work, pivots, cols = _peeled_block(a, p)
+    rank, block_pivots = rref_inplace(work, p) if work.size else (0, [])
+    pivots[cols[block_pivots]] = True
+    at = pivots.nonzero()[0]
+    out = np.zeros(np.shape(a), dtype=np.int64)
+    out[np.arange(len(at)), at] = 1
+    out[np.searchsorted(at, cols[block_pivots])[:, None], cols] = work[:rank]
+    return out, len(at), at.tolist()
 
 
 def _lazy(shape, p):
@@ -107,27 +130,51 @@ def _lazy(shape, p):
     return p + min(shape) * p * (p - 1) < 2**63
 
 
-def _peel_singletons(nz):
-    """Clear the columns of singleton rows of the nonzero pattern nz, in
-    place, until no row has exactly one nonzero; returns their mask and
-    the nonzeros left in each row.
+class SparseMatrix:
+    """A matrix given by its nonzeros: int arrays `row`, `col` and `val`
+    of one length, at distinct positions, and a `shape`.  Values need
+    not be reduced mod p, and may be zero mod p.  `.T` swaps the rows
+    and the columns."""
 
-    Masks and fancy indexing only, which the kernels use anyway: the
-    first call of another numpy routine (np.unique, a boolean |= or
-    any) raises peak RSS by faulting in more of numpy's code.
+    __slots__ = ("row", "col", "val", "shape")
+
+    def __init__(self, row, col, val, shape):
+        self.row, self.col, self.val, self.shape = row, col, val, tuple(shape)
+
+    @property
+    def T(self):
+        return SparseMatrix(self.col, self.row, self.val, self.shape[::-1])
+
+
+def _peel(row, col, shape):
+    """Peel singleton rows off the nonzeros at (row, col) of a matrix of
+    this shape until no row has exactly one; returns the mask of the
+    peeled columns, the rows and the columns left nonzero, and the
+    positions in (row, col) of the entries left.
+
+    Each round marks the columns of the singleton rows peeled, lowers
+    the row counts, from `np.bincount`, by the entries in those columns,
+    and drops those entries, so that later rounds read only what is
+    left.  Masks, fancy indexing and `np.bincount` only: the first call
+    of another numpy routine (np.unique, a boolean |= or any) raises
+    peak RSS by faulting in more of numpy's code.
     """
-    counts = nz.sum(axis=1)
-    peeled = np.zeros(nz.shape[1], dtype=bool)
+    m, n = shape
+    counts = np.bincount(row, minlength=m)
+    peeled = np.zeros(n, dtype=bool)
+    at = np.arange(len(row))
     while True:
-        single = (counts == 1).nonzero()[0]
+        single = (counts == 1)[row].nonzero()[0]
         if not single.size:
-            return peeled, counts
-        hit = np.zeros_like(peeled)  # one entry per column, however many rows share it
-        hit[nz[single].nonzero()[1]] = True
-        cols = hit.nonzero()[0]
-        counts -= nz[:, cols].sum(axis=1)
-        nz[:, cols] = False
-        peeled[cols] = True
+            break
+        peeled[col[single]] = True  # one entry per column, however many rows share it
+        hit = peeled[col]
+        counts -= np.bincount(row[hit.nonzero()[0]], minlength=m)
+        keep = (~hit).nonzero()[0]
+        row, col, at = row[keep], col[keep], at[keep]
+    left = np.zeros(n, dtype=bool)
+    left[col] = True
+    return peeled, counts.nonzero()[0], left.nonzero()[0], at
 
 
 def _forward_pivots(a, p):
@@ -365,17 +412,32 @@ def rref_inplace(a, p):
 
 
 def _peeled_block(a, p):
-    """(block, peeled, cols): singleton rows peeled from the nonzero
-    pattern of one working copy of a reduced mod p, the mask of the
-    columns they peeled, and the block of the rows and the columns
-    `cols` they leave nonzero, gathered only if the peel removed any.
-    The copy is reduced only if an entry lies outside [0, p)."""
+    """(block, peeled, cols): singleton rows peeled (`_peel`) from a
+    dense or sparse (`SparseMatrix`) matrix reduced mod p, the mask of
+    the columns they peeled, and the block, reduced mod p, of the rows
+    and the columns `cols` they leave nonzero.
+
+    A dense a is copied, the copy reduced only if an entry lies outside
+    [0, p), read by one `nonzero` pass, and gathered only if the peel
+    removed any of it.  A sparse a has its entries left nonzero mod p
+    peeled, and those left scattered into a fresh block."""
+    if isinstance(a, SparseMatrix):
+        row, col, val = a.row, a.col, a.val % p
+        nz = val.nonzero()[0]
+        if nz.size < val.size:
+            row, col, val = row[nz], col[nz], val[nz]
+        peeled, rows, cols, at = _peel(row, col, a.shape)
+        work = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        to_row = np.zeros(a.shape[0], dtype=np.intp)
+        to_row[rows] = np.arange(len(rows))
+        to_col = np.zeros(a.shape[1], dtype=np.intp)
+        to_col[cols] = np.arange(len(cols))
+        work[to_row[row[at]], to_col[col[at]]] = val[at]
+        return work, peeled, cols
     work = np.array(a, dtype=np.int64, order="C", ndmin=2)
     if work.size and (work.min() < 0 or work.max() >= p):
         work %= p
-    nz = work != 0
-    peeled, counts = _peel_singletons(nz)
-    rows, cols = counts.nonzero()[0], nz.sum(axis=0).nonzero()[0]
+    peeled, rows, cols, _ = _peel(*work.nonzero(), work.shape)
     if rows.size < work.shape[0] or cols.size < work.shape[1]:
         work = work[rows[:, None], cols]
     return work, peeled, cols
@@ -469,4 +531,4 @@ def greedy_independent_rows(m, p):
     The pivot columns of the transpose, so earlier rows win ties; used
     for Nakayama-style minimal generator selection.
     """
-    return pivot_columns(np.asarray(m, dtype=np.int64).T, p)
+    return pivot_columns(m.T if isinstance(m, SparseMatrix) else np.asarray(m, dtype=np.int64).T, p)

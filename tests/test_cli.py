@@ -310,6 +310,27 @@ def test_cli_tangent_of_the_unit_ideal_exit2(capsys, tmp_path):
         assert (captured.out, captured.err) == ("", "error: tangent space of the unit ideal is undefined\n"), argv
 
 
+def test_cli_oracle_refuses_codes_past_int64(capsys, tmp_path):
+    """In 40 variables the oracle's monomial codes fit in int64 up to
+    degree 2, 2 * 3**39 < 2**63, and not from degree 3 on: every mode
+    that reaches degree 3 exits 3 with a typed error and prints no value,
+    where wrapped codes once printed h_3 = 11414 and 14 cubic syzygies.
+    The engine's h_3 is the complete intersection's C(42, 3) - 2 * 40."""
+    path = tmp_path / "wide.ideal"
+    names = " ".join(f"x{i}" for i in range(40))
+    path.write_text(f"field 32003\nvars {names}\nideal:\nx0*x1 + x2^2\nx3*x39\n")
+    assert run(["oracle", "hilb", str(path), "--up-to", "2"]) == 0
+    assert capsys.readouterr() == ("1 40 818\n", "")
+    assert run(["hilb", str(path), "--up-to", "3"]) == 0
+    assert capsys.readouterr().out.split() == ["1", "40", "818", "11400"]
+    for mode, *argv in (["hilb", "--up-to", "3"], ["syz", "--bound", "4"], ["tangent", "--bound", "4"],
+                        ["betti", "--max-step", "2", "--bound", "4"]):
+        assert run(["oracle", mode, str(path)] + argv) == 3, mode
+        out, err = capsys.readouterr()
+        assert out == "", mode
+        assert err.startswith("error: the oracle's codes of monomials of degree 3 in 40 variables"), (mode, err)
+
+
 def test_python_m_hfstrata_from_a_checkout(tc_file):
     """`PYTHONPATH=src python -m hfstrata` runs the CLI without an install."""
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hfstrata import groebner, linalg
@@ -165,10 +166,13 @@ def test_twisted_cubic_syzygies_linear():
 
 def vector_multiples(ring, vectors, shifts, degree):
     """The oracle's matrix of the degree-`degree` monomial multiples of
-    module vectors in ⊕ S(-shifts): one row per vector and multiplier,
-    vectors in order, multipliers descending."""
+    module vectors in ⊕ S(-shifts), written out dense: one row per vector
+    and multiplier, vectors in order, multipliers descending."""
     degs = [groebner.vector_degree(v, shifts) for v in vectors]
-    return _multiples(_vector_terms(vectors, ring.n), *_unknowns(ring, degs, degree))
+    mat = _multiples(_vector_terms(vectors, ring.n), *_unknowns(ring, degs, degree))
+    dense = np.zeros(mat.shape, dtype=np.int64)
+    dense[mat.row, mat.col] = mat.val
+    return dense
 
 
 def syzygy_span_rank(ring, shifts, basis, degree):

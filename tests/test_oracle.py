@@ -4,13 +4,14 @@ import pytest
 from hfstrata import cli, linalg, oracle
 from hfstrata.field import PrimeField
 from hfstrata.deform import tangent_space
-from hfstrata.errors import ParameterError
+from hfstrata.errors import ParameterError, ResourceLimitError
 from hfstrata.groebner import Ideal, ideal_sum, maximal_ideal_power
 from hfstrata.invariants import HilbertSeries, hilbert_function, hilbert_series, regularity
 from hfstrata.ring import RingContext
 from hfstrata.strata import random_forms
 from hfstrata.oracle import (
     GradedPieceBasis,
+    _code_weights,
     _generator_terms,
     _ideal_piece,
     _quotient_piece,
@@ -36,9 +37,21 @@ def test_graded_piece_basis_is_shared_and_read_only():
     basis = GradedPieceBasis(twisted_cubic().ring, 4)
     assert GradedPieceBasis(twisted_cubic().ring, 4) is basis
     assert GradedPieceBasis(ring2(), 4) is not basis
-    for array in (basis.exps, basis._perm, basis._sorted):
+    for array in (basis.exps, basis.weights, basis._perm, basis._sorted):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_code_weights_refuse_codes_past_int64():
+    """The largest code is checked before any is built: in 40 variables
+    the degree-2 monomials fit, the top one x_39^2 at 2 * 3^39 < 2^63,
+    but not two components of them, nor the degree-3 monomials."""
+    weights, step = _code_weights(40, 3, 2)
+    assert int(np.array([0] * 39 + [2]) @ weights) == 2 * 3**39 == step - 1
+    for args in ((40, 3, 2, 2), (40, 4, 3)):
+        with pytest.raises(ResourceLimitError, match="exceed int64"):
+            _code_weights(*args)
+    assert _code_weights(3, 2, 9)[1] == 2**3  # below radix**n, whatever the degree
 
 
 def test_hf_hand_counts():
