@@ -2,11 +2,11 @@
 
 `rref_inplace` builds the reduced row echelon form, for callers that
 read its rows; `rank` finds only the pivot columns, after peeling
-singleton rows, for callers that read a rank.  On the lazy side both
-first split the rows (`linalg._split_rows`): the first row with each
-leading column pivots without elimination, and only the Schur
-complement of the others goes through the pivot loop.  This times both
-on the same matrices, beside the pivot loop alone on the whole matrix
+singleton rows, for callers that read a rank.  At every p both first
+split the rows (`linalg._split_rows`): the first row with each leading
+column pivots without elimination, and only the Schur complement of the
+others goes through the pivot loop.  This times both on the same
+matrices, beside the pivot loop alone on the whole matrix
 (`loop`: `_rref_loop`, the RREF without the split, and `forward`:
 `_forward_pivots`, forward elimination without peel or split), best of
 a few runs per size, and checks that all four find the same rank.
@@ -22,12 +22,12 @@ nearest the size's column count, and at most the size's row count of
 those rows, drawn at random and kept in order.  Its line gives the
 shape it was built at.
 
-Each prime of `--p` gets its own matrices, and the default covers both
-sides of `linalg._lazy`.  The `side` column says whether eliminating the
-whole matrix leaves updated rows unreduced (`lazy`: the unreduced sums
-fit in int64, as at p = 32003 at every size; the split runs there) or
-reduces them after every update (`eager`: at p = 2^31 - 1 from
-min(m, n) = 3 on; no split).  `rank` decides on the block the peel
+Each prime of `--p` gets its own matrices, and its header line gives
+`linalg._budget(p)`, how many unreduced row updates an entry can take
+within int64.  The pivot loop leaves updated rows unreduced on a block
+whose min(m, n) is within it, as at p = 32003 at every size, and
+reduces each updated block at once beyond it, as at p = 2^31 - 1
+(budget 2) from min(m, n) = 3 on.  `rank` decides on the block the peel
 leaves.
 
 Usage:
@@ -41,7 +41,7 @@ import time
 
 import numpy as np
 
-from hfstrata.linalg import _forward_pivots, _lazy, _rref_loop, rank, rref_inplace
+from hfstrata.linalg import _budget, _forward_pivots, _rref_loop, rank, rref_inplace
 from hfstrata.ring import GREVLEX, monomials_of_degree
 
 
@@ -102,9 +102,9 @@ def main():
         sizes.append((int(m), int(n)))
 
     for p in (int(token) for token in args.p.split(",")):
-        print(f"p = {p}, repeat = {args.repeat} (best of)")
+        print(f"p = {p}, budget = {_budget(p)}, repeat = {args.repeat} (best of)")
         print(
-            f"{'size':>10} {'family':>10} {'side':>6} {'rref_inplace':>14} {'loop':>12}"
+            f"{'size':>10} {'family':>10} {'rref_inplace':>14} {'loop':>12}"
             f" {'forward':>12} {'rank':>12} {'value':>6}"
         )
         for m, n in sizes:
@@ -113,7 +113,6 @@ def main():
                     base = macaulay_matrix(rng, m, n, p)
                 else:
                     base = random_matrix(rng, m, n, p, singleton_share=share)
-                side = "lazy" if _lazy(base.shape, p) else "eager"
                 t_rref, (r_rref, _) = bench(rref_inplace, base, p, args.repeat)
                 t_loop, (r_loop, _) = bench(_rref_loop, base, p, args.repeat)
                 t_fwd, pivots = bench(_forward_pivots, base, p, args.repeat)
@@ -121,7 +120,7 @@ def main():
                 assert r_rank == r_rref == r_loop == len(pivots), (p, m, n, label, r_rank, r_rref, r_loop)
                 size = "x".join(map(str, base.shape))
                 print(
-                    f"{size:>10} {label:>10} {side:>6} {t_rref * 1e3:>12.2f}ms"
+                    f"{size:>10} {label:>10} {t_rref * 1e3:>12.2f}ms"
                     f" {t_loop * 1e3:>10.2f}ms {t_fwd * 1e3:>10.2f}ms"
                     f" {t_rank * 1e3:>10.2f}ms {r_rank:>6}"
                 )

@@ -3,9 +3,8 @@
 One dense elimination, in two steps.  The pivot loop, `_forward_pivots`,
 is forward elimination in place, vectorized over rows with numpy,
 pivoting on the first nonzero row at or below the rank, columns left to
-right, with no scaling of pivot rows.  On the lazy side (below) a split
-of the rows comes first, and only what it leaves goes through the loop.
-Two kernels use them:
+right, with no scaling of pivot rows.  A split of the rows comes first,
+and only what it leaves goes through the loop.  Two kernels use them:
 
 - `rref_inplace`, the reduced row echelon form, follows the loop with
   back-substitution (`_rref_loop`), for the callers that read
@@ -51,40 +50,36 @@ singleton rows: on the matrices of one round of each benchmark workload,
 the peel removes 68% of the cells of the Koszul ranks in
 `verify-prop31`, and 75% of those of `hf_bruteforce`, where it cuts
 elimination time by a third to two thirds.  Matrices without singleton
-rows pay only for one pass over their nonzeros.
+rows pay only for one pass over their nonzeros and the block's scatter.
 
 Sparse input: `rref`, `rank`, `pivot_columns`, `nullspace` and
 `greedy_independent_rows` take a dense array or a `SparseMatrix`, row,
 column and value arrays with a shape, whose `.T` swaps them.  The peel
-runs once, for both, on the list of nonzeros, with row counts from
-`np.bincount` (`_peel`): a dense input's list comes from one `nonzero`
-pass over a working copy, from which the block it leaves is gathered; a
-sparse input's entries left are scattered into a fresh block.  So a
-sparse input is written out dense only as that block.  The oracle's
-matrices of multiples and Koszul differentials come as lists: the Fermat
-cubic curve's degree-10 piece is 10% nonzero, and the Koszul
-differentials of Γ = I_Y + m^4 for the rational normal curve in P^8 are
-0.16% nonzero.
+runs on the list of nonzeros, with row counts from `np.bincount`
+(`_peel`), and the entries it leaves are scattered into a fresh block; a
+dense input's list comes from one `nonzero` pass and one gather of its
+values.  So no input is copied whole before the peel, and a sparse one
+is written out dense only as that block.  The oracle's matrices of
+multiples and Koszul differentials come as lists: the Fermat cubic
+curve's degree-10 piece is 10% nonzero, and the Koszul differentials of
+Γ = I_Y + m^4 for the rational normal curve in P^8 are 0.16% nonzero.
 
 Dense matrices are C-contiguous int64 arrays with entries reduced into
 [0, p).  Reducing mod p costs far more than the row update it follows,
-so each elimination decides once, from p and the shape, whether it can
-leave updated entries unreduced (delayed reduction, as in FFLAS-FFPACK:
-Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  An update subtracts a
-product of two residues, at most (p - 1)**2, and an entry takes at most
-one update per pivot, in forward elimination and in back-substitution
-alike.  So when p + k*p*(p - 1) < 2**63 with k = min(m, n), the lazy
-side reduces only what it reads, the column searched for a pivot and the
-pivot row, and the whole matrix once at the end of each pass.  That holds
-at every size for p <= 32003, up to k = 8 at p = 1073741789 and up to
-k = 2 at p = 2**31 - 1; otherwise each updated block is reduced at once.
-The split runs exactly on the lazy side, and the same bound makes it
-exact: each of its products multiplies residues over an inner dimension
-of at most len(T) <= k, or rank(W) <= k, so its sums stay within int64
-until the block is reduced once.  The eager side runs the pivot loop on
-the whole matrix.  The RREF is unique, so both sides give the same
-output.  The peel reduces a dense working copy only if an entry lies
-outside [0, p), and a sparse input's values always.
+so updated entries are left unreduced while their sums fit in int64
+(delayed reduction, as in FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM
+TOMS 35(3), 2008).  An update subtracts a product of two residues, at
+most (p - 1)**2, so a residue can take `_budget(p)` of them, the largest
+k with p + k*p*(p - 1) < 2**63: about 9e9 at p = 32003, 8 at
+p = 1073741789 and 2 at p = 2**31 - 1.  That is the one fact about p
+the kernels read.  The split's products reduce after each run of
+`_budget(p)` inner columns (`_subtract_product`).  In the pivot loop an
+entry takes at most one update per pivot, in forward elimination and in
+back-substitution alike, so when min(m, n) is within the budget the
+loop reduces only what it reads, the column searched for a pivot and
+the pivot row, and the whole matrix once at the end of each pass;
+beyond it each updated block is reduced at once.  Input values are
+reduced once, as the peel gathers them.
 
 One sparse kernel, `echelon_insert`, serves the engine's Nakayama
 selection, whose rows are monomial multiples of a few vectors and about
@@ -125,9 +120,10 @@ def rref(a, p):
     return out, len(at), at.tolist()
 
 
-def _lazy(shape, p):
-    """Whether min(shape) unreduced row updates stay within int64."""
-    return p + min(shape) * p * (p - 1) < 2**63
+def _budget(p):
+    """The largest k with p + k*p*(p - 1) < 2**63: how many products of
+    two residues a residue can take, unreduced, within int64."""
+    return (2**63 - 1 - p) // (p * (p - 1))
 
 
 class SparseMatrix:
@@ -146,11 +142,11 @@ class SparseMatrix:
         return SparseMatrix(self.col, self.row, self.val, self.shape[::-1])
 
 
-def _peel(row, col, shape):
-    """Peel singleton rows off the nonzeros at (row, col) of a matrix of
-    this shape until no row has exactly one; returns the mask of the
+def _peel(row, col, val, shape):
+    """Peel singleton rows off the nonzeros val at (row, col) of a matrix
+    of this shape until no row has exactly one; returns the mask of the
     peeled columns, the rows and the columns left nonzero, and the
-    positions in (row, col) of the entries left.
+    entries left as (row, col, val).
 
     Each round marks the columns of the singleton rows peeled, lowers
     the row counts, from `np.bincount`, by the entries in those columns,
@@ -162,7 +158,6 @@ def _peel(row, col, shape):
     m, n = shape
     counts = np.bincount(row, minlength=m)
     peeled = np.zeros(n, dtype=bool)
-    at = np.arange(len(row))
     while True:
         single = (counts == 1)[row].nonzero()[0]
         if not single.size:
@@ -171,10 +166,10 @@ def _peel(row, col, shape):
         hit = peeled[col]
         counts -= np.bincount(row[hit.nonzero()[0]], minlength=m)
         keep = (~hit).nonzero()[0]
-        row, col, at = row[keep], col[keep], at[keep]
+        row, col, val = row[keep], col[keep], val[keep]
     left = np.zeros(n, dtype=bool)
     left[col] = True
-    return peeled, counts.nonzero()[0], left.nonzero()[0], at
+    return peeled, counts.nonzero()[0], left.nonzero()[0], (row, col, val)
 
 
 def _forward_pivots(a, p):
@@ -183,24 +178,24 @@ def _forward_pivots(a, p):
     Rows at or below the rank are zero mod p left of the current column,
     so a swap moves only columns c onwards.  The row it moves down was
     zero in column c, the pivot being the first nonzero, so the other
-    nonzero rows r + nz[1:] keep their places.  On the lazy side
-    (`_lazy`) the updated rows are left unreduced, and so are the entries
-    this clears, which are multiples of p: only the column searched and
-    the pivot row are reduced, in place, before they are read.  When
-    every row below the pivot is nonzero in its column, as on a dense
-    matrix, the update runs in place on that slice; otherwise the rows
-    it touches are gathered and scattered back.
+    nonzero rows r + nz[1:] keep their places.  The column searched and
+    the pivot row are reduced, in place, before they are read.  The
+    updated rows are left unreduced, and so are the entries this clears,
+    which are multiples of p, unless min(a.shape) exceeds `_budget(p)`:
+    then each updated block is reduced at once.  When every row below the
+    pivot is nonzero in its column, as on a dense matrix, the update runs
+    in place on that slice; otherwise the rows it touches are gathered
+    and scattered back.
     """
     m, n = a.shape
-    lazy = _lazy(a.shape, p)
+    eager = _budget(p) < min(a.shape)
     r = 0
     pivots = []
     for c in range(n):
         if r >= m:
             break
         col = a[r:, c]
-        if lazy:
-            col %= p
+        col %= p
         nz = col.nonzero()[0]
         if nz.size == 0:
             continue
@@ -211,13 +206,12 @@ def _forward_pivots(a, p):
             a[r, c:] = row
         if nz.size > 1:
             pivot_row = a[r, c:]
-            if lazy:
-                pivot_row %= p
+            pivot_row %= p
             full = nz.size == m - r  # every row below the pivot is updated
             rows = r + nz[1:]
             blk = a[r + 1 :, c:] if full else a[rows, c:]
             blk -= (blk[:, :1] * pow(int(a[r, c]), p - 2, p) % p) * pivot_row
-            if not lazy:
+            if eager:
                 blk %= p
             if not full:
                 a[rows, c:] = blk
@@ -233,13 +227,13 @@ def _rref_loop(a, p):
     Forward elimination (`_forward_pivots`), pivot rows scaled to 1, then
     back-substitution from the bottom pivot up: each pivot column is
     cleared in the rows above, whose entries in the pivot columns below
-    are already zero.  On the lazy side (`_lazy`) each pass reduces the
-    column and the pivot row it reads, and the matrix once at its end.
+    are already zero.  Each pass reduces the column and the pivot row it
+    reads, each updated block too beyond `_budget(p)` (as in
+    `_forward_pivots`), and the matrix once at its end.
     """
-    lazy = _lazy(a.shape, p)
+    eager = _budget(p) < min(a.shape)
     pivots = _forward_pivots(a, p)
-    if lazy:
-        a %= p
+    a %= p
     rank = len(pivots)
     top = a[:rank]
     top *= np.array([pow(int(v), p - 2, p) for v in top[np.arange(rank), pivots]], dtype=np.int64)[:, None]
@@ -247,20 +241,17 @@ def _rref_loop(a, p):
     for r in range(rank - 1, 0, -1):
         c = pivots[r]
         col = a[:r, c]
-        if lazy:
-            col %= p
+        col %= p
         rows = col.nonzero()[0]
         if rows.size:
             pivot_row = a[r, c:]
-            if lazy:
-                pivot_row %= p
+            pivot_row %= p
             blk = a[rows, c:]
             blk -= blk[:, :1] * pivot_row
-            if not lazy:
+            if eager:
                 blk %= p
             a[rows, c:] = blk
-    if lazy:
-        top %= p
+    top %= p
     return rank, pivots
 
 
@@ -289,41 +280,50 @@ def _split_rows(nz):
     return top, cols, live.nonzero()[0]
 
 
-def _subtract_product(out, pattern, src, rows, cols, x):
-    """out -= M x for M = src[rows][:, cols], whose nonzero pattern is
-    `pattern`, unreduced.
+def _subtract_product(out, pattern, src, rows, cols, x, p):
+    """out -= M x mod p for M = src[rows][:, cols], whose nonzero pattern
+    is `pattern`, with residues in out, src and x; out ends reduced.
 
-    A block at least a sixteenth nonzero takes one int64 product.  A
-    sparser one takes one pass per k, each subtracting the k-th nonzero
-    of every row that has one times its row of x, so that its work
-    follows M's nonzeros, as the pivot loop's does: on the largest
-    matrix of the octic's `verify-prop31`, 5941 x 2698 and 0.4%
-    nonzero, dense products took 17 times the loop's time.  The
-    sixteenth is what one multiply-add in the product costs against one
-    entry of a pass, the pass's fixed cost included.  Either way, for
-    residues in src and x, an entry of out moves by at most (p - 1)**2
-    per nonzero of its row of M.  Rows go len(x) at a time, so that no
-    temporary outgrows x.
+    A block at least a sixteenth nonzero takes int64 products.  A sparser
+    one takes one pass per k, each subtracting the k-th nonzero of every
+    row that has one times its row of x, so that its work follows M's
+    nonzeros, as the pivot loop's does: on the largest matrix of the
+    octic's `verify-prop31`, 5941 x 2698 and 0.4% nonzero, dense
+    products took 17 times the loop's time.  The sixteenth is what one
+    multiply-add in the product costs against one entry of a pass, the
+    pass's fixed cost included.  Either way an entry of out moves by at
+    most (p - 1)**2 per nonzero of its row of M, so out is reduced after
+    each product over a run of `_budget(p)` columns of M, or after every
+    `_budget(p)`-th pass.  Rows go len(x) at a time, so that no temporary
+    outgrows x, and each chunk of M is gathered before its rows of out
+    change, so that out may be src, as in `rref_inplace`.
     """
+    step = _budget(p)
     chunk = max(len(x), 1)
     for lo in range(0, len(out), chunk):
         part, mask = out[lo : lo + chunk], pattern[lo : lo + chunk]
         at_row, at_col = mask.nonzero()
         if 16 * len(at_row) >= mask.size:
-            part -= src[rows[lo : lo + chunk, None], cols] @ x
+            left = src[rows[lo : lo + chunk, None], cols]
+            for j in range(0, len(cols), step):
+                part -= left[:, j : j + step] @ x[j : j + step]
+                part %= p
             continue
         values = src[rows[lo + at_row], cols[at_col]]
         counts = mask.sum(axis=1)
         start = counts.cumsum() - counts
         for k in range(int(counts.max())):
+            if k and not k % step:
+                part %= p
             live = (counts > k).nonzero()[0]
             at = start[live] + k
-            step = x[at_col[at]]
-            step *= values[at, None]
+            term = x[at_col[at]]
+            term *= values[at, None]
             if live.size == len(part):
-                part -= step
+                part -= term
             else:
-                part[live] -= step
+                part[live] -= term
+        part %= p
 
 
 def _schur_complement(a, nz, top, lead, rest, p):
@@ -337,10 +337,8 @@ def _schur_complement(a, nz, top, lead, rest, p):
     R_B are the rows `rest` in the same columns, so the rows of a span
     those of [T | B] and [0 | W].  X is solved level by level: a level
     holds the rows of T whose off-diagonal nonzeros sit in rows solved
-    already, and takes one product with those rows and one scaling.
-    Every product (`_subtract_product`) has inner dimension at most
-    len(top) <= min(a.shape), so on the lazy side (`_lazy`) its
-    unreduced sums stay within int64.
+    already, and takes one product (`_subtract_product`) with those rows
+    and one scaling.
     """
     mask = np.ones(a.shape[1], dtype=bool)
     mask[lead] = False
@@ -358,8 +356,7 @@ def _schur_complement(a, nz, top, lead, rest, p):
         blk = x[level]
         used = dep[level].sum(axis=0).nonzero()[0]
         if used.size:
-            _subtract_product(blk, dep[level][:, used], a, top[level], lead[used], x[used])
-            blk %= p
+            _subtract_product(blk, dep[level][:, used], a, top[level], lead[used], x[used], p)
         blk *= inv[level, None]
         x[level] = blk % p
         pending -= dep[:, level].sum(axis=1)
@@ -367,8 +364,7 @@ def _schur_complement(a, nz, top, lead, rest, p):
         pending[level] = -1
     w = a[rest[:, None], free]
     if rest.size:
-        _subtract_product(w, nz[rest[:, None], lead], a, rest, lead, x)
-        w %= p
+        _subtract_product(w, nz[rest[:, None], lead], a, rest, lead, x, p)
         if not (w != 0).sum():  # as on the twisted cubic's Hilbert pieces
             w = w[:0]
     return free, x, w
@@ -378,18 +374,15 @@ def rref_inplace(a, p):
     """In-place reduced row echelon form of a, reduced mod p; returns
     (rank, pivot_columns).
 
-    The eager side (`_lazy`) runs the pivot loop (`_rref_loop`) on a.
-    The lazy side splits the rows first (`_split_rows`,
-    `_schur_complement`): scaled by T^-1, the pivot rows are [I | X] on
-    the lead columns and the free ones, and only the complement W takes
-    the loop.  With R the nonzero rows of W's RREF, which pivot on the
-    free columns P, the lead rows of the RREF are [I | X - X[:, P] R],
+    The rows are split first (`_split_rows`, `_schur_complement`):
+    scaled by T^-1, the pivot rows are [I | X] on the lead columns and
+    the free ones, and only the complement W takes the pivot loop
+    (`_rref_loop`).  With R the nonzero rows of W's RREF, which pivot on
+    the free columns P, the lead rows of the RREF are [I | X - X[:, P] R],
     one product more, since clearing the columns P of [I | X] with R
     changes no lead column.  The RREF is unique, so this is the loop's
-    output.
+    output on the whole of a.
     """
-    if not _lazy(a.shape, p):
-        return _rref_loop(a, p)
     nz = a != 0
     top, lead, rest = _split_rows(nz)
     free, x, w = _schur_complement(a, nz, top, lead, rest, p)
@@ -397,8 +390,7 @@ def rref_inplace(a, p):
     rank_w, pivots_w = _rref_loop(w, p)
     if rank_w:
         at_w = np.array(pivots_w, dtype=np.intp)
-        _subtract_product(x, x[:, at_w] != 0, x, np.arange(len(x)), at_w, w[:rank_w])
-        x %= p
+        _subtract_product(x, x[:, at_w] != 0, x, np.arange(len(x)), at_w, w[:rank_w], p)
     mask = np.zeros(a.shape[1], dtype=bool)
     mask[lead] = True
     mask[free[pivots_w]] = True
@@ -417,43 +409,36 @@ def _peeled_block(a, p):
     the columns they peeled, and the block, reduced mod p, of the rows
     and the columns `cols` they leave nonzero.
 
-    A dense a is copied, the copy reduced only if an entry lies outside
-    [0, p), read by one `nonzero` pass, and gathered only if the peel
-    removed any of it.  A sparse a has its entries left nonzero mod p
-    peeled, and those left scattered into a fresh block."""
+    A dense a is read as a nonzero list, by one `nonzero` pass and one
+    gather of its values.  The entries nonzero mod p are peeled, and
+    those left scattered into a fresh block."""
     if isinstance(a, SparseMatrix):
         row, col, val = a.row, a.col, a.val % p
-        nz = val.nonzero()[0]
-        if nz.size < val.size:
-            row, col, val = row[nz], col[nz], val[nz]
-        peeled, rows, cols, at = _peel(row, col, a.shape)
-        work = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        to_row = np.zeros(a.shape[0], dtype=np.intp)
-        to_row[rows] = np.arange(len(rows))
-        to_col = np.zeros(a.shape[1], dtype=np.intp)
-        to_col[cols] = np.arange(len(cols))
-        work[to_row[row[at]], to_col[col[at]]] = val[at]
-        return work, peeled, cols
-    work = np.array(a, dtype=np.int64, order="C", ndmin=2)
-    if work.size and (work.min() < 0 or work.max() >= p):
-        work %= p
-    peeled, rows, cols, _ = _peel(*work.nonzero(), work.shape)
-    if rows.size < work.shape[0] or cols.size < work.shape[1]:
-        work = work[rows[:, None], cols]
+    else:
+        a = np.array(a, dtype=np.int64, ndmin=2, copy=None)
+        row, col = a.nonzero()
+        val = a[row, col]
+        val %= p
+    nz = val.nonzero()[0]
+    if nz.size < val.size:
+        row, col, val = row[nz], col[nz], val[nz]
+    peeled, rows, cols, (row, col, val) = _peel(row, col, val, a.shape)
+    to_row = np.zeros(a.shape[0], dtype=np.intp)
+    to_row[rows] = np.arange(len(rows))
+    to_col = np.zeros(a.shape[1], dtype=np.intp)
+    to_col[cols] = np.arange(len(cols))
+    row, col = to_row[row], to_col[col]  # frees a dense input's `nonzero` output before the block
+    work = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    work[row, col] = val
     return work, peeled, cols
 
 
 def pivot_columns(a, p):
     """Pivot columns of the RREF of a, without building it: the peeled
-    columns, and those of the block they leave.  On the lazy side
-    (`_lazy`) these are the split's lead columns (`_split_rows`), and
-    the pivot columns of the forward-eliminated Schur complement when two
-    rows share a lead; on the eager side those of the forward-eliminated
-    block."""
+    columns, and those of the block they leave, which are the split's
+    lead columns (`_split_rows`) and, when two rows share a lead, the
+    pivot columns of the forward-eliminated Schur complement."""
     work, pivots, cols = _peeled_block(a, p)
-    if not _lazy(work.shape, p):
-        pivots[cols[_forward_pivots(work, p)]] = True
-        return pivots.nonzero()[0].tolist()
     nz = work != 0
     top, lead, rest = _split_rows(nz)
     pivots[cols[lead]] = True

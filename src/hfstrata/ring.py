@@ -300,16 +300,6 @@ class Polynomial:
                     acc.pop(e, None)
         return self.ring._from_dict(acc)
 
-    def term_mul(self, exps, coeff=1):
-        """Multiply by coeff * x^exps (single-term fast path)."""
-        p = self.ring.field.p
-        coeff %= p
-        if coeff == 0:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring, tuple((monomial_mul(e, exps), (coeff * v) % p) for e, v in self.terms)
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial) and self.ring == other.ring and self.terms == other.terms

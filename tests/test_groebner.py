@@ -132,7 +132,7 @@ def test_koszul_syzygy():
     # (y^2, -x^2) up to scalar
     assert (a * (x * x) + b * (y * y)).is_zero()
     c = r.field.inv(a.lead_coeff())
-    assert a.term_mul((0, 0), c) == y * y and b.term_mul((0, 0), c) == -(x * x)
+    assert a * r.monomial((0, 0), c) == y * y and b * r.monomial((0, 0), c) == -(x * x)
 
 
 def test_principal_ideal_has_no_syzygies():
@@ -267,10 +267,11 @@ def test_spolys_of_gb_reduce_to_zero(corpus):
         if ideal.is_zero_ideal():
             continue
         gb = list(ideal.groebner_basis())
+        ring = ideal.ring
         for i in range(len(gb)):
             for j in range(i):
                 lcm = monomial_lcm(gb[i].lead_exps(), gb[j].lead_exps())
-                s = gb[i].term_mul(monomial_div(lcm, gb[i].lead_exps())) - gb[j].term_mul(
+                s = gb[i] * ring.monomial(monomial_div(lcm, gb[i].lead_exps())) - gb[j] * ring.monomial(
                     monomial_div(lcm, gb[j].lead_exps())
                 )
                 if s.is_zero():

@@ -109,7 +109,7 @@ def test_cached_basis_matches_a_fresh_buchberger_basis(case):
             row = {m: i for i, m in enumerate(image)}
             mat = qb.multiplication_matrix(f, d)
             for col, u in enumerate(qb.monomials(d)):
-                product = f.term_mul(u)
+                product = f * ring.monomial(u)
                 remainder = divide(product, reference)[1] if reference else product
                 column = [0] * len(image)
                 for exps, c in remainder.terms:

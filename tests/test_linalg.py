@@ -60,11 +60,13 @@ def reference_rref(rows, p):
     return a, rank, pivots
 
 
-def test_rref_inplace_matches_reference():
-    """Both sides of `linalg._lazy`: unreduced updates at p = 32003 and
-    below at every size, at p = 1073741789 up to min(m, n) = 8 and at
-    2**31 - 1 up to 2; a reduction after every update beyond those.  The
-    dense shapes up to 24 x 24 at the two large primes take both."""
+def test_rref_inplace_matches_reference(monkeypatch):
+    """`linalg.rref_inplace` at every p, with the pivot loop on both sides
+    of `linalg._budget`: it leaves row updates unreduced when min(m, n)
+    of the block it takes is within the budget, as at p = 32003 at every
+    size, and reduces each updated block at once beyond it, as the
+    dense shapes up to 24 x 24 reach at 1073741789 (budget 8) and at
+    2**31 - 1 (budget 2)."""
     rng = random.Random(99)
     cases = []
     for p in (2, 3, 32003, 2**31 - 1, 1073741789):
@@ -77,7 +79,14 @@ def test_rref_inplace_matches_reference():
             m = rng.randrange(2, 25)
             n = rng.randrange(2, 25)
             cases.append((p, random_matrix(rng, m, n, p, density=0.9)))
-    sides = {}
+    beyond = {}
+    rref_loop = linalg._rref_loop
+
+    def spy(a, p):
+        beyond.setdefault(p, set()).add(min(a.shape) > linalg._budget(p))
+        return rref_loop(a, p)
+
+    monkeypatch.setattr(linalg, "_rref_loop", spy)
     for p, a in cases:
         m = a.shape[0]
         if rng.random() < 0.3:  # repeated rows force dependent pivots
@@ -86,9 +95,8 @@ def test_rref_inplace_matches_reference():
         work = np.ascontiguousarray(a.copy())
         assert linalg.rref_inplace(work, p) == (rank, pivots), p
         assert work.tolist() == ref, p
-        sides.setdefault(p, set()).add(linalg._lazy(a.shape, p))
-    assert sides[32003] == {True}
-    assert sides[1073741789] == sides[2**31 - 1] == {True, False}
+    assert beyond[32003] == {False}
+    assert beyond[1073741789] == beyond[2**31 - 1] == {True, False}
 
 
 def test_empty_shapes():

@@ -1,20 +1,21 @@
 """The row split in front of the mod-p pivot loop, on Macaulay matrices.
 
-On the lazy side of `linalg._lazy`, `rref_inplace` and `pivot_columns`
-take the first row with each leading column as a pivot row, without
-eliminating it (`linalg._split_rows`), and eliminate only the Schur
-complement of the other rows (`linalg._schur_complement`).  The matrices
-here are built the way the oracle builds its pieces: every monomial
-multiple of 1-4 random forms in one degree, with rows that collide on a
-lead, duplicate and zero rows, and zero columns.  At every p in
+At every p, `rref_inplace` and `pivot_columns` take the first row with
+each leading column as a pivot row, without eliminating it
+(`linalg._split_rows`), and eliminate only the Schur complement of the
+other rows (`linalg._schur_complement`).  The matrices here are built
+the way the oracle builds its pieces: every monomial multiple of 1-4
+random forms in one degree, with rows that collide on a lead, duplicate
+and zero rows, and zero columns.  At every p in
 {2, 3, 32003, 1073741789, 2^31 - 1}, `rref_inplace`, `pivot_columns`
 and `nullspace` must agree with `reference_rref`, the split must pick
-the rows it documents, and it must run exactly on the lazy side: the
-eager side must be reached at 2^31 - 1.  Its products
-(`linalg._subtract_product`) must take both their dense and their
-sparse path, and each must equal the plain product.  The split's peak
-memory on the oracle's largest `betti` piece of a quadric cone curve is
-bounded too.
+the rows it documents, and it must run once in each `rref_inplace`.
+Its products (`linalg._subtract_product`) must take both their dense
+and their sparse path, and each must equal the plain product mod p,
+also where it runs over more columns than `linalg._budget(p)` allows
+between reductions and where its output is its left factor.  The
+split's peak memory on the oracle's largest `betti` piece of a quadric
+cone curve is bounded too.
 """
 
 import tracemalloc
@@ -108,8 +109,8 @@ def macaulay_matrices(draw):
 
 def check_split(p, a, monkeypatch, products=None):
     """The three kernels against the reference on (p, a); returns the
-    split's runs inside `rref_inplace`, none on the eager side and one on
-    the lazy side: (rows of the complement, whether it is nonzero).
+    split's runs inside `rref_inplace`, one at every p: (rows of the
+    complement, whether it is nonzero).
     Each product the kernels take adds to `products` whether it was
     dense (`linalg._subtract_product`'s int64 product) or sparse."""
     runs = []
@@ -125,10 +126,10 @@ def check_split(p, a, monkeypatch, products=None):
         runs[-1] = (len(rest), bool(w.any()))
         return free, x, w
 
-    def spy_product(out, pattern, src, rows, cols, x):
+    def spy_product(out, pattern, src, rows, cols, x, p):
         if products is not None:
             products.add(16 * int(pattern.sum()) >= pattern.size)
-        subtract_product(out, pattern, src, rows, cols, x)
+        subtract_product(out, pattern, src, rows, cols, x, p)
 
     ref, rank, pivots = reference_rref(a.tolist(), p)
     top, lead, rest = linalg._split_rows(a != 0)
@@ -141,18 +142,17 @@ def check_split(p, a, monkeypatch, products=None):
         assert linalg.rref_inplace(work, p) == (rank, pivots)
         assert work.tolist() == ref
         ran = list(runs)
-        assert (len(ran) == 1) == linalg._lazy(a.shape, p)
+        assert len(ran) == 1
         assert linalg.pivot_columns(a, p) == pivots
         assert np.array_equal(linalg.nullspace(a, p), reference_nullspace(a, p))
     return ran
 
 
 def test_split_matches_the_reference_on_macaulay_matrices(monkeypatch):
-    """The property; among its draws the split runs at every prime and
-    the eager side at 2^31 - 1, the complements include empty ones
-    (distinct leads), zero ones and nonzero ones, and products take both
-    the dense and the sparse path."""
-    lazy = {p: set() for p in PRIMES}
+    """The property; among its draws the split runs at every prime, the
+    complements include empty ones (distinct leads), zero ones and
+    nonzero ones, and products take both the dense and the sparse path."""
+    split = {p: set() for p in PRIMES}
     complements = set()
     products = set()
 
@@ -168,18 +168,17 @@ def test_split_matches_the_reference_on_macaulay_matrices(monkeypatch):
     @example((32003, _matrix([[1, 0, 1], [1, 1, 0]], 3)))
     # duplicate and scaled rows only: every lead is shared and W is zero
     @example((3, _matrix([[0, 1, 2, 1], [0, 2, 1, 2], [1, 0, 0, 1], [0, 1, 2, 1], [2, 0, 0, 2]], 4)))
-    # 3 x 3 at 2^31 - 1: the eager side; 3 x 2 there: lazy
+    # 3 x 3 and 3 x 2 at 2^31 - 1, whose budget is 2
     @example((2**31 - 1, _matrix([[5, 1, 0], [7, 0, 1], [0, 3, 2**31 - 2]], 3)))
     @example((2**31 - 1, _matrix([[5, 1], [7, 0], [0, 3]], 2)))
     def check(case):
         p, a = case
         runs = check_split(p, a, monkeypatch, products)
-        lazy[p].add(bool(runs))
+        split[p].add(len(runs))
         complements.update(runs)
 
     check()
-    assert all(True in sides for sides in lazy.values())
-    assert lazy[2**31 - 1] == lazy[1073741789] == {True, False}
+    assert all(runs == {1} for runs in split.values())
     assert (0, False) in complements
     assert any(rows and not nonzero for rows, nonzero in complements)
     assert any(nonzero for _, nonzero in complements)
@@ -189,12 +188,18 @@ def test_split_matches_the_reference_on_macaulay_matrices(monkeypatch):
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)])
 def test_empty_blocks(p, shape, monkeypatch):
-    """m x 0 and 0 x n blocks are lazy at every p: the split returns
-    nothing and the kernels return nothing."""
+    """m x 0 and 0 x n blocks at every p: the split returns nothing and
+    the kernels return nothing, and a product over no columns of M
+    leaves out as it was, reduced."""
     a = np.zeros(shape, dtype=np.int64)
     top, lead, rest = linalg._split_rows(a != 0)
     assert top.size == lead.size == rest.size == 0
     assert check_split(p, a, monkeypatch) == [(0, False)]
+    out = np.arange(shape[0] * 2, dtype=np.int64).reshape(shape[0], 2) % p
+    expected = out.copy()
+    none, x = np.zeros(0, dtype=np.intp), np.zeros((0, 2), dtype=np.int64)
+    linalg._subtract_product(out, a[:, :0] != 0, a, np.arange(shape[0]), none, x, p)
+    assert np.array_equal(out, expected)
 
 
 def test_distinct_leads_pivot_without_elimination():
@@ -206,19 +211,40 @@ def test_distinct_leads_pivot_without_elimination():
     assert linalg.pivot_columns(a, 7) == [0, 1, 2]
 
 
+def _product_mod(out, m, x, p):
+    """(out - m x) mod p in Python integers, beyond int64."""
+    return (out.astype(object) - m.astype(object) @ x.astype(object)) % p
+
+
 @pytest.mark.parametrize("density", [0.0, 0.02, 0.05, 0.3, 1.0])
 def test_subtract_product_matches_the_dense_product(density):
     """Both paths of `linalg._subtract_product`, sparse below a
-    sixteenth nonzero and dense from there, subtract exactly M x for the
-    block M of src that the rows and columns pick, zeros included."""
-    rng = np.random.default_rng(7)
-    src = rng.integers(1, 50, (40, 30)) * (rng.random((40, 30)) < density)
-    rows, cols = rng.permutation(40)[:25], rng.permutation(30)[:20]
-    x = rng.integers(0, 50, (20, 9))
-    out = rng.integers(0, 50, (25, 9))
-    expected = out - src[rows[:, None], cols] @ x
-    linalg._subtract_product(out, src[rows[:, None], cols] != 0, src, rows, cols, x)
-    assert np.array_equal(out, expected)
+    sixteenth nonzero and dense from there, subtract exactly M x mod p
+    for the block M of src that the rows and columns pick, zeros
+    included, and leave out reduced, at every p; also with out as src,
+    as `rref_inplace` calls it, where each run must read M as it was
+    before the first.  At 2^31 - 1 the budget is 2: the dense path runs
+    over 20 columns of M, and on the sparse one a row of M has 3
+    nonzeros, so both reduce between runs."""
+    for p in PRIMES:
+        rng = np.random.default_rng(7)
+        src = rng.integers(1, p, (40, 30)) * (rng.random((40, 30)) < density)
+        rows, cols = rng.permutation(40)[:25], rng.permutation(30)[:20]
+        if density:
+            src[rows[0], cols[:3]] = p - 1
+        x = rng.integers(0, p, (20, 9))
+        out = rng.integers(0, p, (25, 9))
+        m = src[rows[:, None], cols]
+        expected = _product_mod(out, m, x, p)
+        linalg._subtract_product(out, m != 0, src, rows, cols, x, p)
+        assert out.tolist() == expected.tolist(), p
+        first = m[: len(x)] != 0  # the first chunk of len(x) rows
+        assert (16 * first.sum() < first.size) == (density < 1 / 16)
+
+        own, x = src[rows], rng.integers(0, p, (20, 30))
+        expected = _product_mod(own, m, x, p)
+        linalg._subtract_product(own, m != 0, own, np.arange(len(own)), cols, x, p)
+        assert own.tolist() == expected.tolist(), p
 
 
 def test_split_memory_on_the_quadric_cone_curve_betti_piece(monkeypatch):

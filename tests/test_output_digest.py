@@ -22,7 +22,11 @@ started to exit 2 (before: no output, `0` and an empty Betti table,
 exit 0).  The `verify-prop31` cases at `m = 1, 3` on the twisted cubic
 and on two skew lines were recorded with the polynomial round trip
 (lift, then reduce modulo Gamma) that preceded comparing the tangent and
-obstruction spaces by row selection.  Any
+obstruction spaces by row selection.  The four cases at p = 2^31 - 1
+on the twisted cubic and a quadric cone curve (`verify-prop31`,
+`tangent`, `ext1`, `oracle syz`) were recorded with the mod-p kernels
+that ran the row split only where unreduced row updates fit in int64,
+and eliminated the whole matrix by the pivot loop elsewhere.  Any
 change that alters a printed Gröbner basis, resolution, Betti table,
 dimension or report shows up here.
 
@@ -38,6 +42,7 @@ import pytest
 from hfstrata.cli import run
 
 HEADER = "field 32003\nvars x y z w\nideal:\n"
+HEADER_P31 = HEADER.replace("32003", "2147483647")
 TWISTED_CUBIC = "x*z - y^2\nx*w - y*z\ny*w - z^2\n"
 
 
@@ -65,10 +70,14 @@ FILES = {
     "max_cube_sq.ideal": "field 32003\nvars x y z\nideal:\nx^2\nx*y\nx*z\ny^2\ny*z\nz^2\n",
     "twisted_cubic_trunc4.ideal": HEADER + TWISTED_CUBIC + "".join(m + "\n" for m in _monomials(4)),
     "twisted_cubic_trunc4_p31.ideal": (
-        HEADER.replace("32003", "2147483647") + TWISTED_CUBIC + "".join(m + "\n" for m in _monomials(4))
+        HEADER_P31 + TWISTED_CUBIC + "".join(m + "\n" for m in _monomials(4))
     ),
+    "twisted_cubic_p31.ideal": HEADER_P31 + TWISTED_CUBIC,
     "quadric_cone_curve4.ideal": (
         HEADER + "x*w - y*z\n" + _dense_form(4, 1) + "\n" + _dense_form(4, 2) + "\n"
+    ),
+    "quadric_cone_curve4_p31.ideal": (
+        HEADER_P31 + "x*w - y*z\n" + _dense_form(4, 1) + "\n" + _dense_form(4, 2) + "\n"
     ),
     "quadric_cone_curve4_lex.ideal": (
         "field 32003\nvars x y z w\norder lex\nideal:\nx*w - y*z\n"
@@ -140,6 +149,14 @@ CASES = (
     + [("oracle", "tangent", "fermat_cubic_curve5.ideal", "--bound", "10")]
     # the normal-form table and kernel-coordinate selection at p = 2^31 - 1
     + [("oracle", mode, "twisted_cubic_trunc4_p31.ideal") for mode in ("tangent", "betti")]
+    # the engine's and the oracle's eliminations at p = 2^31 - 1, where the
+    # pivot loop reduces each updated block at once from min(m, n) = 3 on
+    + [
+        ("verify-prop31", "twisted_cubic_p31.ideal", "--m", "4"),
+        ("tangent", "quadric_cone_curve4_p31.ideal"),
+        ("ext1", "quadric_cone_curve4_p31.ideal"),
+        ("oracle", "syz", "twisted_cubic_trunc4_p31.ideal"),
+    ]
     # a negative --bound on the zero ideal exits 2
     + [("oracle", mode, "zero.ideal", "--bound", "-1") for mode in ("syz", "tangent", "betti")]
     # truncations below reg + 2: at m = 1, Gamma = m and its block generators
@@ -219,6 +236,10 @@ DIGESTS = {
     "oracle tangent fermat_cubic_curve5.ideal --bound 10": "c74cb04eb0f892f6df7e006325d12c71c23d302e4b04f2d742dc18b179d8cf93",
     "oracle tangent twisted_cubic_trunc4_p31.ideal": "6505a84d518f06d520ae15d26bb21e690f87acd18fa38bcd57ce042a8052b133",
     "oracle betti twisted_cubic_trunc4_p31.ideal": "ac0be032c4adc4452e257f5050276527f355d0db1a3bb226d4c5a8dcd14f3ad4",
+    "verify-prop31 twisted_cubic_p31.ideal --m 4": "da907cde5e8fb225db336c5e109c19c730467d903204d726461dc2d7b59957a3",
+    "tangent quadric_cone_curve4_p31.ideal": "8e3b286102ebd565f98893eaed656974928c33024fbec701e3d81d515ccbdb6f",
+    "ext1 quadric_cone_curve4_p31.ideal": "e57aba4e5076b8f5bf327583d9547779c6c6bebe5817304458f5b74ce0ed465e",
+    "oracle syz twisted_cubic_trunc4_p31.ideal": "90f5f0b9f0a3fa36f846dffdc9ec144e71fbeb9af2c1e94e4876d08106df0a39",
     "oracle syz zero.ideal --bound -1": "5bd85a159b0b91679b1daee10d3b09a6960196b1931ece4d2d837f2395a54ca2",
     "oracle tangent zero.ideal --bound -1": "5bd85a159b0b91679b1daee10d3b09a6960196b1931ece4d2d837f2395a54ca2",
     "oracle betti zero.ideal --bound -1": "5bd85a159b0b91679b1daee10d3b09a6960196b1931ece4d2d837f2395a54ca2",

@@ -27,5 +27,5 @@ def test_retired_names_are_gone():
     assert not hasattr(groebner.Ideal, "__add__")  # ideal_sum
     for name in ("add", "sub", "mul", "neg", "div"):
         assert not hasattr(field.PrimeField, name), name
-    for name in ("as_dict", "scale"):  # dict(f.terms), term_mul
+    for name in ("as_dict", "scale", "term_mul"):  # dict(f.terms), f * ring.monomial(...)
         assert not hasattr(ring.Polynomial, name), name
