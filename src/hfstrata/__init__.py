@@ -23,7 +23,6 @@ from .groebner import (
     ideal_member,
     ideal_sum,
     maximal_ideal_power,
-    syzygies,
 )
 from .invariants import (
     BettiTable,
@@ -72,7 +71,6 @@ __all__ = [
     "ideal_member",
     "ideal_sum",
     "maximal_ideal_power",
-    "syzygies",
     "BettiTable",
     "HilbertSeries",
     "Resolution",

@@ -37,15 +37,17 @@ Buchberger): a Hilbert series, numerator over (1 - t)^n, that is a
 proven lower bound on HS(S/J), coefficientwise, for the ideal J being
 computed.  Pairs are popped in degree order, and the run keeps the
 degree-d monomials that no current lead divides (`_Staircase`) for the
-degree d of the pair in hand.  Their count is at least h_J(d) >=
-floor(d); once it equals floor(d), the current leads span LT(J)_d, so
-every remaining degree-d S-polynomial, an element of J_d, reduces to
-zero: a nonzero remainder would be an element of J_d whose lead lies
-outside that span.  Such a pair goes to `done` unreduced.  Its
-S-polynomial has a standard representation over the current basis, as
-that of a pair reduced to zero has, so the chain criterion, which reads
-`done`, stays sound.  A skipped pair would have added no element.  A
-count below the floor proves the floor false and raises RuntimeError.
+degree d of the pair in hand, built degree by degree by
+`_standard_step`, which `QuotientBasis` walks too.  Their count is at
+least h_J(d) >= floor(d); once it equals floor(d), the current leads
+span LT(J)_d, so every remaining degree-d S-polynomial, an element of
+J_d, reduces to zero: a nonzero remainder would be an element of J_d
+whose lead lies outside that span.  Such a pair goes to `done`
+unreduced.  Its S-polynomial has a standard representation over the
+current basis, as that of a pair reduced to zero has, so the chain
+criterion, which reads `done`, stays sound.  A skipped pair would have
+added no element.  A count below the floor proves the floor false and
+raises RuntimeError.
 
 The run also stops at its floor.  At the first degree found spanned
 above that of the last new element, it compares the Hilbert-series
@@ -313,6 +315,39 @@ def _scale_vec(vec, c, p):
     return {t: (c * v) % p for t, v in vec.items()}
 
 
+def _standard_step(keys, leads, pk):
+    """The standard monomials of degree d + 1, from `keys`, those of
+    degree d, each a rank-1 packed key mapped to the size of its
+    support, and the packed `leads`, the minimal generators of the lead
+    ideal; returned in the same form.
+
+    The standard monomials form an order ideal (Macaulay).  So an x_s
+    multiple c of a standard u is standard iff it is no lead and every
+    c / x_t, for x_t dividing c, is standard: iff it is reached from as
+    many of them as its support has variables.  u - x_s sets a guard bit
+    iff x_s does not divide u, so x_s is then new in c.  A standard c
+    whose exponent reaches 2^15 raises `ExponentOverflowError`.  The
+    work grows with the standard monomials, not with S_{d+1}.
+    """
+    guard = pk.guard
+    hits, sizes = {}, {}
+    for u, size in keys.items():
+        for x in pk._weights:  # the keys of the variables
+            c = u + x
+            if c in hits:
+                hits[c] += 1
+            else:
+                hits[c] = 1
+                sizes[c] = size + 1 if (u - x) & guard else size
+    out = {}
+    for c, size in sizes.items():
+        if hits[c] == size and c not in leads:
+            if c & guard:
+                raise _overflow()
+            out[c] = size
+    return out
+
+
 class _Staircase:
     """The degree-d monomials that no current lead divides, for the
     current degree d of a rank-1 Buchberger run, against a `floor`.
@@ -320,20 +355,17 @@ class _Staircase:
     `floor` is a Hilbert series (its `numerator` over (1 - t)^n and its
     `coefficient(d)`) that is a proven lower bound on HS(S/J),
     coefficientwise.  `keys` maps each such monomial's key to the size
-    of its support.  The set of degree d + 1 is built from the x_i
-    multiples of that of degree d: such a multiple c is outside the lead
-    ideal iff it is no lead and every c / x_s, for x_s dividing c, is in
-    the set of degree d, that is iff it is reached from as many of them
-    as its support has variables.  Raises RuntimeError when the count
-    drops below the floor, which a true bound never allows.
+    of its support, and degree d + 1 is built from degree d by
+    `_standard_step`, the walk `QuotientBasis` takes too.  Raises
+    RuntimeError when the count drops below the floor, which a true
+    bound never allows.
     """
 
-    __slots__ = ("floor", "leads", "variables", "pk", "degree", "keys", "target", "grown", "met")
+    __slots__ = ("floor", "leads", "pk", "degree", "keys", "target", "grown", "met")
 
     def __init__(self, floor, leads, pk):
         self.floor = floor
         self.leads = set(leads)
-        self.variables = [pk.pack(tuple(int(i == s) for i in range(pk.n))) for s in range(pk.n)]
         self.pk = pk
         self.degree = 0
         self.keys = {} if 0 in self.leads else {0: 0}  # 0 is the key of the monomial 1
@@ -353,24 +385,8 @@ class _Staircase:
         """Whether the current leads span the degree-d lead terms of J:
         every S-pair of degree d then reduces to zero.  Degrees below
         the current one are never asked for."""
-        guard, variables, leads = self.pk.guard, self.variables, self.leads
         while self.degree < d:
-            hits, sizes = {}, {}
-            for u, size in self.keys.items():
-                for x in variables:
-                    c = u + x
-                    if c in hits:
-                        hits[c] += 1
-                    else:
-                        hits[c] = 1
-                        sizes[c] = size + 1 if (u - x) & guard else size  # x new in c
-            keys = {}
-            for c, size in sizes.items():
-                if hits[c] == size and c not in leads:
-                    if c & guard:
-                        raise _overflow()
-                    keys[c] = size
-            self.keys = keys
+            self.keys = _standard_step(self.keys, self.leads, self.pk)
             self.degree += 1
             self.target = self.floor.coefficient(self.degree)
             self._check()
@@ -853,9 +869,3 @@ def maximal_ideal_power(ring: RingContext, m: int) -> Ideal:
         raise _overflow()
     gens = [ring.monomial(e) for e in monomials_of_degree(ring.n, m, ring.order.kind)]
     return Ideal(ring, gens)
-
-
-def syzygies(ideal: Ideal):
-    """Generating syzygies of the ideal's generator sequence as given, as
-    `vector_syzygies` returns them: one polynomial per generator."""
-    return vector_syzygies(ideal.ring, [(f,) for f in ideal.generators], (0,))

@@ -39,6 +39,7 @@ from .groebner import (
     _overflow,
     _Packing,
     _reduce_full,
+    _standard_step,
     _vec_from_polys,
     vector_degree,
     vector_syzygies,
@@ -135,21 +136,21 @@ class QuotientBasis:
         self.ideal = ideal
         self.ring = ideal.ring
         self._lead = ideal.lead_exponents()
-        self._lead_set = frozenset(self._lead)
         self._pk = ideal._pk
+        self._leads = {self._pk.pack(e) for e in self._lead}
         self._cache = {}
+        self._keys = None  # the top cached degree's keys, with support sizes
         self._divisors = None  # the reduced GB by component, with its reducer memo
         self._memo = {}
 
     def monomials(self, d):
         """Degree-d monomials outside the lead term ideal, descending.
 
-        The standard monomials form an order ideal, and the lead terms
-        of the reduced GB are the minimal generators of the lead term
-        ideal.  So a degree-d monomial c = x_t u, u standard, is
-        standard iff every c / x_s is standard and c is no lead term:
-        degree d is built from degree d - 1, in time that grows with
-        the standard monomials, not with S_d.
+        Degree d is built from degree d - 1 by `_standard_step`, the
+        staircase walk of the Hilbert-driven Buchberger run, on packed
+        keys, in time that grows with the standard monomials, not with
+        S_d.  Each degree is cached as its exponent tuples and a {packed
+        key: index} map; ascending keys are descending monomials.
         """
         if d < 0:
             return ()
@@ -159,15 +160,17 @@ class QuotientBasis:
             raise _overflow()
         cache = self._cache  # degrees 0, 1, ..., len(cache) - 1
         if not cache:
-            zero = (0,) * self.ring.n
-            self._store(() if zero in self._lead_set else (zero,))
-        for e in range(len(cache), d + 1):
-            self._store(_standard_successors(cache[e - 1][0], self._lead_set, self.ring.order))
+            self._store({} if 0 in self._leads else {0: 0})  # 0 is the key of the monomial 1
+        for _ in range(len(cache), d + 1):
+            self._store(_standard_step(self._keys, self._leads, self._pk))
         return cache[d][0]
 
-    def _store(self, monos):
-        pack = self._pk.pack
-        self._cache[len(self._cache)] = (monos, {pack(m): i for i, m in enumerate(monos)})
+    def _store(self, keys):
+        self._keys = keys
+        order = sorted(keys)
+        unpack = self._pk.unpack
+        monos = tuple(unpack(k)[0] for k in order)
+        self._cache[len(self._cache)] = (monos, {k: i for i, k in enumerate(order)})
 
     def dim(self, d):
         return len(self.monomials(d))
@@ -199,24 +202,6 @@ class QuotientBasis:
             for t, c in prod.items():
                 mat[index[t], col] = c
         return mat
-
-
-def _standard_successors(monos, leads, order):
-    """The standard monomials of degree d + 1 from those of degree d, descending."""
-    prev = set(monos)
-    out = set()
-    for u in monos:
-        for t in range(len(u)):
-            c = u[:t] + (u[t] + 1,) + u[t + 1 :]
-            if c in out or c in leads:
-                continue
-            if all(
-                c[:s] + (c[s] - 1,) + c[s + 1 :] in prev
-                for s in range(len(c))
-                if c[s] and s != t
-            ):
-                out.add(c)
-    return tuple(sorted(out, key=order.key, reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ right, with no scaling of pivot rows.  A split of the rows comes first,
 and only what it leaves goes through the loop.  Two kernels use them:
 
 - `rref_inplace`, the reduced row echelon form, follows the loop with
-  back-substitution (`_rref_loop`), for the callers that read
-  R[:rank, free]: `rref` (the oracle's quotient pieces and normal-form
-  tables) and `nullspace`.
+  back-substitution (`_rref_loop`), for `nullspace`, which reads
+  R[:rank, free]: the standard-form kernel basis, which is also the
+  oracle's normal-form table of a quotient piece.
 - `pivot_columns`, for the callers that read only a rank or pivot
   columns: `rank` (the oracle's Hilbert values and syzygy counts, the
   tangent rank, the Koszul ranks in `invariants`, the ranks in `deform`)
@@ -39,20 +39,20 @@ multiples of one form have distinct leads: on the Fermat cubic curve's
 matrices of one round of the `oracle` benchmark workload the kernels'
 time drops by a third.
 
-Before eliminating, `rref`, `pivot_columns` and `nullspace` peel
-singleton rows until none are left (`_peeled_block`).  A row whose one
-nonzero sits in column c makes c a pivot column, since every column left
-of c is zero in that row.  Dropping that row and column c leaves the
-other pivot columns unchanged, since clearing column c with that row
-changes no other entry, and column c is zero in every kernel vector;
-the RREF row of c is the unit vector e_c.  Multiples of monomials are
-singleton rows: on the matrices of one round of each benchmark workload,
-the peel removes 68% of the cells of the Koszul ranks in
-`verify-prop31`, and 75% of those of `hf_bruteforce`, where it cuts
-elimination time by a third to two thirds.  Matrices without singleton
+Before eliminating, `pivot_columns` and `nullspace` peel singleton
+rows until none are left (`_peeled_block`).  A row whose one nonzero
+sits in column c makes c a pivot column, since every column left of c
+is zero in that row.  Dropping that row and column c leaves the other
+pivot columns unchanged, since clearing column c with that row changes
+no other entry, and column c is zero in every kernel vector, whose
+row c `nullspace` leaves zero.  Multiples of monomials are singleton
+rows: on the matrices of one round of each benchmark workload, the peel
+removes 68% of the cells of the Koszul ranks in `verify-prop31`, and
+75% of those of `hf_bruteforce`, where it cuts elimination time by a
+third to two thirds.  Matrices without singleton
 rows pay only for one pass over their nonzeros and the block's scatter.
 
-Sparse input: `rref`, `rank`, `pivot_columns`, `nullspace` and
+Sparse input: `rank`, `pivot_columns`, `nullspace` and
 `greedy_independent_rows` take a dense array or a `SparseMatrix`, row,
 column and value arrays with a shape, whose `.T` swaps them.  The peel
 runs on the list of nonzeros, with row counts from `np.bincount`
@@ -99,25 +99,6 @@ def as_matrix(rows, ncols):
     if not rows:
         return np.zeros((0, ncols), dtype=np.int64)
     return np.ascontiguousarray(np.array(rows, dtype=np.int64))
-
-
-def rref(a, p):
-    """Reduced row echelon form of a dense or sparse (`SparseMatrix`)
-    matrix, as a new dense one; returns (rref, rank, pivots).
-
-    Singleton rows are peeled first (`_peeled_block`) and only the block
-    they leave is reduced.  A peeled column's row of the RREF is its
-    unit vector, since its singleton row, cleared by the rows peeled
-    before it, is a multiple of it; the block's RREF rows, zero in the
-    peeled columns, are the other rows."""
-    work, pivots, cols = _peeled_block(a, p)
-    rank, block_pivots = rref_inplace(work, p) if work.size else (0, [])
-    pivots[cols[block_pivots]] = True
-    at = pivots.nonzero()[0]
-    out = np.zeros(np.shape(a), dtype=np.int64)
-    out[np.arange(len(at)), at] = 1
-    out[np.searchsorted(at, cols[block_pivots])[:, None], cols] = work[:rank]
-    return out, len(at), at.tolist()
 
 
 def _budget(p):

@@ -2,8 +2,8 @@
 
 Every value the Gröbner engine produces is recomputed here from raw
 coordinate matrices over F_p: graded pieces are spanned by monomial
-multiples of the generators, and everything reduces to rank, kernel and
-RREF computations.  Nothing here touches the Gröbner machinery; that
+multiples of the generators, and everything reduces to rank and kernel
+computations.  Nothing here touches the Gröbner machinery; that
 independence is the point.
 
 Coordinates: a monomial is a row of an int64 exponent array, located in
@@ -31,24 +31,26 @@ Polynomial tuples only in `syzygies_bruteforce`.
 Projection: a tangent condition reduces a_j * x^m modulo I_e, for each
 degree-e syzygy (a_1..a_s) and unknown (j, m).  With R the reduced
 echelon form of I_e, the normal-form table NF of S_e has NF[free] = 1
-and NF[pivots] = -R[:, free], so the reduction is the sum of c * NF[x^(t+m)]
-over the terms c x^t of a_j: a gather of table rows, each product
-reduced mod p, then one segmented sum per syzygy.  Products stay below
-p^2 and each sum adds fewer than 2^32 terms below p, so int64 is exact
-for every p < 2^31, and the work follows the syzygies' nonzeros, not
-dim S_e.  Each generator slot takes one gather and one segmented sum for
-all its unknowns, in chunks no larger than the degree's matrix of
-multiples.  Only the syzygies the Nakayama selection keeps are lifted
-(Selection): for a = x_v * b, b a syzygy of degree e - 1, sum a_j phi_j
-= x_v * sum b_j phi_j, so a's condition is x_v times b's and lies in the
-span of b's; the kept syzygies give the span, and the rank, of all.
-A syzygy whose entries all lie in I is not lifted either: each a_j phi_j
-lies in I, so its condition rows are exactly the zero rows the lift
-drops.  Membership is the same projection one degree down: a_j, of
-degree e - deg f_j, lies in I when its gathered normal form is zero.
-A complete intersection's syzygies are generated by the Koszul ones,
-whose entries lie in I (I/I^2 is free over S/I), so a complete
-intersection such as a cone curve lifts nothing.
+and NF[pivots] = -R[:, free]: it is the standard-form basis of the right
+kernel of the degree's matrix of multiples (`linalg.nullspace`).  So the
+reduction is the sum of c * NF[x^(t+m)] over the terms c x^t of a_j: a
+gather of table rows, each product reduced mod p, then one segmented sum
+per syzygy.  Products stay below p^2 and each sum adds fewer than 2^32
+terms below p, so int64 is exact for every p < 2^31, and the work
+follows the syzygies' nonzeros, not dim S_e.  Each generator slot takes
+one gather and one segmented sum for all its unknowns, in chunks no
+larger than the degree's matrix of multiples.  Only the syzygies the
+Nakayama selection keeps are lifted (Selection): for a = x_v * b, b a
+syzygy of degree e - 1, sum a_j phi_j = x_v * sum b_j phi_j, so a's
+condition is x_v times b's and lies in the span of b's; the kept
+syzygies give the span, and the rank, of all.  A syzygy whose entries
+all lie in I is not lifted either: each a_j phi_j lies in I, so its
+condition rows are exactly the zero rows the lift drops.  Membership is
+the same projection one degree down: a_j, of degree e - deg f_j, lies in
+I when its gathered normal form is zero.  A complete intersection's
+syzygies are generated by the Koszul ones, whose entries lie in I (I/I^2
+is free over S/I), so a complete intersection such as a cone curve lifts
+nothing.
 
 Vanishing: S/I is generated in degree 0, so (S/I)_{e+1} = S_1 (S/I)_e
 and every piece after a zero one is zero.  `hf_values` answers 0 from
@@ -84,7 +86,8 @@ of Syzygies, ch. 1), and row i of I's table is beta_{i+1}(S/I) when
 I ⊂ m.  (K_k ⊗ S/I)_j is one copy of (S/I)_{j-k} per k-subset of the
 variables, so beta_{k,j} = C(n,k) h(j-k) - rank d_k - rank d_{k+1},
 with rank d_1 = h(j) for j >= 1, S/I being generated in degree 0.  The
-pieces are the oracle's own, `_quotient_piece` for each d < z, and
+pieces are the oracle's own, `_quotient_piece` for each d < z, each
+table the right-kernel basis of the degree's multiples, and
 x_t: (S/I)_d -> (S/I)_{d+1} is the gather nf_{d+1}[columns(u + e_t)]
 over the free monomials u of degree d: no Gröbner basis, no
 `QuotientBasis`, no Artinian reduction, no Taylor caps.  Each d_k is
@@ -123,17 +126,18 @@ Rank only: a Hilbert value is dim S_d minus the rank of the
 generator-multiple matrix, and a syzygy count is the number of unknowns
 minus it, so `hf_bruteforce` and `syzygy_counts` (`oracle syz`) call
 `linalg.rank` on the nonzero lists of `_multiples` and build no echelon
-rows or kernel basis.  The echelon
-form is built only where its rows are read: the kernel bases of
+rows or kernel basis.  A kernel basis, and the echelon form behind it,
+is built only where its rows are read.  The left kernels are those of
 `syzygies_bruteforce`, `tangent_bruteforce` and `betti_bruteforce`'s
-search, the quotient pieces of its Koszul pass, whose tables give x_t,
-and the quotient pieces of `tangent_bruteforce` at generator degrees,
-whose free monomials are the unknowns, at degrees with a kept syzygy
-that has an entry outside I, whose normal-form tables its conditions
-read, and at the lower degrees e - deg f_j whose tables a membership
-check reads, built only when a nonzero entry needs one.  Every other
-rank those two need is a kernel's #unknowns - dim ker, so they make
-one elimination per degree elsewhere.
+search.  The right kernels are the normal-form tables: of the Koszul
+pass's quotient pieces, whose tables give x_t, and of
+`tangent_bruteforce`'s quotient pieces at generator degrees, whose free
+monomials are the unknowns, at degrees with a kept syzygy that has an
+entry outside I, whose normal-form tables its conditions read, and at
+the lower degrees e - deg f_j whose tables a membership check reads,
+built only when a nonzero entry needs one.  Every other rank those two
+need is a kernel's #unknowns - dim ker, so they make one elimination per
+degree elsewhere.
 
 Exactness: `exactness_violations` checks an engine resolution on the
 same matrices of multiples.  A graded map's columns become flat term
@@ -297,15 +301,13 @@ def _ideal_piece(gens, d):
 
 def _quotient_piece(basis, mat, p):
     """(S/I)_d in the coordinates of `basis`, from the multiples matrix
-    of `_ideal_piece`: the free (non-pivot) columns of the RREF R of I_d,
-    and the normal-form table NF of S_d, NF[free] = 1 and NF[pivots] =
-    -R[:, free], whose row c is the normal form of the c-th monomial."""
-    rref, rank, pivots = linalg.rref(mat, p)
-    free = np.delete(np.arange(len(basis)), pivots)
-    nf = np.zeros((len(basis), len(free)), dtype=np.int64)
-    nf[free] = np.eye(len(free), dtype=np.int64)
-    nf[pivots] = -rref[:rank, free] % p
-    return free, nf
+    M of `_ideal_piece`: the free (non-pivot) columns of the RREF R of
+    I_d, and the normal-form table NF of S_d, whose row c is the normal
+    form of the c-th monomial.  NF[free] = 1 and NF[pivots] =
+    -R[:, free] is the standard-form basis of M's right kernel
+    (`linalg.nullspace`), and `free` its identity rows (`_free_rows`)."""
+    nf = linalg.nullspace(mat, p)
+    return _free_rows(nf), nf
 
 
 def _hf(gens, d):

@@ -5,7 +5,9 @@ Every row is filled one term at a time through a monomial -> column dict
 projection subtracts one pivot row at a time.  Slow, but it shares only
 the `linalg` primitives with `hfstrata.oracle`, which
 `test_oracle_reference.py` checks against it (and `linalg.nullspace`
-against its former loop).
+against its former loop).  Its echelon forms of I_d come from the
+pure-Python Gauss-Jordan `reference_rref`, not from the kernel under
+test.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ import numpy as np
 from hfstrata import linalg
 from hfstrata.invariants import BettiTable
 from hfstrata.ring import monomials_of_degree
+
+from test_linalg import reference_rref
 
 
 def _basis(ring, d):
@@ -38,8 +42,8 @@ def _quotient(ideal, d):
     ring, p, gens = ideal.ring, ideal.ring.field.p, ideal.generators
     monos, index = _basis(ring, d)
     rows = [_row(index, gens[j], p, m) for j, m in _unknowns(ring, _degs(ideal), d)]
-    r, _, piv = linalg.rref(linalg.as_matrix(rows, len(monos)), p)
-    return monos, index, r, piv, [c for c in range(len(monos)) if c not in set(piv)]
+    r, _, piv = reference_rref(rows, p)
+    return monos, index, np.array(r, dtype=np.int64), piv, [c for c in range(len(monos)) if c not in set(piv)]
 
 
 def _degs(ideal):

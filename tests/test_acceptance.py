@@ -30,7 +30,7 @@ from hfstrata.ring import _poly_mul_t
 from hfstrata.strata import cone_curve, predicted_hilbert_function, truncate_ideal, verify_prop31
 
 from conftest import build_corpus, quadric_cone, ring3, twisted_cubic
-from test_groebner import generator_degrees, syzygy_span_rank
+from test_groebner import generator_degrees, ideal_syzygies, syzygy_span_rank
 
 
 def _criterion(num, ok, detail):
@@ -159,9 +159,7 @@ def test_criterion_6_oracle_equivalence(corpus):
             continue
         reg = regularity(ideal)
         n = ideal.ring.n
-        from hfstrata.groebner import syzygies
-
-        engine_syz = syzygies(ideal)
+        engine_syz = ideal_syzygies(ideal)
         oracle_syz = syzygies_bruteforce(ideal, reg + 2)
         for e in sorted(oracle_syz):
             span = syzygy_span_rank(ideal.ring, generator_degrees(ideal), engine_syz, e)

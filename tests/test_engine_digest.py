@@ -19,7 +19,7 @@ A failure lists the cases whose digests moved.
 import hashlib
 
 from hfstrata.cli import parse_ideal_file
-from hfstrata.groebner import syzygies, vector_degree, vector_syzygies
+from hfstrata.groebner import vector_degree, vector_syzygies
 from hfstrata.ring import GREVLEX, LEX
 from hfstrata.strata import random_forms, truncate_ideal
 
@@ -63,13 +63,13 @@ def _cases():
     # syzygies of the syzygies of a truncation: a module of rank 38
     trunc = truncate_ideal(twisted_cubic(), 4)
     degrees = [f.homogeneous_degree() for f in trunc.generators]
-    level2, shifts = _next_level(trunc.ring, syzygies(trunc), degrees)
+    level2, shifts = _next_level(trunc.ring, _ideal_syzygies(trunc), degrees)
     out["twisted_cubic_trunc4 level 2"] = level2
     # their syzygies in turn: a module of rank 63
     out["twisted_cubic_trunc4 level 3"] = _next_level(trunc.ring, level2, shifts)[0]
     quartic = rational_normal_quartic()
     degrees = [f.homogeneous_degree() for f in quartic.generators]
-    out["rational_normal_quartic level 2"] = _next_level(quartic.ring, syzygies(quartic), degrees)[0]
+    out["rational_normal_quartic level 2"] = _next_level(quartic.ring, _ideal_syzygies(quartic), degrees)[0]
     return {name: _digest(vectors) for name, vectors in out.items()}
 
 

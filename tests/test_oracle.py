@@ -214,21 +214,32 @@ def test_betti_reads_z_from_its_own_ranks(monkeypatch):
 
 
 def betti_kernel_degrees(monkeypatch, ideal, max_step, bound):
-    """The Betti table, and the degree of each kernel `betti_bruteforce`
-    builds, one list per homological step: a step's degrees ascend by
-    one from its lowest shift, so a drop starts the next step."""
-    last, degrees = [], []
-    unknowns, nullspace = oracle._unknowns, linalg.nullspace
+    """The Betti table, and the degree of each kernel `betti_bruteforce`'s
+    step search builds, one list per homological step: a step's degrees
+    ascend by one from its lowest shift, so a drop starts the next step.
+    The kernels behind the Koszul pass's quotient pieces
+    (`_quotient_piece`) are no step's and are not counted."""
+    last, degrees, inside = [], [], []
+    unknowns, nullspace, quotient = oracle._unknowns, linalg.nullspace, oracle._quotient_piece
 
     def recording(ring, shifts, e):
         last[:] = [e]
         return unknowns(ring, shifts, e)
 
+    def piece(basis, mat, p):
+        inside.append(True)
+        try:
+            return quotient(basis, mat, p)
+        finally:
+            inside.pop()
+
     def counting(a, p):
-        degrees.append(last[0])
+        if not inside:
+            degrees.append(last[0])
         return nullspace(a, p)
 
     monkeypatch.setattr(oracle, "_unknowns", recording)
+    monkeypatch.setattr(oracle, "_quotient_piece", piece)
     monkeypatch.setattr(linalg, "nullspace", counting)
     table = betti_bruteforce(ideal, max_step, bound)
     monkeypatch.undo()

@@ -42,6 +42,7 @@ from hfstrata.oracle import (  # noqa: E402
 from hfstrata.ring import GREVLEX, LEX, MonomialOrder, RingContext, monomials_of_degree  # noqa: E402
 
 from conftest import build_corpus  # noqa: E402
+from test_linalg import reference_rref  # noqa: E402
 
 PRIMES = (2, 3, 32003, 2**31 - 1)
 SETTINGS = dict(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -174,14 +175,15 @@ def test_tangent_matches_uncut_reference(ideal, k, artinian):
 
 
 def nullspace_loop(a, p):
-    """`linalg.nullspace` as it was: one scalar assignment per entry."""
-    r, _, pivots = linalg.rref(a, p)
+    """`linalg.nullspace` as it was: one scalar assignment per entry, on
+    the pure-Python reference RREF."""
+    r, _, pivots = reference_rref(a.tolist(), p)
     free = [c for c in range(a.shape[1]) if c not in set(pivots)]
     basis = np.zeros((a.shape[1], len(free)), dtype=np.int64)
     for k, fc in enumerate(free):
         basis[fc, k] = 1
         for row, pc in enumerate(pivots):
-            basis[pc, k] = (-int(r[row, fc])) % p
+            basis[pc, k] = (-r[row][fc]) % p
     return basis
 
 
@@ -208,7 +210,7 @@ def test_free_rows_are_the_identity_rows(p, rows, cols, data):
     a = draw_matrix(data, p, rows, cols)
     ns = linalg.nullspace(a, p)
     free = _free_rows(ns)
-    pivots = linalg.rref(a, p)[2]
+    pivots = reference_rref(a.tolist(), p)[2]
     assert free.tolist() == [c for c in range(cols) if c not in pivots]
     assert np.array_equal(ns[free], np.eye(len(free), dtype=np.int64))
 

@@ -5,7 +5,7 @@ from hfstrata import field, groebner, invariants, ring
 
 # names that duplicated another name's job, or had no caller
 RETIRED = {
-    groebner: ["buchberger", "SyzygyBasis"],
+    groebner: ["buchberger", "SyzygyBasis", "syzygies"],
     ring: ["homogeneous_degree", "graded_map_check", "monomial_compare", "LT", "EQ", "GT"],
     invariants: ["regularity_quotient"],
 }

@@ -1,9 +1,10 @@
 """The mod-p kernels on nonzero lists, and the oracle's sparse builders.
 
 `linalg.SparseMatrix` holds a matrix as row, column and value arrays
-with a shape.  `rank`, `pivot_columns`, `nullspace`,
-`greedy_independent_rows` and `rref` must give the same answers on it as
-on the dense array, and those of a pure-Python Gauss-Jordan reference,
+with a shape.  `rank`, `pivot_columns`, `nullspace` and
+`greedy_independent_rows` must give the same answers on it as on the
+dense array, and those of a pure-Python Gauss-Jordan reference, as
+`rref_inplace` must on the dense array reduced mod p,
 at p in {2, 3, 32003, 2^31 - 1}: on matrices with singleton chains,
 repeated singletons, zero rows and columns, entries not yet reduced mod
 p (some of them zero mod p), entries listed in any order, and empty
@@ -72,8 +73,9 @@ def reference_nullspace(rows, ncols, p):
 @example((3, _matrix([], 0)), None)
 def test_nonzero_lists_match_dense_and_reference(case, rnd):
     """Each matrix as nonzero lists, in shuffled order, and as a dense
-    array gives the reference's pivot columns, rank, kernel, greedy rows
-    and RREF; the two inputs leave the same peeled block."""
+    array gives the reference's pivot columns, rank, kernel and greedy
+    rows, and the dense one its RREF; the two inputs leave the same
+    peeled block."""
     p, a = case
     before = a.copy()
     row, col = a.nonzero()
@@ -94,9 +96,10 @@ def test_nonzero_lists_match_dense_and_reference(case, rnd):
         assert linalg.greedy_independent_rows(m, p) == row_pivots
         assert np.array_equal(linalg.nullspace(m, p), kernel)
         assert np.array_equal(linalg.nullspace(m.T, p), kernel_t)
-        out, out_rank, out_pivots = linalg.rref(m, p)
-        assert (out.tolist(), out_rank, out_pivots) == (red, rank, pivots)
     assert (a == before).all()  # the caller's matrix is left alone
+    out = a % p
+    assert linalg.rref_inplace(out, p) == (rank, pivots)
+    assert out.tolist() == red
 
     blocks = [linalg._peeled_block(m, p) for m in (a, sparse)]
     (block, peeled, cols), (block_s, peeled_s, cols_s) = blocks
